@@ -1,13 +1,18 @@
 """Small shared helpers: worker-count control, deterministic RNG streams,
-fixed-width float formatting for serialized output."""
+fixed-width float formatting for serialized output, JSON-object config
+loading."""
 
 from __future__ import annotations
 
+import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from pathlib import Path
+from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
+
+from .errors import ParseError
 
 THREADS_ENV_VAR = "GT_FORGE_THREADS"
 
@@ -59,3 +64,20 @@ def fmt_float(value: float) -> str:
     if value != value:
         raise ValueError("cannot serialize NaN")
     return f"{value:.9g}"
+
+
+def json_object(value: object, source: str) -> Mapping:
+    """value itself if it is a JSON object (a mapping); ParseError otherwise."""
+    if not isinstance(value, Mapping):
+        raise ParseError(f"{source}: expected a JSON object")
+    return value
+
+
+def load_json_object(path: str | Path) -> Mapping:
+    """Read a JSON config file whose top level must be an object."""
+    try:
+        with Path(path).open("r") as stream:
+            data = json.load(stream)
+    except json.JSONDecodeError as err:
+        raise ParseError(f"{path}: invalid JSON: {err}")
+    return json_object(data, str(path))

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import __version__, gtgen, synth, uncert
-from ._util import derived_rng, fmt_float
+from ._util import derived_rng, fmt_float, load_json_object
 from .calib import parse_pose_stream, relative_motions, solve_hand_eye
 from .errors import (
     DegenerateMotion,
@@ -38,6 +38,7 @@ from .trajlog import (
     ClockModel,
     Trajectory,
     apply_clock_model,
+    clock_model_from_mapping,
     parse_trajectory_log,
     write_trajectory_log,
 )
@@ -105,13 +106,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 # generate
 
 def _load_geometry(path: str) -> gtgen.VehicleGeometry | dict[str, gtgen.VehicleGeometry]:
-    with Path(path).open("r") as stream:
-        try:
-            data = json.load(stream)
-        except json.JSONDecodeError as err:
-            raise ParseError(f"{path}: invalid JSON: {err}")
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: expected a JSON object")
+    data = load_json_object(path)
 
     def one(obj: Mapping, where: str) -> gtgen.VehicleGeometry:
         try:
@@ -129,36 +124,15 @@ def _load_geometry(path: str) -> gtgen.VehicleGeometry | dict[str, gtgen.Vehicle
 
 
 def _load_clocks(path: str) -> dict[str, ClockModel]:
-    with Path(path).open("r") as stream:
-        try:
-            data = json.load(stream)
-        except json.JSONDecodeError as err:
-            raise ParseError(f"{path}: invalid JSON: {err}")
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: expected a JSON object")
-    clocks = {}
-    for vehicle_id, model in data.items():
-        try:
-            clocks[vehicle_id] = ClockModel(
-                offset=float(model.get("offset", 0.0)),
-                drift=float(model.get("drift", 0.0)),
-            )
-        except (AttributeError, TypeError, ValueError) as err:
-            raise ParseError(f"{path}[{vehicle_id!r}]: bad clock model: {err}")
-    return clocks
+    return {
+        vehicle_id: clock_model_from_mapping(model, f"{path}[{vehicle_id!r}]")
+        for vehicle_id, model in load_json_object(path).items()
+    }
 
 
-def _overlap_window(
-    trajectories: Sequence[Trajectory], clocks: Mapping[str, ClockModel]
-) -> tuple[float, float]:
-    t0 = -math.inf
-    t1 = math.inf
-    for traj in trajectories:
-        if traj.vehicle_id in clocks:
-            traj = apply_clock_model(traj, clocks[traj.vehicle_id])
-        lo, hi = traj.support
-        t0 = max(t0, lo)
-        t1 = min(t1, hi)
+def _overlap_window(trajectories: Sequence[Trajectory]) -> tuple[float, float]:
+    t0 = max(traj.support[0] for traj in trajectories)
+    t1 = min(traj.support[1] for traj in trajectories)
     if t1 < t0:
         raise OutOfSupport(f"trajectory supports do not overlap: [{t0:g}, {t1:g}]")
     return t0, t1
@@ -175,18 +149,22 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     noise = uncert.load_noise_model(args.noise) if args.noise else None
     envelope = uncert.load_envelope(args.envelope) if args.envelope else None
 
+    # Retime once; the stamp window and the records both use the result.
+    ego, *targets = [
+        apply_clock_model(traj, clocks[traj.vehicle_id])
+        if traj.vehicle_id in clocks else traj
+        for traj in (ego, *targets)
+    ]
     if args.stamps is not None:
         stamps = gtgen.read_stamps(args.stamps)
     else:
-        t0, t1 = _overlap_window([ego, *targets], clocks)
-        stamps = gtgen.make_stamps(args.rate, t0, t1)
+        stamps = gtgen.make_stamps(args.rate, *_overlap_window([ego, *targets]))
 
     records = gtgen.generate_records(
         ego,
         targets,
         stamps,
         geometry,
-        clocks=clocks or None,
         noise=noise,
         envelope=envelope,
         convention=args.convention,
@@ -471,16 +449,16 @@ _PLOT_CHANNELS = ("x", "y", "vx", "vy", "psi")
 
 def _cmd_export_plot(args: argparse.Namespace) -> int:
     records = gtgen.read_records_jsonl(args.gt)
+    keep = np.ones(len(records), dtype=bool)
     if args.target is not None:
-        records = [r for r in records if r.target_id == args.target]
-        if not records:
+        keep = records.target_id == args.target
+        if not keep.any():
             raise ValueError(f"no records for target {args.target!r}")
+    rows = zip(records.t[keep].tolist(), getattr(records, args.channel)[keep].tolist())
     with Path(args.out).open("w", newline="") as stream:
         stream.write(f"t,{args.channel}\n")
-        for record in records:
-            value = getattr(record.rel, args.channel)
-            stream.write(f"{fmt_float(record.t)},{fmt_float(value)}\n")
-    sys.stdout.write(f"{args.out}: {len(records)} rows\n")
+        stream.writelines("%.9g,%.9g\n" % row for row in rows)
+    sys.stdout.write(f"{args.out}: {int(keep.sum())} rows\n")
     return EXIT_OK
 
 

@@ -9,8 +9,7 @@ familiar transport terms +psi_dot*dy / -psi_dot*dx before rotation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, overload
+from typing import TYPE_CHECKING, NamedTuple, Union, overload
 
 import numpy as np
 
@@ -20,6 +19,8 @@ if TYPE_CHECKING:
     from .trajlog import TrajectorySample
 
 _TWO_PI = 2.0 * math.pi
+
+Value = Union[float, np.ndarray]
 
 
 @overload
@@ -46,77 +47,53 @@ def wrap_angle(angle):
     return np.where(inside, arr, wrapped)
 
 
-@dataclass(frozen=True)
-class RelativeState:
-    """Target kinematics expressed in the ego frame at one instant.
+class RelativeState(NamedTuple):
+    """Target kinematics in the ego frame, as floats or as arrays.
 
     x points along the ego yaw, y to its left; vx, vy are the apparent
     velocity in that rotating frame and psi the relative yaw in (-pi, pi].
     """
 
-    x: float
-    y: float
-    vx: float
-    vy: float
-    psi: float
-
-    def __post_init__(self) -> None:
-        for name in ("x", "y", "vx", "vy", "psi"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if not -math.pi < self.psi <= math.pi:
-            raise ValueError(f"psi must lie in (-pi, pi], got {self.psi}")
+    x: Value
+    y: Value
+    vx: Value
+    vy: Value
+    psi: Value
 
 
-def relative_position(
-    ego: "TrajectorySample", target: "TrajectorySample"
-) -> tuple[float, float]:
-    """Target position in the ego frame: R(-psi_ego) applied to the offset."""
-    dx = target.x - ego.x
-    dy = target.y - ego.y
-    c = math.cos(ego.psi)
-    s = math.sin(ego.psi)
-    return dx * c + dy * s, dy * c - dx * s
+def relative_state(ego, target) -> RelativeState:
+    """Target position, velocity and yaw in the rotating ego frame.
 
-
-def relative_velocity(
-    ego: "TrajectorySample", target: "TrajectorySample"
-) -> tuple[float, float]:
-    """Apparent target velocity in the rotating ego frame.
-
-    Needs the ego yaw rate for the transport terms; raises MissingYawRate
-    when absent.
+    ego and target carry x, y, vx, vy, psi (and ego psi_dot) as floats or
+    as equal-length arrays: a TrajectorySample, States or Trajectory. The
+    position is R(-psi_ego) applied to the offset; the velocity adds the
+    transport terms, so it needs the ego yaw rate and raises MissingYawRate
+    when that is absent (None or NaN).
     """
-    if ego.psi_dot is None:
+    if ego.psi_dot is None or np.isnan(ego.psi_dot).any():
         raise MissingYawRate(
-            f"ego sample at t={ego.t} has no yaw rate; relative velocity "
-            "in a rotating frame is undefined without it"
+            "ego state has no yaw rate; relative velocity in a rotating frame "
+            "is undefined without it"
         )
     dx = target.x - ego.x
     dy = target.y - ego.y
     dvx = target.vx - ego.vx + ego.psi_dot * dy
     dvy = target.vy - ego.vy - ego.psi_dot * dx
-    c = math.cos(ego.psi)
-    s = math.sin(ego.psi)
-    return dvx * c + dvy * s, dvy * c - dvx * s
-
-
-def relative_yaw(ego: "TrajectorySample", target: "TrajectorySample") -> float:
-    return wrap_angle(target.psi - ego.psi)
-
-
-def relative_state(
-    ego: "TrajectorySample", target: "TrajectorySample"
-) -> RelativeState:
-    x, y = relative_position(ego, target)
-    vx, vy = relative_velocity(ego, target)
-    return RelativeState(x=x, y=y, vx=vx, vy=vy, psi=relative_yaw(ego, target))
+    c = np.cos(ego.psi)
+    s = np.sin(ego.psi)
+    return RelativeState(
+        dx * c + dy * s,
+        dy * c - dx * s,
+        dvx * c + dvy * s,
+        dvy * c - dvx * s,
+        wrap_angle(target.psi - ego.psi),
+    )
 
 
 def utm_from_relative(ego: "TrajectorySample", rel: RelativeState):
     """Rebuild the target's world-frame state from an ego-frame observation.
 
-    Inverse of relative_state given the same ego sample. The returned
+    Inverse of relative_state given the same scalar ego sample. The returned
     sample has no yaw rate (a single relative observation does not carry
     the target's own psi_dot).
     """

@@ -6,10 +6,11 @@ logs, forms each target's relative state in the ego frame, attaches the
 vehicle-footprint corners and, when a noise model plus scenario envelope
 are supplied, the dataset-level covariance bounds.
 
-Records serialize to JSON Lines, one record per line, keys in fixed order
-(t, target_id, x, y, vx, vy, psi, bbox, pos_bound, vel_bound, yaw_var),
-floats with 9 significant digits. Identical inputs produce bit-identical
-files.
+Records are held as a RecordSet: one array per column, one row per
+(stamp, target), with the bounds stored once. They serialize to JSON Lines,
+one record per line, keys in fixed order (t, target_id, x, y, vx, vy, psi,
+bbox, pos_bound, vel_bound, yaw_var), floats with 9 significant digits.
+Identical inputs produce bit-identical files.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ from .uncert import (
     yaw_variance,
 )
 
-Corner = tuple[float, float]
-
 
 @dataclass(frozen=True)
 class VehicleGeometry:
@@ -63,64 +62,71 @@ class VehicleGeometry:
         object.__setattr__(self, "ref_to_center", (float(ox), float(oy)))
 
 
-@dataclass(frozen=True)
-class GroundTruthRecord:
-    """One target observation in the ego frame at one stamp.
+@dataclass(frozen=True, eq=False)
+class RecordSet:
+    """Ground-truth records as columns, sorted by (t, target_id).
 
-    bbox holds the four footprint corners in canonical order front-left,
-    front-right, rear-right, rear-left. The three bound fields are either
-    all present (noise model supplied) or all None.
+    Row i is one target observed in the ego frame at stamp t[i]: x, y, vx,
+    vy, psi as in RelativeState, and bbox[i] its four footprint corners in
+    canonical order front-left, front-right, rear-right, rear-left, so bbox
+    has shape (n, 4, 2). The three bounds are dataset-level constants,
+    either all present (noise model supplied) or all None.
     """
 
-    t: float
-    target_id: str
-    rel: RelativeState
-    bbox: tuple[Corner, Corner, Corner, Corner]
+    t: np.ndarray
+    target_id: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    vx: np.ndarray
+    vy: np.ndarray
+    psi: np.ndarray
+    bbox: np.ndarray
     pos_bound: CovBound2 | None = None
     vel_bound: CovBound2 | None = None
     yaw_var: float | None = None
 
     def __post_init__(self) -> None:
-        if len(self.bbox) != 4:
-            raise ValueError(f"bbox needs exactly 4 corners, got {len(self.bbox)}")
-        object.__setattr__(
-            self, "bbox", tuple((float(x), float(y)) for x, y in self.bbox)
-        )
+        if self.bbox.shape != (len(self), 4, 2):
+            raise ValueError(f"bbox must have shape (n, 4, 2), got {self.bbox.shape}")
         bounds = (self.pos_bound, self.vel_bound, self.yaw_var)
         if any(b is None for b in bounds) != all(b is None for b in bounds):
             raise ValueError("bounds must be attached together or not at all")
 
+    def __len__(self) -> int:
+        return len(self.t)
+
 
 # Corner offsets from the footprint center in the target frame, canonical
 # order FL, FR, RR, RL.
-_CORNER_SIGNS = ((1.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (-1.0, 1.0))
+_CORNER_SIGNS = np.array(((1.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (-1.0, 1.0)))
 
 
-def bbox_footprint(
-    rel: RelativeState, geom: VehicleGeometry
-) -> tuple[Corner, Corner, Corner, Corner]:
-    """Footprint corners in the ego frame for a target at rel."""
-    c = math.cos(rel.psi)
-    s = math.sin(rel.psi)
+def bbox_footprint(rel: RelativeState, geom: VehicleGeometry) -> np.ndarray:
+    """Footprint corners in the ego frame for a target at rel.
+
+    Shape (4, 2) for a scalar state, (n, 4, 2) for n states.
+    """
+    c = np.cos(rel.psi)[..., None]
+    s = np.sin(rel.psi)[..., None]
     ox, oy = geom.ref_to_center
-    half_l = 0.5 * geom.length
-    half_w = 0.5 * geom.width
-    corners = []
-    for sx, sy in _CORNER_SIGNS:
-        bx = ox + sx * half_l
-        by = oy + sy * half_w
-        corners.append((rel.x + bx * c - by * s, rel.y + bx * s + by * c))
-    return tuple(corners)
+    bx = ox + _CORNER_SIGNS[:, 0] * (0.5 * geom.length)
+    by = oy + _CORNER_SIGNS[:, 1] * (0.5 * geom.width)
+    x = np.asarray(rel.x)[..., None]
+    y = np.asarray(rel.y)[..., None]
+    return np.stack((x + bx * c - by * s, y + bx * s + by * c), axis=-1)
 
 
 def make_stamps(rate: float, t0: float, t1: float) -> np.ndarray:
-    """Evenly spaced stamps at the given rate starting at t0, within [t0, t1]."""
+    """Evenly spaced stamps at the given rate starting at t0, within [t0, t1].
+
+    A last stamp that rounding puts past t1 is clamped to t1.
+    """
     if not (math.isfinite(rate) and rate > 0.0):
         raise ValueError(f"rate must be positive, got {rate}")
     if t1 < t0:
         raise ValueError(f"empty window: [{t0}, {t1}]")
     count = int(math.floor((t1 - t0) * rate + 1e-9))
-    return t0 + np.arange(count + 1) / rate
+    return np.minimum(t0 + np.arange(count + 1) / rate, t1)
 
 
 def read_stamps(source: str | Path | IO[str]) -> np.ndarray:
@@ -178,7 +184,7 @@ def generate_records(
     noise: NoiseModel | None = None,
     envelope: ScenarioEnvelope | None = None,
     convention: str = DEFAULT_CONVENTION,
-) -> list[GroundTruthRecord]:
+) -> RecordSet:
     """Produce ground-truth records for every (stamp, target) pair.
 
     Clock corrections are applied per vehicle id before interpolation.
@@ -197,92 +203,104 @@ def generate_records(
     if noise is not None and envelope is None:
         raise ValueError("a noise model needs a scenario envelope to form bounds")
     _check_zones([ego, *targets])
-
-    def corrected(traj: Trajectory) -> Trajectory:
-        if clocks and traj.vehicle_id in clocks:
-            return apply_clock_model(traj, clocks[traj.vehicle_id])
-        return traj
+    if clocks:
+        ego, *targets = [
+            apply_clock_model(traj, clocks[traj.vehicle_id])
+            if traj.vehicle_id in clocks else traj
+            for traj in (ego, *targets)
+        ]
 
     stamp_arr = np.sort(np.asarray(stamps, dtype=float).ravel())
     if stamp_arr.size == 0:
         raise ValueError("no stamps given")
 
-    ego_states = build_interpolant(corrected(ego)).states_at(stamp_arr)
-
-    pos_b = vel_b = None
-    yaw_v = None
+    ego_states = build_interpolant(ego).states_at(stamp_arr)
+    bounds = {}
     if noise is not None:
         assert envelope is not None
-        pos_b = position_bound(noise, envelope, convention)
-        vel_b = velocity_bound(noise, envelope, convention)
-        yaw_v = yaw_variance(noise)
+        bounds = {
+            "pos_bound": position_bound(noise, envelope, convention),
+            "vel_bound": velocity_bound(noise, envelope, convention),
+            "yaw_var": yaw_variance(noise),
+        }
 
-    records: list[GroundTruthRecord] = []
+    rels = []
+    boxes = []
     for target in targets:
-        target_states = build_interpolant(corrected(target)).states_at(stamp_arr)
-        geom = _geometry_for(geometry, target.vehicle_id)
-        for ego_state, target_state in zip(ego_states, target_states):
-            rel = relative_state(ego_state, target_state)
-            records.append(
-                GroundTruthRecord(
-                    t=ego_state.t,
-                    target_id=target.vehicle_id,
-                    rel=rel,
-                    bbox=bbox_footprint(rel, geom),
-                    pos_bound=pos_b,
-                    vel_bound=vel_b,
-                    yaw_var=yaw_v,
-                )
-            )
-    records.sort(key=lambda r: (r.t, r.target_id))
-    return records
-
-
-def _cov_json(cov: CovBound2) -> str:
-    return (
-        f'{{"a": {fmt_float(cov.a)}, "b": {fmt_float(cov.b)}, '
-        f'"c": {fmt_float(cov.c)}}}'
+        rel = relative_state(ego_states, build_interpolant(target).states_at(stamp_arr))
+        rels.append(rel)
+        boxes.append(bbox_footprint(rel, _geometry_for(geometry, target.vehicle_id)))
+    t = np.tile(stamp_arr, len(targets))
+    target_id = np.repeat(ids, stamp_arr.size)
+    order = np.lexsort((target_id, t))
+    return RecordSet(
+        t[order],
+        target_id[order],
+        *(np.concatenate(column)[order] for column in zip(*rels)),
+        bbox=np.concatenate(boxes)[order],
+        **bounds,
     )
 
 
-def record_to_json(record: GroundTruthRecord) -> str:
-    """One record as a JSON object string, fixed key order, floats at 9
-    significant digits."""
+_ROW_FORMAT = (
+    '{"t": %.9g, "target_id": %s, "x": %.9g, "y": %.9g, "vx": %.9g, '
+    '"vy": %.9g, "psi": %.9g, "bbox": [[%.9g, %.9g], [%.9g, %.9g], '
+    "[%.9g, %.9g], [%.9g, %.9g]]"
+)
+
+
+def _cov_json(cov: CovBound2) -> str:
     f = fmt_float
-    corners = ", ".join(f"[{f(x)}, {f(y)}]" for x, y in record.bbox)
-    parts = [
-        f'"t": {f(record.t)}',
-        f'"target_id": {json.dumps(record.target_id)}',
-        f'"x": {f(record.rel.x)}',
-        f'"y": {f(record.rel.y)}',
-        f'"vx": {f(record.rel.vx)}',
-        f'"vy": {f(record.rel.vy)}',
-        f'"psi": {f(record.rel.psi)}',
-        f'"bbox": [{corners}]',
-    ]
-    if record.pos_bound is not None:
-        parts.append(f'"pos_bound": {_cov_json(record.pos_bound)}')
-        parts.append(f'"vel_bound": {_cov_json(record.vel_bound)}')
-        parts.append(f'"yaw_var": {f(record.yaw_var)}')
-    return "{" + ", ".join(parts) + "}"
+    return f'{{"a": {f(cov.a)}, "b": {f(cov.b)}, "c": {f(cov.c)}}}'
 
 
-def write_records_jsonl(
-    records: Sequence[GroundTruthRecord], dest: str | Path | IO[str]
-) -> None:
+def record_to_json(records: RecordSet) -> list[str]:
+    """Each record as one JSON Lines row: fixed key order, floats at 9
+    significant digits, newline included.
+
+    Refuses non-finite values, which JSON cannot carry. The bounds suffix
+    is formatted once, since the bounds are dataset constants.
+    """
+    corners = records.bbox.reshape(-1, 8).T
+    columns = [records.t, records.x, records.y, records.vx, records.vy, records.psi]
+    for name, column in zip(("t", "x", "y", "vx", "vy", "psi", "bbox"), [*columns, corners]):
+        if not np.isfinite(column).all():
+            raise ValueError(f"cannot serialize non-finite {name} values")
+    tail = "}\n"
+    if records.pos_bound is not None:
+        tail = (
+            f', "pos_bound": {_cov_json(records.pos_bound)}, '
+            f'"vel_bound": {_cov_json(records.vel_bound)}, '
+            f'"yaw_var": {fmt_float(records.yaw_var)}}}\n'
+        )
+    row_format = _ROW_FORMAT + tail
+    ids = records.target_id.tolist()
+    quoted = {name: json.dumps(name) for name in set(ids)}
+    t, *state = (column.tolist() for column in columns)
+    rows = zip(t, [quoted[name] for name in ids], *state, *corners.tolist())
+    return [row_format % row for row in rows]
+
+
+def write_records_jsonl(records: RecordSet, dest: str | Path | IO[str]) -> None:
     if isinstance(dest, (str, Path)):
         with Path(dest).open("w", newline="") as stream:
             write_records_jsonl(records, stream)
         return
-    for record in records:
-        dest.write(record_to_json(record) + "\n")
+    dest.writelines(record_to_json(records))
 
 
-def read_records_jsonl(source: str | Path | IO[str]) -> list[GroundTruthRecord]:
+_RECORD_FLOATS = ("t", "x", "y", "vx", "vy", "psi")
+
+
+def read_records_jsonl(source: str | Path | IO[str]) -> RecordSet:
+    """Parse records written by write_records_jsonl; errors name the line."""
     if isinstance(source, (str, Path)):
         with Path(source).open("r") as stream:
             return read_records_jsonl(stream)
-    records = []
+    rows: list[list[float]] = []
+    ids: list[str] = []
+    lines: list[int] = []
+    bounds = None
     for line_no, line in enumerate(source, start=1):
         text = line.strip()
         if not text:
@@ -292,26 +310,38 @@ def read_records_jsonl(source: str | Path | IO[str]) -> list[GroundTruthRecord]:
         except json.JSONDecodeError as err:
             raise ParseError(f"invalid JSON: {err}", line_no)
         try:
-            rel = RelativeState(
-                x=data["x"], y=data["y"], vx=data["vx"], vy=data["vy"],
-                psi=data["psi"],
-            )
-            bounds = {}
+            corners = [(float(x), float(y)) for x, y in data["bbox"]]
+            if len(corners) != 4:
+                raise ValueError(f"bbox needs exactly 4 corners, got {len(corners)}")
+            row = [float(data[key]) for key in _RECORD_FLOATS]
+            row += [v for corner in corners for v in corner]
+            found = None
             if "pos_bound" in data:
-                bounds = {
-                    "pos_bound": CovBound2(**data["pos_bound"]),
-                    "vel_bound": CovBound2(**data["vel_bound"]),
-                    "yaw_var": float(data["yaw_var"]),
-                }
-            records.append(
-                GroundTruthRecord(
-                    t=float(data["t"]),
-                    target_id=str(data["target_id"]),
-                    rel=rel,
-                    bbox=tuple((float(x), float(y)) for x, y in data["bbox"]),
-                    **bounds,
+                found = (
+                    CovBound2(**data["pos_bound"]),
+                    CovBound2(**data["vel_bound"]),
+                    float(data["yaw_var"]),
                 )
-            )
+            ids.append(str(data["target_id"]))
         except (KeyError, TypeError, ValueError) as err:
             raise ParseError(f"bad record: {err}", line_no)
-    return records
+        if rows and found != bounds:
+            raise ParseError("bad record: bounds differ from the first record's", line_no)
+        bounds = found
+        rows.append(row)
+        lines.append(line_no)
+    table = np.array(rows, dtype=float).reshape(-1, 14)
+    psi = table[:, 5]
+    bad = ~np.isfinite(table).all(axis=1) | ~(psi > -math.pi) | (psi > math.pi)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ParseError(
+            "bad record: values must be finite and psi in (-pi, pi], got "
+            f"{table[i, :6].tolist()}",
+            lines[i],
+        )
+    t, x, y, vx, vy, psi = table[:, :6].T
+    return RecordSet(
+        t, np.array(ids, dtype=str), x, y, vx, vy, psi,
+        table[:, 6:].reshape(-1, 4, 2), *(bounds or (None, None, None)),
+    )

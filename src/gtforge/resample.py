@@ -10,14 +10,13 @@ strictly limited to the logged support; there is no extrapolation.
 
 from __future__ import annotations
 
-import math
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .egokin import wrap_angle
 from .errors import OutOfSupport, TooFewSamples
-from .trajlog import Trajectory, TrajectorySample
+from .trajlog import States, Trajectory
 
 MIN_SAMPLES = 4
 
@@ -42,16 +41,16 @@ class TrajectoryInterpolant:
         self.vehicle_id = traj.vehicle_id
         self.zone = traj.zone
         self.hemisphere = traj.hemisphere
-        t = traj.times()
+        t = traj.t
         self._t = t
-        self._x = CubicSpline(t, traj.channel("x"), bc_type="natural")
-        self._y = CubicSpline(t, traj.channel("y"), bc_type="natural")
-        self._vx = CubicSpline(t, traj.channel("vx"), bc_type="natural")
-        self._vy = CubicSpline(t, traj.channel("vy"), bc_type="natural")
-        self._psi = CubicSpline(t, _unwrap(traj.channel("psi")), bc_type="natural")
+        self._x = CubicSpline(t, traj.x, bc_type="natural")
+        self._y = CubicSpline(t, traj.y, bc_type="natural")
+        self._vx = CubicSpline(t, traj.vx, bc_type="natural")
+        self._vy = CubicSpline(t, traj.vy, bc_type="natural")
+        self._psi = CubicSpline(t, _unwrap(traj.psi), bc_type="natural")
         self.has_logged_yaw_rate = traj.has_yaw_rate
         if self.has_logged_yaw_rate:
-            self._psi_dot = CubicSpline(t, traj.channel("psi_dot"), bc_type="natural")
+            self._psi_dot = CubicSpline(t, traj.psi_dot, bc_type="natural")
         else:
             self._psi_dot = self._psi.derivative()
 
@@ -69,27 +68,14 @@ class TrajectoryInterpolant:
                 f"support [{t0:g}, {t1:g}]: {shown}"
             )
 
-    def states_at(self, times) -> list[TrajectorySample]:
+    def states_at(self, times) -> States:
         """Evaluate every channel at the given times (all inside support)."""
         arr = np.atleast_1d(np.asarray(times, dtype=float))
         self._check(arr)
-        x = self._x(arr)
-        y = self._y(arr)
-        vx = self._vx(arr)
-        vy = self._vy(arr)
-        psi = wrap_angle(self._psi(arr))
-        psi_dot = self._psi_dot(arr)
-        return [
-            TrajectorySample(
-                t=float(arr[i]), x=float(x[i]), y=float(y[i]),
-                vx=float(vx[i]), vy=float(vy[i]),
-                psi=float(psi[i]), psi_dot=float(psi_dot[i]),
-            )
-            for i in range(arr.size)
-        ]
-
-    def state_at(self, t: float) -> TrajectorySample:
-        return self.states_at([t])[0]
+        return States(
+            arr, self._x(arr), self._y(arr), self._vx(arr), self._vy(arr),
+            wrap_angle(self._psi(arr)), self._psi_dot(arr),
+        )
 
     def velocity_consistency_rms(self) -> tuple[float, float]:
         """RMS gap between logged velocities and position-spline derivatives.

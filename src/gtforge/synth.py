@@ -9,7 +9,6 @@ affine clock error, giving test data whose ground truth is exact.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -17,10 +16,16 @@ from typing import Mapping
 
 import numpy as np
 
-from ._util import derived_rng
+from ._util import derived_rng, json_object, load_json_object
 from .egokin import wrap_angle
 from .errors import ParseError
-from .trajlog import ClockModel, Trajectory, TrajectorySample, apply_clock_model
+from .trajlog import (
+    ClockModel,
+    States,
+    Trajectory,
+    apply_clock_model,
+    clock_model_from_mapping,
+)
 from .uncert import NoiseModel, noise_model_from_mapping
 
 # Defaults give a 3.2 km lap: 2 x 1100 m straights + 1 km of curve.
@@ -185,28 +190,15 @@ class RunSpec:
         return float(out[0]) if scalar else out
 
 
-def run_states(track: StadiumTrack, run: RunSpec, times) -> list[TrajectorySample]:
+def run_states(track: StadiumTrack, run: RunSpec, times) -> States:
     """Closed-form vehicle states at the given times."""
     t = np.atleast_1d(np.asarray(times, dtype=float))
-    s = run.start_offset + run.distance_at(t)
     v = run.speed_at(t)
-    x, y, heading, curvature = track.frame_at(s)
-    vx = v * np.cos(heading)
-    vy = v * np.sin(heading)
-    psi = wrap_angle(heading)
-    psi_dot = curvature * v
-    return [
-        TrajectorySample(
-            t=float(t[i]), x=float(x[i]), y=float(y[i]),
-            vx=float(vx[i]), vy=float(vy[i]),
-            psi=float(psi[i]), psi_dot=float(psi_dot[i]),
-        )
-        for i in range(t.size)
-    ]
-
-
-def state_of(track: StadiumTrack, run: RunSpec, t: float) -> TrajectorySample:
-    return run_states(track, run, [t])[0]
+    x, y, heading, curvature = track.frame_at(run.start_offset + run.distance_at(t))
+    return States(
+        t, x, y, v * np.cos(heading), v * np.sin(heading), wrap_angle(heading),
+        curvature * v,
+    )
 
 
 def sample_times(run: RunSpec) -> np.ndarray:
@@ -218,8 +210,8 @@ def simulate_run(
     track: StadiumTrack, run: RunSpec, vehicle_id: str = "vehicle"
 ) -> Trajectory:
     """Noise-free log of one run, sampled at the run's rate from t = 0."""
-    samples = run_states(track, run, sample_times(run))
-    return Trajectory(vehicle_id=vehicle_id, samples=tuple(samples))
+    s = run_states(track, run, sample_times(run))
+    return Trajectory(vehicle_id, s.t, s.x, s.y, s.vx, s.vy, s.psi, s.psi_dot)
 
 
 def straight_trajectory(
@@ -244,14 +236,10 @@ def straight_trajectory(
     psi = wrap_angle(float(heading))
     vx = speed * math.cos(psi)
     vy = speed * math.sin(psi)
-    samples = tuple(
-        TrajectorySample(
-            t=float(tk), x=start[0] + vx * float(tk), y=start[1] + vy * float(tk),
-            vx=vx, vy=vy, psi=psi, psi_dot=0.0,
-        )
-        for tk in t
+    return Trajectory(
+        vehicle_id, t, start[0] + vx * t, start[1] + vy * t,
+        np.full_like(t, vx), np.full_like(t, vy), np.full_like(t, psi), np.zeros_like(t),
     )
-    return Trajectory(vehicle_id=vehicle_id, samples=samples)
 
 
 def corrupt(
@@ -263,7 +251,7 @@ def corrupt(
 ) -> Trajectory:
     """Simulate an imperfect log: white Gaussian noise per channel, then the
     clock model. Deterministic for fixed (seed, stream); zero noise and no
-    clock reproduce the input exactly.
+    clock reproduce the input exactly. A missing yaw rate stays missing.
     """
     out = traj
     if nm is not None:
@@ -275,17 +263,11 @@ def corrupt(
         evy = rng.normal(0.0, nm.sigma_vel, n)
         epsi = rng.normal(0.0, nm.sigma_psi, n)
         erate = rng.normal(0.0, nm.sigma_psi_dot, n)
-        samples = tuple(
-            replace(
-                s,
-                x=s.x + ex[i], y=s.y + ey[i],
-                vx=s.vx + evx[i], vy=s.vy + evy[i],
-                psi=wrap_angle(s.psi + epsi[i]),
-                psi_dot=None if s.psi_dot is None else s.psi_dot + erate[i],
-            )
-            for i, s in enumerate(traj.samples)
+        out = replace(
+            traj,
+            x=traj.x + ex, y=traj.y + ey, vx=traj.vx + evx, vy=traj.vy + evy,
+            psi=wrap_angle(traj.psi + epsi), psi_dot=traj.psi_dot + erate,
         )
-        out = replace(traj, samples=samples)
     if clock is not None:
         out = apply_clock_model(out, clock)
     return out
@@ -373,7 +355,7 @@ def _require(data: Mapping, key: str, source: str):
 
 def scenario_from_mapping(data: Mapping, source: str = "scenario") -> Scenario:
     try:
-        track_data = data.get("track", {})
+        track_data = json_object(data.get("track", {}), f"{source}.track")
         track = TrackSpec(
             straight_len=float(track_data.get("straight_len", DEFAULT_STRAIGHT_LEN)),
             curve_radius=float(track_data.get("curve_radius", DEFAULT_CURVE_RADIUS)),
@@ -395,10 +377,7 @@ def scenario_from_mapping(data: Mapping, source: str = "scenario") -> Scenario:
             )
             clock = None
             if v.get("clock") is not None:
-                clock = ClockModel(
-                    offset=float(v["clock"].get("offset", 0.0)),
-                    drift=float(v["clock"].get("drift", 0.0)),
-                )
+                clock = clock_model_from_mapping(v["clock"], f"{where}.clock")
             vehicles.append(VehicleRun(str(_require(v, "id", where)), run, clock))
         return Scenario(
             track=track,
@@ -413,11 +392,4 @@ def scenario_from_mapping(data: Mapping, source: str = "scenario") -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    try:
-        with Path(path).open("r") as stream:
-            data = json.load(stream)
-    except json.JSONDecodeError as err:
-        raise ParseError(f"{path}: invalid JSON: {err}")
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: expected a JSON object")
-    return scenario_from_mapping(data, source=str(path))
+    return scenario_from_mapping(load_json_object(path), source=str(path))

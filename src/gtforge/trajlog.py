@@ -9,8 +9,13 @@ Units are SI throughout (seconds, metres, m/s, rad/s). heading_deg is the
 surveying convention, degrees clockwise from North; internally every
 orientation is psi, radians counter-clockwise from East, wrapped to
 (-pi, pi]. yaw_rate/psi_dot is the CCW yaw rate in rad/s in both schemas.
-alt and psi_dot cells may be empty. Writing a UTM log and parsing it back
-reproduces the trajectory bit-exactly.
+alt and psi_dot cells may be empty.
+
+In memory a Trajectory holds one float64 array per channel (t, x, y, vx,
+vy, psi, psi_dot, alt), with NaN for an empty optional cell, and checks
+whole arrays at construction. The parser still checks every cell and
+reports the first bad one with its line number. Writing a UTM log and
+parsing it back reproduces the trajectory bit-exactly.
 """
 
 from __future__ import annotations
@@ -19,14 +24,17 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, TYPE_CHECKING, Mapping
 
 import numpy as np
 
+from ._util import json_object
 from .egokin import wrap_angle
 from .errors import (
+    InvalidCoordinate,
     MissingColumn,
     NonMonotonicTimestamps,
+    OutOfZone,
     ParseError,
 )
 from .geodesy import (
@@ -37,12 +45,17 @@ from .geodesy import (
     zone_from_longitude,
 )
 
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
+
 GEODETIC_COLUMNS = ("t", "lat", "lon", "alt", "ve", "vn", "heading_deg", "yaw_rate")
 UTM_COLUMNS = ("t", "x", "y", "alt", "vx", "vy", "psi_rad", "psi_dot")
 FRAMES = ("utm", "geodetic")
 
-# Columns whose cells may be left empty.
+# Columns whose cells may be left empty, and the channels they fill.
 _OPTIONAL = {"alt", "yaw_rate", "psi_dot"}
+_OPTIONAL_CHANNELS = {"alt", "psi_dot"}
+_CHANNELS = ("t", "x", "y", "vx", "vy", "psi", "psi_dot", "alt")
 
 
 def _finite(name: str, value: float) -> float:
@@ -82,50 +95,95 @@ class TrajectorySample:
             _finite("alt", self.alt)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Time-ordered samples for one vehicle.
+@dataclass(frozen=True, eq=False)
+class States:
+    """Kinematic states at a sequence of times, one float64 array per channel.
 
+    What interpolants and the closed-form simulator return. The times need
+    not increase and no check is run; psi_dot is always present.
+    """
+
+    t: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    vx: np.ndarray
+    vy: np.ndarray
+    psi: np.ndarray
+    psi_dot: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """One vehicle's log, one read-only float64 array per channel.
+
+    Channels are those of TrajectorySample. psi_dot and alt may be None, or
+    hold NaN where the log left a cell empty; every other value must be
+    finite, psi must lie in (-pi, pi] and t must increase strictly.
     zone/hemisphere record which UTM zone the samples live in when known
     (set by the geodetic parser); purely synthetic trajectories leave them
-    None.
+    None. Two trajectories are equal when their ids, zones and every
+    channel match bit for bit.
     """
 
     vehicle_id: str
-    samples: tuple[TrajectorySample, ...]
+    t: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    vx: np.ndarray
+    vy: np.ndarray
+    psi: np.ndarray
+    psi_dot: np.ndarray | None = None
+    alt: np.ndarray | None = None
     zone: int | None = None
     hemisphere: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.samples:
+        n = len(self.t)
+        if n == 0:
             raise ValueError("trajectory needs at least one sample")
-        object.__setattr__(self, "samples", tuple(self.samples))
-        times = [s.t for s in self.samples]
-        for i in range(1, len(times)):
-            if times[i] <= times[i - 1]:
-                raise NonMonotonicTimestamps(
-                    f"vehicle {self.vehicle_id!r}: t[{i}]={times[i]} does not "
-                    f"increase past t[{i - 1}]={times[i - 1]}"
-                )
+        for name in _CHANNELS:
+            value = getattr(self, name)
+            arr = np.full(n, math.nan) if value is None else np.array(value, dtype=float)
+            if arr.shape != (n,):
+                raise ValueError("channel arrays must have equal length")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+            bad = np.isinf(arr) if name in _OPTIONAL_CHANNELS else ~np.isfinite(arr)
+            if bad.any():
+                raise ValueError(f"{name} must be finite, got {float(arr[bad][0])!r}")
+        outside = ~(self.psi > -math.pi) | (self.psi > math.pi)
+        if outside.any():
+            raise ValueError(f"psi must lie in (-pi, pi], got {self.psi[outside][0]}")
+        steps = np.flatnonzero(np.diff(self.t) <= 0.0)
+        if steps.size:
+            i = int(steps[0]) + 1
+            raise NonMonotonicTimestamps(
+                f"vehicle {self.vehicle_id!r}: t[{i}]={self.t[i]} does not "
+                f"increase past t[{i - 1}]={self.t[i - 1]}"
+            )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trajectory):
+            return NotImplemented
+        return (self.vehicle_id, self.zone, self.hemisphere) == (
+            other.vehicle_id, other.zone, other.hemisphere
+        ) and all(
+            getattr(self, c).tobytes() == getattr(other, c).tobytes() for c in _CHANNELS
+        )
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.t)
 
     @property
     def support(self) -> tuple[float, float]:
-        return self.samples[0].t, self.samples[-1].t
+        return float(self.t[0]), float(self.t[-1])
 
     @property
     def has_yaw_rate(self) -> bool:
-        return all(s.psi_dot is not None for s in self.samples)
-
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
-
-    def channel(self, name: str) -> np.ndarray:
-        """Channel as an array; missing psi_dot/alt entries become NaN."""
-        values = [getattr(s, name) for s in self.samples]
-        return np.array([math.nan if v is None else v for v in values])
+        return not np.isnan(self.psi_dot).any()
 
 
 @dataclass(frozen=True)
@@ -151,14 +209,21 @@ class ClockModel:
         return ClockModel(-self.offset, -self.drift / (1.0 - self.drift))
 
 
+def clock_model_from_mapping(data: Mapping, source: str) -> ClockModel:
+    """ClockModel from a JSON object with optional offset and drift keys."""
+    data = json_object(data, source)
+    try:
+        return ClockModel(
+            offset=float(data.get("offset", 0.0)), drift=float(data.get("drift", 0.0))
+        )
+    except (TypeError, ValueError) as err:
+        raise ParseError(f"{source}: bad clock model: {err}")
+
+
 def apply_clock_model(traj: Trajectory, clock: ClockModel) -> Trajectory:
     """Retime a trajectory under an affine clock correction."""
-    t0 = traj.samples[0].t
-    samples = tuple(
-        replace(s, t=s.t - clock.offset - clock.drift * (s.t - t0))
-        for s in traj.samples
-    )
-    return replace(traj, samples=samples)
+    t = traj.t
+    return replace(traj, t=t - clock.offset - clock.drift * (t - t[0]))
 
 
 def _open_source(source: str | Path | IO[str]) -> tuple[IO[str], bool, str]:
@@ -168,23 +233,23 @@ def _open_source(source: str | Path | IO[str]) -> tuple[IO[str], bool, str]:
     return source, False, "vehicle"
 
 
-def _header_map(header: list[str], columns: tuple[str, ...]) -> dict[str, int]:
+def _header_map(header: list[str], columns: tuple[str, ...]) -> list[int]:
     positions = {name.strip(): i for i, name in enumerate(header)}
-    mapping = {}
     for name in columns:
         if name not in positions:
             raise MissingColumn(f"missing column {name!r} in header {header}", line=1)
-        mapping[name] = positions[name]
-    return mapping
+    return [positions[name] for name in columns]
 
-def _cell(row: list[str], idx: dict[str, int], name: str, line: int) -> float | None:
+
+def _cell(row: list[str], pos: int, name: str, line: int) -> float:
+    """One checked cell; NaN for an empty optional cell."""
     try:
-        raw = row[idx[name]].strip()
+        raw = row[pos].strip()
     except IndexError:
         raise ParseError(f"row has {len(row)} cells, column {name!r} absent", line)
     if raw == "":
         if name in _OPTIONAL:
-            return None
+            return math.nan
         raise ParseError(f"column {name!r} is empty", line)
     try:
         value = float(raw)
@@ -206,7 +271,8 @@ def parse_trajectory_log(
     Geodetic logs are projected into a single zone: forced_zone if given,
     otherwise the zone of the first row, so a session that brushes a zone
     boundary stays in one consistent plane. Heading is converted via
-    psi = pi/2 - heading * pi/180 and wrapped.
+    psi = pi/2 - heading * pi/180 and wrapped. Errors name the line of the
+    first bad cell or coordinate.
     """
     if frame not in FRAMES:
         raise ValueError(f"frame must be one of {FRAMES}, got {frame!r}")
@@ -220,64 +286,44 @@ def parse_trajectory_log(
         except StopIteration:
             raise ParseError("empty file", line=1)
         columns = UTM_COLUMNS if frame == "utm" else GEODETIC_COLUMNS
-        idx = _header_map(header, columns)
+        cells = list(zip(columns, _header_map(header, columns)))
 
-        samples: list[TrajectorySample] = []
+        rows: list[list[float]] = []
         zone = forced_zone
         hemisphere: str | None = None
         for line, row in enumerate(reader, start=2):
-            if not row or all(cell.strip() == "" for cell in row):
+            if not "".join(row).strip():
                 continue
-            if frame == "utm":
-                t = _cell(row, idx, "t", line)
-                x = _cell(row, idx, "x", line)
-                y = _cell(row, idx, "y", line)
-                alt = _cell(row, idx, "alt", line)
-                vx = _cell(row, idx, "vx", line)
-                vy = _cell(row, idx, "vy", line)
-                psi = _cell(row, idx, "psi_rad", line)
-                psi_dot = _cell(row, idx, "psi_dot", line)
-            else:
-                t = _cell(row, idx, "t", line)
-                lat = _cell(row, idx, "lat", line)
-                lon = _cell(row, idx, "lon", line)
-                alt = _cell(row, idx, "alt", line)
-                vx = _cell(row, idx, "ve", line)
-                vy = _cell(row, idx, "vn", line)
-                heading = _cell(row, idx, "heading_deg", line)
-                psi_dot = _cell(row, idx, "yaw_rate", line)
-                if zone is None:
-                    zone = zone_from_longitude(lon)
-                utm = wgs84_to_utm(GeodeticPoint(lat, lon, alt), forced_zone=zone)
-                if hemisphere is None:
-                    hemisphere = utm.hemisphere
-                x, y = utm.easting, utm.northing
-                psi = math.pi / 2.0 - math.radians(heading)
-            try:
-                samples.append(
-                    TrajectorySample(
-                        t=t, x=x, y=y, vx=vx, vy=vy,
-                        psi=wrap_angle(psi), psi_dot=psi_dot, alt=alt,
-                    )
-                )
-            except ValueError as err:
-                raise ParseError(str(err), line)
-        if not samples:
+            values = [_cell(row, pos, name, line) for name, pos in cells]
+            if frame == "geodetic":
+                lat, lon = values[1], values[2]
+                try:
+                    if zone is None:
+                        zone = zone_from_longitude(lon)
+                    utm = wgs84_to_utm(GeodeticPoint(lat, lon), forced_zone=zone)
+                except (InvalidCoordinate, OutOfZone) as err:
+                    raise ParseError(str(err), line)
+                hemisphere = hemisphere or utm.hemisphere
+                values[1], values[2] = utm.easting, utm.northing
+            rows.append(values)
+        if not rows:
             raise ParseError("no data rows", line=2)
+        t, x, y, alt, vx, vy, angle, psi_dot = np.array(rows).T
+        # Geodetic heading is degrees clockwise from North.
+        psi = angle if frame == "utm" else math.pi / 2.0 - np.radians(angle)
         return Trajectory(
-            vehicle_id=vehicle_id,
-            samples=tuple(samples),
+            vehicle_id, t, x, y, vx, vy, wrap_angle(psi), psi_dot, alt,
             zone=zone if frame == "geodetic" else None,
-            hemisphere=hemisphere if frame == "geodetic" else None,
+            hemisphere=hemisphere,
         )
     finally:
         if owned:
             stream.close()
 
 
-def _fmt(value: float | None) -> str:
+def _text(column: np.ndarray) -> list[str]:
     # repr round-trips exactly, which write/parse bit-exactness relies on.
-    return "" if value is None else repr(float(value))
+    return ["" if v != v else repr(v) for v in column.tolist()]
 
 
 def write_trajectory_log(
@@ -300,49 +346,40 @@ def write_trajectory_log(
 
 def _write_rows(traj: Trajectory, stream: IO[str], frame: str) -> None:
     if frame == "utm":
-        stream.write(",".join(UTM_COLUMNS) + "\n")
-        for s in traj.samples:
-            cells = (s.t, s.x, s.y, s.alt, s.vx, s.vy, s.psi, s.psi_dot)
-            stream.write(",".join(_fmt(c) for c in cells) + "\n")
-        return
-    if traj.zone is None or traj.hemisphere is None:
-        raise ValueError(
-            "geodetic export needs a trajectory with zone/hemisphere metadata"
-        )
-    stream.write(",".join(GEODETIC_COLUMNS) + "\n")
-    for s in traj.samples:
-        geo = utm_to_wgs84(
-            UtmPoint(s.x, s.y, traj.zone, traj.hemisphere, alt=s.alt)
-        )
-        heading = (90.0 - math.degrees(s.psi)) % 360.0
-        cells = (s.t, geo.lat, geo.lon, geo.alt, s.vx, s.vy, heading, s.psi_dot)
-        stream.write(",".join(_fmt(c) for c in cells) + "\n")
+        header = UTM_COLUMNS
+        cells = (traj.t, traj.x, traj.y, traj.alt, traj.vx, traj.vy, traj.psi, traj.psi_dot)
+    else:
+        if traj.zone is None or traj.hemisphere is None:
+            raise ValueError(
+                "geodetic export needs a trajectory with zone/hemisphere metadata"
+            )
+        header = GEODETIC_COLUMNS
+        points = [
+            utm_to_wgs84(UtmPoint(x, y, traj.zone, traj.hemisphere))
+            for x, y in zip(traj.x.tolist(), traj.y.tolist())
+        ]
+        lat = np.array([p.lat for p in points])
+        lon = np.array([p.lon for p in points])
+        heading = np.mod(90.0 - np.degrees(traj.psi), 360.0)
+        cells = (traj.t, lat, lon, traj.alt, traj.vx, traj.vy, heading, traj.psi_dot)
+    stream.write(",".join(header) + "\n")
+    stream.writelines(",".join(row) + "\n" for row in zip(*map(_text, cells)))
 
 
 def trajectory_from_arrays(
     vehicle_id: str,
-    t: Iterable[float],
-    x: Iterable[float],
-    y: Iterable[float],
-    vx: Iterable[float],
-    vy: Iterable[float],
-    psi: Iterable[float],
-    psi_dot: Iterable[float] | None = None,
+    t: ArrayLike,
+    x: ArrayLike,
+    y: ArrayLike,
+    vx: ArrayLike,
+    vy: ArrayLike,
+    psi: ArrayLike,
+    psi_dot: ArrayLike | None = None,
     zone: int | None = None,
     hemisphere: str | None = None,
 ) -> Trajectory:
-    """Convenience constructor from parallel channel arrays."""
-    t = list(map(float, t))
-    cols = [list(map(float, c)) for c in (x, y, vx, vy, psi)]
-    rates: list[float | None]
-    rates = [None] * len(t) if psi_dot is None else list(map(float, psi_dot))
-    if any(len(c) != len(t) for c in cols) or len(rates) != len(t):
-        raise ValueError("channel arrays must have equal length")
-    samples = tuple(
-        TrajectorySample(
-            t=t[i], x=cols[0][i], y=cols[1][i], vx=cols[2][i], vy=cols[3][i],
-            psi=wrap_angle(cols[4][i]), psi_dot=rates[i],
-        )
-        for i in range(len(t))
+    """Trajectory from parallel channel arrays; psi is wrapped into (-pi, pi]."""
+    return Trajectory(
+        vehicle_id, t, x, y, vx, vy, wrap_angle(np.asarray(psi, dtype=float)), psi_dot,
+        zone=zone, hemisphere=hemisphere,
     )
-    return Trajectory(vehicle_id, samples, zone=zone, hemisphere=hemisphere)

@@ -24,7 +24,6 @@ worker count (GT_FORGE_THREADS) and reproducible bit for bit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -32,7 +31,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from ._util import derived_rng, ordered_map
+from ._util import derived_rng, json_object, load_json_object, ordered_map
 from .egokin import wrap_angle
 from .errors import ParseError
 from .trajlog import TrajectorySample
@@ -281,6 +280,7 @@ def rms_from_cov(cov: CovBound2) -> float:
 # Serialization of the two config types (flat JSON objects, SI units).
 
 def _from_mapping(cls, data: Mapping, source: str):
+    data = json_object(data, source)
     names = {f.name for f in fields(cls)}
     unknown = set(data) - names
     if unknown:
@@ -310,23 +310,12 @@ def envelope_from_mapping(
     return _from_mapping(ScenarioEnvelope, data, source)
 
 
-def _load_json(path: str | Path) -> Mapping:
-    try:
-        with Path(path).open("r") as stream:
-            data = json.load(stream)
-    except json.JSONDecodeError as err:
-        raise ParseError(f"{path}: invalid JSON: {err}")
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: expected a JSON object")
-    return data
-
-
 def load_noise_model(path: str | Path) -> NoiseModel:
-    return noise_model_from_mapping(_load_json(path), source=str(path))
+    return noise_model_from_mapping(load_json_object(path), source=str(path))
 
 
 def load_envelope(path: str | Path) -> ScenarioEnvelope:
-    return envelope_from_mapping(_load_json(path), source=str(path))
+    return envelope_from_mapping(load_json_object(path), source=str(path))
 
 
 def to_mapping(config: NoiseModel | ScenarioEnvelope) -> dict[str, float]:

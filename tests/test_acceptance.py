@@ -203,28 +203,19 @@ def test_06_noiseless_end_to_end():
     def truth_at(stamps):
         ego_states = run_states(track, ego_run, stamps)
         lead_states = run_states(track, lead_run, stamps)
-        return [relative_state(e, l) for e, l in zip(ego_states, lead_states)]
+        return relative_state(ego_states, lead_states)
 
-    knots = ego_log.times()
+    knots = ego_log.t
     records = generate_records(ego_log, [lead_log], knots, GEOM)
     truth = truth_at(knots)
-    err_pos = max(
-        math.hypot(r.rel.x - w.x, r.rel.y - w.y) for r, w in zip(records, truth)
-    )
-    err_vel = max(
-        math.hypot(r.rel.vx - w.vx, r.rel.vy - w.vy) for r, w in zip(records, truth)
-    )
-    err_yaw = max(
-        abs(wrap_angle(r.rel.psi - w.psi)) for r, w in zip(records, truth)
-    )
+    err_pos = float(np.max(np.hypot(records.x - truth.x, records.y - truth.y)))
+    err_vel = float(np.max(np.hypot(records.vx - truth.vx, records.vy - truth.vy)))
+    err_yaw = float(np.max(np.abs(wrap_angle(records.psi - truth.psi))))
 
     between = knots[:-1] + 0.5 / rate
     rec_mid = generate_records(ego_log, [lead_log], between, GEOM)
     truth_mid = truth_at(between)
-    err_mid = max(
-        math.hypot(r.rel.x - w.x, r.rel.y - w.y)
-        for r, w in zip(rec_mid, truth_mid)
-    )
+    err_mid = float(np.max(np.hypot(rec_mid.x - truth_mid.x, rec_mid.y - truth_mid.y)))
     elapsed = time.monotonic() - t0
     ok = (
         err_pos <= 1e-6 and err_vel <= 1e-6 and err_yaw <= 1e-9
@@ -252,11 +243,8 @@ def test_07_clock_offset_sensitivity():
         # log written with timestamps delta late relative to ego time
         late = apply_clock_model(target_true, ClockModel(offset=-delta))
         records = generate_records(ego, [late], stamps, GEOM)
-        worst = 0.0
-        for r in records:
-            truth_x = 300.0 - speed * r.t
-            worst = max(worst, abs(r.rel.x - truth_x))
-        return worst
+        truth_x = 300.0 - speed * records.t
+        return float(np.max(np.abs(records.x - truth_x)))
 
     deltas = (0.0005, 0.001, 0.002, 0.005)
     errors = [range_error(d) for d in deltas]
@@ -270,7 +258,7 @@ def test_07_clock_offset_sensitivity():
     fixed = generate_records(
         ego, [late], stamps, GEOM, clocks={"target": ClockModel(offset=0.001)}
     )
-    resid = max(abs(r.rel.x - (300.0 - speed * r.t)) for r in fixed)
+    resid = float(np.max(np.abs(fixed.x - (300.0 - speed * fixed.t))))
 
     elapsed = time.monotonic() - t0
     ok = (

@@ -71,6 +71,18 @@ class TestSimulate:
                    "--out-dir", str(workspace / "sim")])
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("patch", [
+        {"track": 5},
+        {"vehicles": [dict(SCENARIO["vehicles"][0], clock=3)]},
+    ])
+    def test_malformed_config_is_usage_error(self, workspace, capsys, patch):
+        bad = workspace / "bad.json"
+        bad.write_text(json.dumps(dict(SCENARIO, **patch)))
+        rc = main(["simulate", "--config", str(bad),
+                   "--out-dir", str(workspace / "sim")])
+        assert rc == EXIT_USAGE
+        assert "expected a JSON object" in capsys.readouterr().err
+
 
 class TestGenerate:
     def generate(self, workspace, *extra):
@@ -126,6 +138,23 @@ class TestGenerate:
         ])
         assert rc == EXIT_OK
         assert len(out.read_text().splitlines()) == 3
+
+    def test_rate_window_end_is_a_stamp(self, workspace, capsys):
+        """Logs on [0.01, 90.3] at 100 Hz: the last stamp lands on 90.3."""
+        t = np.linspace(0.01, 90.3, 200).tolist()
+        for name, x0 in (("ego", 0.0), ("lead", 30.0)):
+            rows = "".join(f"{v!r},{x0 + 10.0 * v!r},0.0,,10.0,0.0,0.0,0.0\n" for v in t)
+            (workspace / f"{name}.csv").write_text("t,x,y,alt,vx,vy,psi_rad,psi_dot\n" + rows)
+        out = workspace / "gt.jsonl"
+        rc = main([
+            "generate", "--ego", str(workspace / "ego.csv"),
+            "--target", str(workspace / "lead.csv"), "--rate", "100",
+            "--geometry", str(workspace / "geometry.json"), "--out", str(out),
+        ])
+        assert rc == EXIT_OK, capsys.readouterr().err
+        lines = out.read_text().splitlines()
+        assert len(lines) == 9030
+        assert json.loads(lines[-1])["t"] == 90.3
 
     def test_out_of_support_stamp_fails(self, workspace):
         sim = simulate(workspace)

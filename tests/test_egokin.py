@@ -14,19 +14,30 @@ import pytest
 
 from gtforge.egokin import (
     RelativeState,
-    relative_position,
     relative_state,
-    relative_velocity,
-    relative_yaw,
     utm_from_relative,
     wrap_angle,
 )
 from gtforge.errors import MissingYawRate
-from gtforge.trajlog import TrajectorySample
+from gtforge.trajlog import TrajectorySample, trajectory_from_arrays
 
 
 def sample(t=0.0, x=0.0, y=0.0, vx=0.0, vy=0.0, psi=0.0, psi_dot=0.0):
     return TrajectorySample(t=t, x=x, y=y, vx=vx, vy=vy, psi=psi, psi_dot=psi_dot)
+
+
+def relative_position(ego, target):
+    rel = relative_state(ego, target)
+    return rel.x, rel.y
+
+
+def relative_velocity(ego, target):
+    rel = relative_state(ego, target)
+    return rel.vx, rel.vy
+
+
+def relative_yaw(ego, target):
+    return relative_state(ego, target).psi
 
 
 class TestWrapAngle:
@@ -181,11 +192,40 @@ class TestRoundTrip:
         assert rel == RelativeState(x=30.0, y=0.0, vx=5.0, vy=0.0, psi=0.1)
 
 
-class TestValidation:
-    def test_relative_state_rejects_bad_psi(self):
-        with pytest.raises(ValueError):
-            RelativeState(x=0, y=0, vx=0, vy=0, psi=3.5)
+def scalar_reference(ego, tgt):
+    """The per-sample formulas with math, for comparison with the arrays."""
+    dx = tgt.x - ego.x
+    dy = tgt.y - ego.y
+    dvx = tgt.vx - ego.vx + ego.psi_dot * dy
+    dvy = tgt.vy - ego.vy - ego.psi_dot * dx
+    c = math.cos(ego.psi)
+    s = math.sin(ego.psi)
+    return (dx * c + dy * s, dy * c - dx * s, dvx * c + dvy * s, dvy * c - dvx * s,
+            wrap_angle(tgt.psi - ego.psi))
 
-    def test_relative_state_rejects_nan(self):
-        with pytest.raises(ValueError):
-            RelativeState(x=math.nan, y=0, vx=0, vy=0, psi=0.0)
+
+class TestArrays:
+    def test_arrays_match_scalar_formulas_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        e = rng.normal(0, 1, (6, 40))
+        g = rng.normal(0, 1, (5, 40))
+        t = np.arange(40) * 0.1
+        ego = trajectory_from_arrays("ego", t, e[0] * 50, e[1] * 50, e[2] * 10,
+                                     e[3] * 10, e[4] * 2, e[5])
+        tgt = trajectory_from_arrays("tgt", t, g[0] * 50, g[1] * 50, g[2] * 10,
+                                     g[3] * 10, g[4] * 2)
+        rel = relative_state(ego, tgt)
+        for i in range(40):
+            want = scalar_reference(
+                sample(x=ego.x[i], y=ego.y[i], vx=ego.vx[i], vy=ego.vy[i],
+                       psi=ego.psi[i], psi_dot=ego.psi_dot[i]),
+                sample(x=tgt.x[i], y=tgt.y[i], vx=tgt.vx[i], vy=tgt.vy[i],
+                       psi=tgt.psi[i]),
+            )
+            assert tuple(column[i] for column in rel) == want
+
+    def test_missing_yaw_rate_in_any_row_raises(self):
+        t = np.arange(3) * 0.1
+        ego = trajectory_from_arrays("ego", t, t, t, t, t, t, [0.0, math.nan, 0.0])
+        with pytest.raises(MissingYawRate):
+            relative_state(ego, ego)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from gtforge.egokin import wrap_angle
 from gtforge.errors import OutOfSupport, TooFewSamples
 from gtforge.resample import MIN_SAMPLES, build_interpolant
-from gtforge.trajlog import trajectory_from_arrays
+from gtforge.trajlog import parse_trajectory_log, trajectory_from_arrays
 
 
 def sinusoid_traj(rate: float = 20.0, duration: float = 10.0, with_rate: bool = True):
@@ -31,14 +32,11 @@ class TestKnots:
     def test_exact_at_knots(self):
         traj = sinusoid_traj()
         interp = build_interpolant(traj)
-        states = interp.states_at(traj.times())
-        for got, want in zip(states, traj.samples):
-            assert got.x == pytest.approx(want.x, abs=1e-12)
-            assert got.y == pytest.approx(want.y, abs=1e-12)
-            assert got.vx == pytest.approx(want.vx, abs=1e-12)
-            assert got.vy == pytest.approx(want.vy, abs=1e-12)
-            assert got.psi == pytest.approx(want.psi, abs=1e-12)
-            assert got.psi_dot == pytest.approx(want.psi_dot, abs=1e-12)
+        states = interp.states_at(traj.t)
+        for name in ("x", "y", "vx", "vy", "psi", "psi_dot"):
+            np.testing.assert_allclose(
+                getattr(states, name), getattr(traj, name), rtol=0, atol=1e-12
+            )
 
     def test_support_matches_log(self):
         interp = build_interpolant(sinusoid_traj())
@@ -49,13 +47,14 @@ class TestAccuracy:
     def test_between_knot_accuracy(self):
         """Interior error is O(h^4); the natural ends degrade to O(h^2)."""
         interp = build_interpolant(sinusoid_traj())
-        states = interp.states_at(np.linspace(0.025, 9.975, 997))
-        interior = [s for s in states if 1.0 < s.t < 9.0]
-        worst_y = max(abs(s.y - 5.0 * math.sin(s.t)) for s in interior)
-        worst_vy = max(abs(s.vy - 5.0 * math.cos(s.t)) for s in interior)
+        s = interp.states_at(np.linspace(0.025, 9.975, 997))
+        assert len(s) == 997
+        interior = (1.0 < s.t) & (s.t < 9.0)
+        worst_y = np.max(np.abs(s.y - 5.0 * np.sin(s.t))[interior])
+        worst_vy = np.max(np.abs(s.vy - 5.0 * np.cos(s.t))[interior])
         assert worst_y < 1e-6
         assert worst_vy < 1e-6
-        edge_y = max(abs(s.y - 5.0 * math.sin(s.t)) for s in states)
+        edge_y = np.max(np.abs(s.y - 5.0 * np.sin(s.t)))
         assert edge_y < 1e-3
 
     def test_smoothness_of_position(self):
@@ -80,34 +79,33 @@ class TestYaw:
         )
         interp = build_interpolant(traj)
         fine = np.linspace(0.0, 4.0, 1601)
-        states = interp.states_at(fine)
-        for s in states:
-            want = wrap_angle(math.pi - 0.4 + 0.2 * s.t)
-            gap = abs(wrap_angle(s.psi - want))
-            assert gap < 1e-9
+        s = interp.states_at(fine)
+        want = wrap_angle(math.pi - 0.4 + 0.2 * s.t)
+        gap = np.abs(wrap_angle(s.psi - want))
+        assert np.all(gap < 1e-9)
 
     def test_psi_dot_from_logged_channel(self):
         traj = sinusoid_traj(with_rate=True)
         interp = build_interpolant(traj)
         assert interp.has_logged_yaw_rate
-        s = interp.state_at(2.345)
-        assert s.psi_dot == pytest.approx(0.15 * math.cos(0.5 * 2.345), abs=1e-5)
+        psi_dot = interp.states_at(2.345).psi_dot[0]
+        assert psi_dot == pytest.approx(0.15 * math.cos(0.5 * 2.345), abs=1e-5)
 
     def test_psi_dot_from_spline_derivative(self):
         traj = sinusoid_traj(with_rate=False)
         interp = build_interpolant(traj)
         assert not interp.has_logged_yaw_rate
-        s = interp.state_at(2.345)
-        assert s.psi_dot == pytest.approx(0.15 * math.cos(0.5 * 2.345), abs=1e-4)
+        psi_dot = interp.states_at(2.345).psi_dot[0]
+        assert psi_dot == pytest.approx(0.15 * math.cos(0.5 * 2.345), abs=1e-4)
 
     def test_mixed_yaw_rate_presence_falls_back(self):
         """One missing psi_dot cell disables the logged channel entirely."""
         t = np.arange(10) * 0.1
-        rates = [0.0] * 10
-        traj = trajectory_from_arrays(
-            "veh", t, t, t, np.ones(10), np.ones(10), np.zeros(10), rates
+        text = "t,x,y,alt,vx,vy,psi_rad,psi_dot\n" + "".join(
+            f"{tk!r},{tk!r},{tk!r},,1.0,1.0,0.0,{'' if k == 3 else '0.0'}\n"
+            for k, tk in enumerate(t.tolist())
         )
-        object.__setattr__(traj.samples[3], "psi_dot", None)
+        traj = parse_trajectory_log(io.StringIO(text))
         interp = build_interpolant(traj)
         assert not interp.has_logged_yaw_rate
 
@@ -116,7 +114,7 @@ class TestSupportEnforcement:
     def test_before_support(self):
         interp = build_interpolant(sinusoid_traj())
         with pytest.raises(OutOfSupport):
-            interp.state_at(-0.001)
+            interp.states_at(-0.001)
 
     def test_after_support(self):
         interp = build_interpolant(sinusoid_traj())
@@ -132,8 +130,7 @@ class TestSupportEnforcement:
 
     def test_endpoints_are_inside(self):
         interp = build_interpolant(sinusoid_traj())
-        interp.state_at(0.0)
-        interp.state_at(10.0)
+        interp.states_at([0.0, 10.0])
 
 
 class TestDiagnostics:

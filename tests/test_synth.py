@@ -20,11 +20,11 @@ from gtforge.synth import (
     make_track,
     run_scenario,
     scenario_from_mapping,
+    run_states,
     simulate_run,
-    state_of,
     straight_trajectory,
 )
-from gtforge.trajlog import ClockModel
+from gtforge.trajlog import ClockModel, trajectory_from_arrays
 from gtforge.uncert import NoiseModel
 
 
@@ -112,16 +112,16 @@ class TestRunStates:
         track = make_track()
         run = RunSpec(duration=60.0, rate=10.0, speed_profile=((0.0, 30.0),),
                       start_offset=1050.0)
-        s = state_of(track, run, 5.0)  # inside the first curve by then
-        speed = math.hypot(s.vx, s.vy)
+        s = run_states(track, run, 5.0)  # inside the first curve by then
+        speed = math.hypot(s.vx[0], s.vy[0])
         assert speed == pytest.approx(30.0)
-        assert math.atan2(s.vy, s.vx) == pytest.approx(s.psi)
-        assert s.psi_dot == pytest.approx(30.0 / synth.DEFAULT_CURVE_RADIUS)
+        assert math.atan2(s.vy[0], s.vx[0]) == pytest.approx(s.psi[0])
+        assert s.psi_dot[0] == pytest.approx(30.0 / synth.DEFAULT_CURVE_RADIUS)
 
     def test_yaw_rate_zero_on_straight(self):
         track = make_track()
         run = RunSpec(duration=10.0, rate=10.0, speed_profile=((0.0, 20.0),))
-        assert state_of(track, run, 1.0).psi_dot == 0.0
+        assert run_states(track, run, 1.0).psi_dot[0] == 0.0
 
     def test_simulate_run_timing(self):
         track = make_track()
@@ -138,9 +138,7 @@ class TestRunStates:
         run = RunSpec(duration=30.0, rate=100.0, speed_profile=((0.0, 30.0),),
                       start_offset=1000.0)
         traj = simulate_run(track, run)
-        t = traj.times()
-        x = traj.channel("x")
-        vx = traj.channel("vx")
+        t, x, vx = traj.t, traj.x, traj.vx
         mid_vx = (x[2:] - x[:-2]) / (t[2:] - t[:-2])
         assert np.max(np.abs(mid_vx - vx[1:-1])) < 2e-3
 
@@ -148,15 +146,14 @@ class TestRunStates:
 class TestStraightTrajectory:
     def test_parked_vehicle(self):
         traj = straight_trajectory("ego", (5.0, 5.0), 0.0, 0.0, 2.0, 10.0)
-        assert all(s.x == 5.0 and s.vx == 0.0 for s in traj.samples)
+        assert np.all(traj.x == 5.0) and np.all(traj.vx == 0.0)
         assert traj.has_yaw_rate
 
     def test_heading_sets_velocity_direction(self):
         traj = straight_trajectory("t", (0.0, 0.0), math.pi, 70.0, 1.0, 10.0)
-        s = traj.samples[0]
-        assert s.vx == pytest.approx(-70.0)
-        assert s.vy == pytest.approx(0.0, abs=1e-12)
-        assert traj.samples[-1].x == pytest.approx(-70.0)
+        assert traj.vx[0] == pytest.approx(-70.0)
+        assert traj.vy[0] == pytest.approx(0.0, abs=1e-12)
+        assert traj.x[-1] == pytest.approx(-70.0)
 
 
 class TestCorrupt:
@@ -182,16 +179,21 @@ class TestCorrupt:
     def test_noise_magnitude_plausible(self):
         clean = self.clean()
         noisy = corrupt(clean, self.NM, seed=0)
-        dx = noisy.channel("x") - clean.channel("x")
+        dx = noisy.x - clean.x
         assert 0.02 < float(np.std(dx)) < 0.10
         assert abs(float(np.mean(dx))) < 0.05
+
+    def test_missing_yaw_rate_stays_missing(self):
+        t = np.arange(5) * 0.1
+        traj = trajectory_from_arrays("v", t, t, t, t, t, 0.0 * t)
+        assert not corrupt(traj, self.NM, seed=0).has_yaw_rate
 
     def test_clock_applied_after_noise(self):
         clean = self.clean()
         noisy = corrupt(clean, self.NM, clock=ClockModel(offset=0.5), seed=1)
         plain = corrupt(clean, self.NM, seed=1)
-        np.testing.assert_allclose(noisy.times(), plain.times() - 0.5)
-        assert noisy.channel("x").tolist() == plain.channel("x").tolist()
+        np.testing.assert_allclose(noisy.t, plain.t - 0.5)
+        assert noisy.x.tolist() == plain.x.tolist()
 
 
 class TestScenario:
@@ -202,7 +204,7 @@ class TestScenario:
         ego_clean, ego_rec = logs["ego"]
         assert ego_clean == ego_rec  # no noise configured
         lead_clean, _ = logs["lead"]
-        assert lead_clean.samples[0].x == pytest.approx(30.0)
+        assert lead_clean.x[0] == pytest.approx(30.0)
 
     def test_noise_uses_distinct_streams(self):
         scenario = make_lead_follow(
@@ -210,8 +212,8 @@ class TestScenario:
             noise=NoiseModel(0.05, 0.05, 0.01, 0.01), seed=11,
         )
         logs = run_scenario(scenario)
-        ego_err = logs["ego"][1].channel("x") - logs["ego"][0].channel("x")
-        lead_err = logs["lead"][1].channel("x") - logs["lead"][0].channel("x")
+        ego_err = logs["ego"][1].x - logs["ego"][0].x
+        lead_err = logs["lead"][1].x - logs["lead"][0].x
         assert not np.allclose(ego_err, lead_err)
 
     def test_rerun_is_bit_identical(self):

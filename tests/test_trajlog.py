@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,10 +45,11 @@ class TestUtmParsing:
         text = UTM_HEADER + "0.0,1.0,2.0,,3.0,4.0,0.5,\n0.1,1.3,2.4,10.0,3.0,4.0,0.5,0.01\n"
         traj = parse_trajectory_log(io.StringIO(text))
         assert len(traj) == 2
-        s0, s1 = traj.samples
-        assert (s0.x, s0.y, s0.vx, s0.vy, s0.psi) == (1.0, 2.0, 3.0, 4.0, 0.5)
-        assert s0.alt is None and s0.psi_dot is None
-        assert s1.alt == 10.0 and s1.psi_dot == 0.01
+        assert (traj.x[0], traj.y[0], traj.vx[0], traj.vy[0], traj.psi[0]) == (
+            1.0, 2.0, 3.0, 4.0, 0.5
+        )
+        assert math.isnan(traj.alt[0]) and math.isnan(traj.psi_dot[0])
+        assert traj.alt[1] == 10.0 and traj.psi_dot[1] == 0.01
         assert not traj.has_yaw_rate
         assert traj.zone is None
 
@@ -74,8 +76,8 @@ class TestUtmParsing:
     def test_column_order_irrelevant(self):
         text = "psi_rad,t,x,y,alt,vx,vy,psi_dot\n0.5,0.0,1.0,2.0,,3.0,4.0,\n"
         traj = parse_trajectory_log(io.StringIO(text))
-        assert traj.samples[0].psi == 0.5
-        assert traj.samples[0].t == 0.0
+        assert traj.psi[0] == 0.5
+        assert traj.t[0] == 0.0
 
     def test_blank_lines_skipped(self):
         text = UTM_HEADER + "\n0.0,1.0,2.0,,3.0,4.0,0.5,\n\n"
@@ -87,10 +89,9 @@ class TestGeodeticParsing:
         text = GEO_HEADER + "0.0,48.80,2.13,130.5,5.0,1.0,90.0,0.0\n"
         traj = parse_trajectory_log(io.StringIO(text), frame="geodetic")
         u = geodesy.wgs84_to_utm(geodesy.GeodeticPoint(48.80, 2.13))
-        s = traj.samples[0]
-        assert s.x == pytest.approx(u.easting, abs=1e-9)
-        assert s.y == pytest.approx(u.northing, abs=1e-9)
-        assert s.alt == 130.5
+        assert traj.x[0] == pytest.approx(u.easting, abs=1e-9)
+        assert traj.y[0] == pytest.approx(u.northing, abs=1e-9)
+        assert traj.alt[0] == 130.5
         assert traj.zone == 31
         assert traj.hemisphere == "north"
 
@@ -101,7 +102,7 @@ class TestGeodeticParsing:
             for i, heading in enumerate((0.0, 90.0, 180.0, 270.0))
         )
         traj = parse_trajectory_log(io.StringIO(GEO_HEADER + rows + "\n"), frame="geodetic")
-        psi = [s.psi for s in traj.samples]
+        psi = traj.psi
         assert psi[0] == pytest.approx(math.pi / 2)
         assert psi[1] == pytest.approx(0.0)
         assert psi[2] == pytest.approx(-math.pi / 2)
@@ -109,8 +110,8 @@ class TestGeodeticParsing:
 
     def test_east_north_velocity_mapping(self):
         text = GEO_HEADER + "0.0,48.80,2.13,,5.0,-2.0,90.0,\n"
-        s = parse_trajectory_log(io.StringIO(text), frame="geodetic").samples[0]
-        assert (s.vx, s.vy) == (5.0, -2.0)
+        traj = parse_trajectory_log(io.StringIO(text), frame="geodetic")
+        assert (traj.vx[0], traj.vy[0]) == (5.0, -2.0)
 
     def test_zone_fixed_by_first_row(self):
         """A log brushing a zone boundary stays in the first row's plane."""
@@ -121,7 +122,7 @@ class TestGeodeticParsing:
         traj = parse_trajectory_log(io.StringIO(text), frame="geodetic")
         assert traj.zone == 31
         # Monotone easting across the boundary: both rows in one plane.
-        assert traj.samples[1].x > traj.samples[0].x
+        assert traj.x[1] > traj.x[0]
 
     def test_forced_zone(self):
         text = GEO_HEADER + "0.0,48.80,2.13,,0.0,0.0,0.0,\n"
@@ -137,10 +138,9 @@ class TestGeodeticParsing:
         buf = io.StringIO()
         write_trajectory_log(traj, buf, frame="geodetic")
         back = parse_trajectory_log(io.StringIO(buf.getvalue()), frame="geodetic")
-        for a, b in zip(traj.samples, back.samples):
-            assert b.x == pytest.approx(a.x, abs=1e-6)
-            assert b.y == pytest.approx(a.y, abs=1e-6)
-            assert b.psi == pytest.approx(a.psi, abs=1e-12)
+        np.testing.assert_allclose(back.x, traj.x, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(back.y, traj.y, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(back.psi, traj.psi, rtol=0, atol=1e-12)
 
 
 class TestParseErrors:
@@ -159,6 +159,18 @@ class TestParseErrors:
             parse_trajectory_log(io.StringIO(text))
         assert err.value.line == 3
         assert str(err.value).startswith("line 3:")
+
+    @pytest.mark.parametrize("row, message", [
+        ("0.1,95.0,2.13,,0.0,0.0,0.0,", "lat must be in [-90, 90]"),
+        ("0.1,48.80,10.5,,0.0,0.0,0.0,", "from zone 31"),
+    ])
+    def test_bad_geodetic_row_reports_line(self, row, message):
+        text = GEO_HEADER + "0.0,48.80,2.13,,0.0,0.0,0.0,\n" + row + "\n"
+        with pytest.raises(ParseError) as err:
+            parse_trajectory_log(io.StringIO(text), frame="geodetic")
+        assert err.value.line == 3
+        assert str(err.value).startswith("line 3:")
+        assert message in str(err.value)
 
     def test_empty_required_cell(self):
         text = UTM_HEADER + "0.0,,2.0,,3.0,4.0,0.5,\n"
@@ -190,8 +202,8 @@ class TestParseErrors:
     def test_out_of_range_yaw(self):
         # 7.0 rad wraps fine; the parser wraps before validation.
         text = UTM_HEADER + "0.0,1.0,2.0,,3.0,4.0,7.0,\n"
-        s = parse_trajectory_log(io.StringIO(text)).samples[0]
-        assert -math.pi < s.psi <= math.pi
+        psi = parse_trajectory_log(io.StringIO(text)).psi[0]
+        assert -math.pi < psi <= math.pi
 
     def test_bad_frame(self):
         with pytest.raises(ValueError):
@@ -202,20 +214,19 @@ class TestClockModel:
     def test_offset_shifts_times(self):
         traj = make_traj()
         fixed = apply_clock_model(traj, ClockModel(offset=0.25))
-        np.testing.assert_allclose(fixed.times(), traj.times() - 0.25)
+        np.testing.assert_allclose(fixed.t, traj.t - 0.25)
 
     def test_drift_rescales_about_t0(self):
         traj = make_traj()
         fixed = apply_clock_model(traj, ClockModel(offset=0.0, drift=0.01))
-        t0 = traj.samples[0].t
-        expect = traj.times() - 0.01 * (traj.times() - t0)
-        np.testing.assert_allclose(fixed.times(), expect)
+        expect = traj.t - 0.01 * (traj.t - traj.t[0])
+        np.testing.assert_allclose(fixed.t, expect)
 
     def test_inverse_composes_to_identity(self):
         traj = make_traj(n=40, seed=9)
         clock = ClockModel(offset=0.137, drift=0.003)
         back = apply_clock_model(apply_clock_model(traj, clock), clock.inverse())
-        assert np.max(np.abs(back.times() - traj.times())) < 1e-12
+        assert np.max(np.abs(back.t - traj.t)) < 1e-12
 
     def test_drift_bound(self):
         with pytest.raises(ValueError):
@@ -233,17 +244,37 @@ class TestModelValidation:
 
     def test_trajectory_needs_samples(self):
         with pytest.raises(ValueError):
-            Trajectory("v", ())
+            Trajectory("v", [], [], [], [], [], [])
 
     def test_support_and_channels(self):
         traj = make_traj(n=5)
         assert traj.support == (0.0, pytest.approx(0.4))
-        assert traj.channel("x").shape == (5,)
+        assert traj.x.shape == (5,)
         assert traj.has_yaw_rate
 
     def test_channel_nan_for_missing(self):
         traj = make_traj(n=5, with_rate=False)
-        assert np.all(np.isnan(traj.channel("psi_dot")))
+        assert np.all(np.isnan(traj.psi_dot))
+
+    def test_trajectory_rejects_out_of_range_psi(self):
+        with pytest.raises(ValueError):
+            Trajectory("v", [0.0], [0.0], [0.0], [0.0], [0.0], [4.0])
+
+    def test_trajectory_rejects_infinite_optional_cell(self):
+        with pytest.raises(ValueError):
+            Trajectory("v", [0.0], [0.0], [0.0], [0.0], [0.0], [0.0], [math.inf])
+
+    def test_equality_is_bitwise_per_channel(self):
+        traj = make_traj(n=5)
+        x = traj.x.copy()
+        assert replace(traj, x=x) == traj
+        x[2] = np.nextafter(x[2], math.inf)
+        assert replace(traj, x=x) != traj
+
+    def test_channels_are_read_only(self):
+        traj = make_traj(n=5)
+        with pytest.raises(ValueError):
+            traj.x[0] = 1.0
 
     def test_length_mismatch_in_arrays(self):
         with pytest.raises(ValueError):
