@@ -9,7 +9,7 @@ familiar transport terms +psi_dot*dy / -psi_dot*dx before rotation.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple, Union, overload
+from typing import TYPE_CHECKING, NamedTuple, overload
 
 import numpy as np
 
@@ -19,8 +19,6 @@ if TYPE_CHECKING:
     from .trajlog import TrajectorySample
 
 _TWO_PI = 2.0 * math.pi
-
-Value = Union[float, np.ndarray]
 
 
 @overload
@@ -54,11 +52,11 @@ class RelativeState(NamedTuple):
     velocity in that rotating frame and psi the relative yaw in (-pi, pi].
     """
 
-    x: Value
-    y: Value
-    vx: Value
-    vy: Value
-    psi: Value
+    x: float | np.ndarray
+    y: float | np.ndarray
+    vx: float | np.ndarray
+    vy: float | np.ndarray
+    psi: float | np.ndarray
 
 
 def relative_state(ego, target) -> RelativeState:

@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Mapping, Sequence
+from typing import IO, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -254,9 +254,9 @@ def _cov_json(cov: CovBound2) -> str:
     return f'{{"a": {f(cov.a)}, "b": {f(cov.b)}, "c": {f(cov.c)}}}'
 
 
-def record_to_json(records: RecordSet) -> list[str]:
+def record_to_json(records: RecordSet) -> Iterator[str]:
     """Each record as one JSON Lines row: fixed key order, floats at 9
-    significant digits, newline included.
+    significant digits, newline included. Rows are formatted lazily.
 
     Refuses non-finite values, which JSON cannot carry. The bounds suffix
     is formatted once, since the bounds are dataset constants.
@@ -278,7 +278,7 @@ def record_to_json(records: RecordSet) -> list[str]:
     quoted = {name: json.dumps(name) for name in set(ids)}
     t, *state = (column.tolist() for column in columns)
     rows = zip(t, [quoted[name] for name in ids], *state, *corners.tolist())
-    return [row_format % row for row in rows]
+    return (row_format % row for row in rows)
 
 
 def write_records_jsonl(records: RecordSet, dest: str | Path | IO[str]) -> None:

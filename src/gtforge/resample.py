@@ -10,7 +10,6 @@ strictly limited to the logged support; there is no extrapolation.
 
 from __future__ import annotations
 
-
 import numpy as np
 from scipy.interpolate import CubicSpline
 

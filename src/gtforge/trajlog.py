@@ -52,9 +52,9 @@ GEODETIC_COLUMNS = ("t", "lat", "lon", "alt", "ve", "vn", "heading_deg", "yaw_ra
 UTM_COLUMNS = ("t", "x", "y", "alt", "vx", "vy", "psi_rad", "psi_dot")
 FRAMES = ("utm", "geodetic")
 
-# Columns whose cells may be left empty, and the channels they fill.
+# Columns whose cells may be left empty; alt and psi_dot are also the
+# names of the channels they fill.
 _OPTIONAL = {"alt", "yaw_rate", "psi_dot"}
-_OPTIONAL_CHANNELS = {"alt", "psi_dot"}
 _CHANNELS = ("t", "x", "y", "vx", "vy", "psi", "psi_dot", "alt")
 
 
@@ -151,7 +151,7 @@ class Trajectory:
                 raise ValueError("channel arrays must have equal length")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-            bad = np.isinf(arr) if name in _OPTIONAL_CHANNELS else ~np.isfinite(arr)
+            bad = np.isinf(arr) if name in _OPTIONAL else ~np.isfinite(arr)
             if bad.any():
                 raise ValueError(f"{name} must be finite, got {float(arr[bad][0])!r}")
         outside = ~(self.psi > -math.pi) | (self.psi > math.pi)
