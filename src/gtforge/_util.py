@@ -1,18 +1,22 @@
 """Small shared helpers: worker-count control, deterministic RNG streams,
 fixed-width float formatting for serialized output, JSON-object config
-loading."""
+loading, and the file opener, CSV table reader and CSV writer shared by
+every log format."""
 
 from __future__ import annotations
 
+import csv
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import IO, Callable, Collection, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import MissingColumn, ParseError
 
 THREADS_ENV_VAR = "GT_FORGE_THREADS"
 
@@ -66,10 +70,19 @@ def fmt_float(value: float) -> str:
     return f"{value:.9g}"
 
 
-def json_object(value: object, source: str) -> Mapping:
-    """value itself if it is a JSON object (a mapping); ParseError otherwise."""
+def json_object(
+    value: object, source: str, keys: Collection[str] | None = None
+) -> Mapping:
+    """value itself if it is a JSON object (a mapping) whose keys all belong
+    to keys (any keys when keys is None); ParseError otherwise."""
     if not isinstance(value, Mapping):
         raise ParseError(f"{source}: expected a JSON object")
+    if keys is not None:
+        unknown = set(value) - set(keys)
+        if unknown:
+            raise ParseError(
+                f"{source}: unknown field(s) {sorted(unknown)}; expected {sorted(keys)}"
+            )
     return value
 
 
@@ -81,3 +94,76 @@ def load_json_object(path: str | Path) -> Mapping:
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}: invalid JSON: {err}")
     return json_object(data, str(path))
+
+
+@contextmanager
+def opened(target: str | Path | IO[str], mode: str = "r") -> Iterator[IO[str]]:
+    """An open text stream: target itself, or the file at that path opened
+    with newline="" (csv's convention) and closed on exit."""
+    if isinstance(target, (str, Path)):
+        with Path(target).open(mode, newline="") as stream:
+            yield stream
+    else:
+        yield target
+
+
+def _cell(row: list[str], pos: int, name: str, optional: bool, line: int) -> float:
+    """One checked cell; NaN for an empty optional cell."""
+    try:
+        raw = row[pos].strip()
+    except IndexError:
+        raise ParseError(f"row has {len(row)} cells, column {name!r} absent", line)
+    if raw == "":
+        if optional:
+            return math.nan
+        raise ParseError(f"column {name!r} is empty", line)
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ParseError(f"column {name!r} is not a number: {raw!r}", line)
+    if not math.isfinite(value):
+        raise ParseError(f"column {name!r} is not finite: {raw!r}", line)
+    return value
+
+
+def read_csv_table(
+    stream: IO[str], columns: Sequence[str], optional: Collection[str] = ()
+) -> tuple[np.ndarray, list[int]]:
+    """The named columns of a CSV with a header row, checked cell by cell.
+
+    Returns an (n, len(columns)) float array, one row per non-blank data
+    row, and the file line number of each row. Every cell must be a finite
+    number; a cell of an optional column may be empty and reads as NaN.
+    Errors name the line of the first bad cell.
+    """
+    reader = csv.reader(stream)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("empty file", line=1)
+    positions = {name.strip(): i for i, name in enumerate(header)}
+    for name in columns:
+        if name not in positions:
+            raise MissingColumn(f"missing column {name!r} in header {header}", line=1)
+    cells = [(positions[name], name, name in optional) for name in columns]
+    rows: list[list[float]] = []
+    lines: list[int] = []
+    for line, row in enumerate(reader, start=2):
+        if "".join(row).strip():
+            rows.append([_cell(row, pos, name, opt, line) for pos, name, opt in cells])
+            lines.append(line)
+    return np.array(rows, dtype=float).reshape(-1, len(columns)), lines
+
+
+def write_csv_table(
+    dest: str | Path | IO[str], header: Sequence[str], columns: Sequence[np.ndarray]
+) -> None:
+    """A header row, then one row per index of the equal-length columns.
+
+    Cells are repr of the float, which parses back bit for bit; NaN is
+    written as an empty cell.
+    """
+    text = [["" if v != v else repr(v) for v in column.tolist()] for column in columns]
+    with opened(dest, "w") as stream:
+        stream.write(",".join(header) + "\n")
+        stream.writelines(",".join(row) + "\n" for row in zip(*text))

@@ -9,12 +9,15 @@ and the rotation of X come from one linear least-squares problem over
 (t_x, t_y, cos theta, sin theta), followed by renormalization onto the
 unit circle and a translation-only re-solve.
 
-Pose stream CSVs carry columns t,x,y,theta (seconds, metres, radians).
+Motions are held as (n - 1, 3) arrays of (dtheta, dx, dy) rows and the
+least-squares system is built from whole columns. Pose stream CSVs carry
+columns t,x,y,theta (seconds, metres, radians) and go through the same
+checked CSV reader and repr writer as trajectory logs, so a bad cell is
+reported as line N and writing then parsing a stream is bit-exact.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,13 +25,12 @@ from typing import IO, Sequence
 
 import numpy as np
 
+from ._util import opened, read_csv_table, write_csv_table
 from .egokin import wrap_angle
 from .errors import (
     DegenerateMotion,
     LengthMismatch,
-    MissingColumn,
     NonMonotonicTimestamps,
-    ParseError,
     TooFewPoses,
 )
 
@@ -71,20 +73,13 @@ class RigidTransform2D:
         )
 
 
-@dataclass(frozen=True)
-class MotionIncrement:
-    """Pose i -> i+1 expressed in frame i: rotate by dtheta, move by (dx, dy)."""
-
-    dtheta: float
-    dx: float
-    dy: float
-
-
-def relative_motions(poses: Sequence | np.ndarray) -> list[MotionIncrement]:
+def relative_motions(poses: Sequence | np.ndarray) -> np.ndarray:
     """Successive relative motions of a pose stream.
 
     poses: array-like of rows (x, y, theta) or (t, x, y, theta); a leading
-    time column is ignored. Needs at least two poses.
+    time column is ignored. Needs at least two poses. Row i of the
+    (n - 1, 3) result is pose i -> i + 1 in frame i: rotate by dtheta, move
+    by (dx, dy).
     """
     arr = np.asarray(poses, dtype=float)
     if arr.ndim != 2 or arr.shape[1] not in (3, 4):
@@ -92,26 +87,15 @@ def relative_motions(poses: Sequence | np.ndarray) -> list[MotionIncrement]:
             f"poses must be rows of (x, y, theta) or (t, x, y, theta), "
             f"got shape {arr.shape}"
         )
-    if arr.shape[1] == 4:
-        arr = arr[:, 1:]
     if arr.shape[0] < 2:
         raise TooFewPoses(f"need at least 2 poses, got {arr.shape[0]}")
-    out = []
-    for i in range(arr.shape[0] - 1):
-        x0, y0, th0 = arr[i]
-        x1, y1, th1 = arr[i + 1]
-        c = math.cos(th0)
-        s = math.sin(th0)
-        ux = x1 - x0
-        uy = y1 - y0
-        out.append(
-            MotionIncrement(
-                dtheta=wrap_angle(th1 - th0),
-                dx=c * ux + s * uy,
-                dy=-s * ux + c * uy,
-            )
-        )
-    return out
+    x, y, theta = arr[:, -3:].T
+    c = np.cos(theta[:-1])
+    s = np.sin(theta[:-1])
+    ux = np.diff(x)
+    uy = np.diff(y)
+    dtheta = wrap_angle(np.diff(theta))
+    return np.stack((dtheta, c * ux + s * uy, -s * ux + c * uy), axis=1)
 
 
 @dataclass(frozen=True)
@@ -123,49 +107,47 @@ class HandEyeResult:
     total_rotation: float
 
 
-def solve_hand_eye(
-    a: Sequence[MotionIncrement], b: Sequence[MotionIncrement]
-) -> HandEyeResult:
+def solve_hand_eye(a: np.ndarray, b: np.ndarray) -> HandEyeResult:
     """Estimate X with A_i X = X B_i from paired motion streams.
 
-    Stacks, per increment, (R(dtheta_a_i) - I) t - M(u_b_i) [cos, sin]^T
-    = -u_a_i with M(u) = [[u_x, -u_y], [u_y, u_x]], solves by least
-    squares, renormalizes (cos, sin) and re-solves the translation with the
-    rotation fixed. Raises DegenerateMotion when the summed |rotation| of
-    stream a is below 0.1 rad (the translation is then unobservable).
+    a and b are relative_motions arrays, rows (dtheta, dx, dy). Stacks, per
+    increment, (R(dtheta_a_i) - I) t - M(u_b_i) [cos, sin]^T = -u_a_i with
+    M(u) = [[u_x, -u_y], [u_y, u_x]], solves by least squares, renormalizes
+    (cos, sin) and re-solves the translation with the rotation fixed.
+    Raises DegenerateMotion when the summed |rotation| of stream a is below
+    0.1 rad (the translation is then unobservable).
     """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    for arr in (a, b):
+        if arr.ndim != 2 or arr.shape[1] != 3:
+            raise ValueError(
+                f"motions must be rows of (dtheta, dx, dy), got shape {arr.shape}"
+            )
     if len(a) != len(b):
         raise LengthMismatch(
             f"paired motion streams differ in length: {len(a)} vs {len(b)}"
         )
-    if len(a) < 2:
-        raise TooFewPoses(f"need at least 2 motion increments, got {len(a)}")
-    total_rotation = float(sum(abs(m.dtheta) for m in a))
+    k = len(a)
+    if k < 2:
+        raise TooFewPoses(f"need at least 2 motion increments, got {k}")
+    dtheta_a, ax, ay = a.T
+    dtheta_b, bx, by = b.T
+    # Left to right, as np.sum's pairwise order would move the last bits.
+    total_rotation = float(sum(map(abs, dtheta_a.tolist())))
     if total_rotation < MIN_TOTAL_ROTATION:
         raise DegenerateMotion(
             f"total |rotation| {total_rotation:.4f} rad is below "
             f"{MIN_TOTAL_ROTATION}; translation unobservable"
         )
+    rot_res = wrap_angle(dtheta_a - dtheta_b)
 
-    k = len(a)
-    rot_res = np.array([wrap_angle(a[i].dtheta - b[i].dtheta) for i in range(k)])
-
-    lhs = np.zeros((2 * k, 4))
-    rhs = np.zeros(2 * k)
-    for i, (ma, mb) in enumerate(zip(a, b)):
-        c = math.cos(ma.dtheta)
-        s = math.sin(ma.dtheta)
-        r = 2 * i
-        lhs[r, 0] = c - 1.0
-        lhs[r, 1] = -s
-        lhs[r + 1, 0] = s
-        lhs[r + 1, 1] = c - 1.0
-        lhs[r, 2] = -mb.dx
-        lhs[r, 3] = mb.dy
-        lhs[r + 1, 2] = -mb.dy
-        lhs[r + 1, 3] = -mb.dx
-        rhs[r] = -ma.dx
-        rhs[r + 1] = -ma.dy
+    # Rows 2i and 2i + 1 hold increment i's x and y equations.
+    c = np.cos(dtheta_a)
+    s = np.sin(dtheta_a)
+    lhs = np.stack((c - 1.0, -s, -bx, by, s, c - 1.0, -by, -bx), axis=1)
+    lhs = lhs.reshape(2 * k, 4)
+    rhs = -a[:, 1:].ravel()
     solution, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
     norm = math.hypot(solution[2], solution[3])
     if norm == 0.0:
@@ -176,11 +158,8 @@ def solve_hand_eye(
     c_x = math.cos(theta)
     s_x = math.sin(theta)
     lhs_t = lhs[:, :2]
-    rhs_t = np.zeros(2 * k)
-    for i, (ma, mb) in enumerate(zip(a, b)):
-        r = 2 * i
-        rhs_t[r] = c_x * mb.dx - s_x * mb.dy - ma.dx
-        rhs_t[r + 1] = s_x * mb.dx + c_x * mb.dy - ma.dy
+    rhs_t = np.stack((c_x * bx - s_x * by - ax, s_x * bx + c_x * by - ay), axis=1)
+    rhs_t = rhs_t.ravel()
     translation, *_ = np.linalg.lstsq(lhs_t, rhs_t, rcond=None)
     residual = lhs_t @ translation - rhs_t
     trans_rms = float(
@@ -198,43 +177,15 @@ def solve_hand_eye(
 
 def parse_pose_stream(source: str | Path | IO[str]) -> np.ndarray:
     """Pose CSV (t,x,y,theta) as an (N, 4) array, timestamps ascending."""
-    if isinstance(source, (str, Path)):
-        with Path(source).open("r", newline="") as stream:
-            return parse_pose_stream(stream)
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty file", line=1)
-    positions = {name.strip(): i for i, name in enumerate(header)}
-    for name in POSE_COLUMNS:
-        if name not in positions:
-            raise MissingColumn(f"missing column {name!r} in header {header}", line=1)
-    rows = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row or all(cell.strip() == "" for cell in row):
-            continue
-        try:
-            values = [float(row[positions[name]]) for name in POSE_COLUMNS]
-        except (ValueError, IndexError):
-            raise ParseError(f"bad pose row {row!r}", line_no)
-        if not all(math.isfinite(v) for v in values):
-            raise ParseError(f"pose row has non-finite values: {row!r}", line_no)
-        rows.append(values)
-    if len(rows) < 2:
-        raise TooFewPoses(f"need at least 2 poses, got {len(rows)}")
-    arr = np.array(rows)
-    if np.any(np.diff(arr[:, 0]) <= 0.0):
+    with opened(source) as stream:
+        poses, _ = read_csv_table(stream, POSE_COLUMNS)
+    if len(poses) < 2:
+        raise TooFewPoses(f"need at least 2 poses, got {len(poses)}")
+    if np.any(np.diff(poses[:, 0]) <= 0.0):
         raise NonMonotonicTimestamps("pose timestamps must increase strictly")
-    return arr
+    return poses
 
 
 def write_pose_stream(poses: np.ndarray, dest: str | Path | IO[str]) -> None:
     """Write an (N, 4) pose array as a t,x,y,theta CSV."""
-    if isinstance(dest, (str, Path)):
-        with Path(dest).open("w", newline="") as stream:
-            write_pose_stream(poses, stream)
-        return
-    dest.write(",".join(POSE_COLUMNS) + "\n")
-    for row in np.asarray(poses, dtype=float):
-        dest.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_csv_table(dest, POSE_COLUMNS, np.asarray(poses, dtype=float).T)

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import __version__, gtgen, synth, uncert
-from ._util import derived_rng, fmt_float, load_json_object
+from ._util import derived_rng, fmt_float, json_object, load_json_object
 from .calib import parse_pose_stream, relative_motions, solve_hand_eye
 from .errors import (
     DegenerateMotion,
@@ -105,10 +105,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # generate
 
+_GEOMETRY_KEYS = ("length", "width", "ref_to_center")
+
+
 def _load_geometry(path: str) -> gtgen.VehicleGeometry | dict[str, gtgen.VehicleGeometry]:
     data = load_json_object(path)
 
     def one(obj: Mapping, where: str) -> gtgen.VehicleGeometry:
+        obj = json_object(obj, where, _GEOMETRY_KEYS)
         try:
             return gtgen.VehicleGeometry(
                 length=float(obj["length"]),
@@ -118,7 +122,7 @@ def _load_geometry(path: str) -> gtgen.VehicleGeometry | dict[str, gtgen.Vehicle
         except (KeyError, TypeError, ValueError) as err:
             raise ParseError(f"{where}: bad geometry: {err}")
 
-    if "length" in data:
+    if not data.keys().isdisjoint(_GEOMETRY_KEYS):
         return one(data, path)
     return {key: one(value, f"{path}[{key!r}]") for key, value in data.items()}
 

@@ -23,7 +23,7 @@ from typing import IO, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ._util import fmt_float
+from ._util import fmt_float, opened
 from .egokin import RelativeState, relative_state
 from .errors import ParseError, ZoneMismatch
 from .resample import build_interpolant
@@ -131,21 +131,19 @@ def make_stamps(rate: float, t0: float, t1: float) -> np.ndarray:
 
 def read_stamps(source: str | Path | IO[str]) -> np.ndarray:
     """Stamp file: one float per line, blank lines ignored."""
-    if isinstance(source, (str, Path)):
-        with Path(source).open("r") as stream:
-            return read_stamps(stream)
     values = []
-    for line_no, line in enumerate(source, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            value = float(text)
-        except ValueError:
-            raise ParseError(f"bad stamp {text!r}", line_no)
-        if not math.isfinite(value):
-            raise ParseError(f"stamp must be finite, got {text!r}", line_no)
-        values.append(value)
+    with opened(source) as stream:
+        for line_no, line in enumerate(stream, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                value = float(text)
+            except ValueError:
+                raise ParseError(f"bad stamp {text!r}", line_no)
+            if not math.isfinite(value):
+                raise ParseError(f"stamp must be finite, got {text!r}", line_no)
+            values.append(value)
     if not values:
         raise ParseError("stamp file has no values", line=1)
     return np.array(values)
@@ -282,11 +280,8 @@ def record_to_json(records: RecordSet) -> Iterator[str]:
 
 
 def write_records_jsonl(records: RecordSet, dest: str | Path | IO[str]) -> None:
-    if isinstance(dest, (str, Path)):
-        with Path(dest).open("w", newline="") as stream:
-            write_records_jsonl(records, stream)
-        return
-    dest.writelines(record_to_json(records))
+    with opened(dest, "w") as stream:
+        stream.writelines(record_to_json(records))
 
 
 _RECORD_FLOATS = ("t", "x", "y", "vx", "vy", "psi")
@@ -294,42 +289,40 @@ _RECORD_FLOATS = ("t", "x", "y", "vx", "vy", "psi")
 
 def read_records_jsonl(source: str | Path | IO[str]) -> RecordSet:
     """Parse records written by write_records_jsonl; errors name the line."""
-    if isinstance(source, (str, Path)):
-        with Path(source).open("r") as stream:
-            return read_records_jsonl(stream)
     rows: list[list[float]] = []
     ids: list[str] = []
     lines: list[int] = []
     bounds = None
-    for line_no, line in enumerate(source, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise ParseError(f"invalid JSON: {err}", line_no)
-        try:
-            corners = [(float(x), float(y)) for x, y in data["bbox"]]
-            if len(corners) != 4:
-                raise ValueError(f"bbox needs exactly 4 corners, got {len(corners)}")
-            row = [float(data[key]) for key in _RECORD_FLOATS]
-            row += [v for corner in corners for v in corner]
-            found = None
-            if "pos_bound" in data:
-                found = (
-                    CovBound2(**data["pos_bound"]),
-                    CovBound2(**data["vel_bound"]),
-                    float(data["yaw_var"]),
-                )
-            ids.append(str(data["target_id"]))
-        except (KeyError, TypeError, ValueError) as err:
-            raise ParseError(f"bad record: {err}", line_no)
-        if rows and found != bounds:
-            raise ParseError("bad record: bounds differ from the first record's", line_no)
-        bounds = found
-        rows.append(row)
-        lines.append(line_no)
+    with opened(source) as stream:
+        for line_no, line in enumerate(stream, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                data = json.loads(text)
+            except json.JSONDecodeError as err:
+                raise ParseError(f"invalid JSON: {err}", line_no)
+            try:
+                corners = [(float(x), float(y)) for x, y in data["bbox"]]
+                if len(corners) != 4:
+                    raise ValueError(f"bbox needs exactly 4 corners, got {len(corners)}")
+                row = [float(data[key]) for key in _RECORD_FLOATS]
+                row += [v for corner in corners for v in corner]
+                found = None
+                if "pos_bound" in data:
+                    found = (
+                        CovBound2(**data["pos_bound"]),
+                        CovBound2(**data["vel_bound"]),
+                        float(data["yaw_var"]),
+                    )
+                ids.append(str(data["target_id"]))
+            except (KeyError, TypeError, ValueError) as err:
+                raise ParseError(f"bad record: {err}", line_no)
+            if rows and found != bounds:
+                raise ParseError("bad record: bounds differ from the first record's", line_no)
+            bounds = found
+            rows.append(row)
+            lines.append(line_no)
     table = np.array(rows, dtype=float).reshape(-1, 14)
     psi = table[:, 5]
     bad = ~np.isfinite(table).all(axis=1) | ~(psi > -math.pi) | (psi > math.pi)

@@ -107,16 +107,6 @@ class StadiumTrack:
 
         return x, y, heading + math.tau * lap, curvature
 
-    def point_at(self, s: float) -> tuple[float, float]:
-        x, y, _, _ = self.frame_at(s)
-        return float(x), float(y)
-
-    def heading_at(self, s: float) -> float:
-        return float(self.frame_at(s)[2])
-
-    def curvature_at(self, s: float) -> float:
-        return float(self.frame_at(s)[3])
-
 
 def make_track(spec: TrackSpec | None = None) -> StadiumTrack:
     return StadiumTrack(spec if spec is not None else TrackSpec())
@@ -353,9 +343,15 @@ def _require(data: Mapping, key: str, source: str):
     return data[key]
 
 
+_SCENARIO_KEYS = ("seed", "track", "noise", "vehicles")
+_TRACK_KEYS = ("straight_len", "curve_radius")
+_VEHICLE_KEYS = ("id", "duration", "rate", "speed_profile", "start_offset", "clock")
+
+
 def scenario_from_mapping(data: Mapping, source: str = "scenario") -> Scenario:
+    data = json_object(data, source, _SCENARIO_KEYS)
     try:
-        track_data = json_object(data.get("track", {}), f"{source}.track")
+        track_data = json_object(data.get("track", {}), f"{source}.track", _TRACK_KEYS)
         track = TrackSpec(
             straight_len=float(track_data.get("straight_len", DEFAULT_STRAIGHT_LEN)),
             curve_radius=float(track_data.get("curve_radius", DEFAULT_CURVE_RADIUS)),
@@ -366,6 +362,7 @@ def scenario_from_mapping(data: Mapping, source: str = "scenario") -> Scenario:
         vehicles = []
         for i, v in enumerate(_require(data, "vehicles", source)):
             where = f"{source}.vehicles[{i}]"
+            v = json_object(v, where, _VEHICLE_KEYS)
             profile = tuple(
                 (float(t), float(s)) for t, s in _require(v, "speed_profile", where)
             )

@@ -20,7 +20,6 @@ parsing it back reproduces the trajectory bit-exactly.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -28,11 +27,10 @@ from typing import IO, TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from ._util import json_object
+from ._util import json_object, opened, read_csv_table, write_csv_table
 from .egokin import wrap_angle
 from .errors import (
     InvalidCoordinate,
-    MissingColumn,
     NonMonotonicTimestamps,
     OutOfZone,
     ParseError,
@@ -211,7 +209,7 @@ class ClockModel:
 
 def clock_model_from_mapping(data: Mapping, source: str) -> ClockModel:
     """ClockModel from a JSON object with optional offset and drift keys."""
-    data = json_object(data, source)
+    data = json_object(data, source, ("offset", "drift"))
     try:
         return ClockModel(
             offset=float(data.get("offset", 0.0)), drift=float(data.get("drift", 0.0))
@@ -226,40 +224,6 @@ def apply_clock_model(traj: Trajectory, clock: ClockModel) -> Trajectory:
     return replace(traj, t=t - clock.offset - clock.drift * (t - t[0]))
 
 
-def _open_source(source: str | Path | IO[str]) -> tuple[IO[str], bool, str]:
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        return path.open("r", newline=""), True, path.stem
-    return source, False, "vehicle"
-
-
-def _header_map(header: list[str], columns: tuple[str, ...]) -> list[int]:
-    positions = {name.strip(): i for i, name in enumerate(header)}
-    for name in columns:
-        if name not in positions:
-            raise MissingColumn(f"missing column {name!r} in header {header}", line=1)
-    return [positions[name] for name in columns]
-
-
-def _cell(row: list[str], pos: int, name: str, line: int) -> float:
-    """One checked cell; NaN for an empty optional cell."""
-    try:
-        raw = row[pos].strip()
-    except IndexError:
-        raise ParseError(f"row has {len(row)} cells, column {name!r} absent", line)
-    if raw == "":
-        if name in _OPTIONAL:
-            return math.nan
-        raise ParseError(f"column {name!r} is empty", line)
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ParseError(f"column {name!r} is not a number: {raw!r}", line)
-    if not math.isfinite(value):
-        raise ParseError(f"column {name!r} is not finite: {raw!r}", line)
-    return value
-
-
 def parse_trajectory_log(
     source: str | Path | IO[str],
     frame: str = "utm",
@@ -272,58 +236,45 @@ def parse_trajectory_log(
     otherwise the zone of the first row, so a session that brushes a zone
     boundary stays in one consistent plane. Heading is converted via
     psi = pi/2 - heading * pi/180 and wrapped. Errors name the line of the
-    first bad cell or coordinate.
+    first bad cell, or else of the first bad coordinate. The vehicle id
+    defaults to the file stem ("vehicle" for an open stream).
     """
     if frame not in FRAMES:
         raise ValueError(f"frame must be one of {FRAMES}, got {frame!r}")
-    stream, owned, default_id = _open_source(source)
     if vehicle_id is None:
-        vehicle_id = default_id
-    try:
-        reader = csv.reader(stream)
+        vehicle_id = Path(source).stem if isinstance(source, (str, Path)) else "vehicle"
+    columns = UTM_COLUMNS if frame == "utm" else GEODETIC_COLUMNS
+    with opened(source) as stream:
+        table, lines = read_csv_table(stream, columns, _OPTIONAL)
+    if not lines:
+        raise ParseError("no data rows", line=2)
+    t, x, y, alt, vx, vy, angle, psi_dot = table.T
+    if frame == "utm":
+        return Trajectory(vehicle_id, t, x, y, vx, vy, wrap_angle(angle), psi_dot, alt)
+    x, y, zone, hemisphere = _project(x, y, forced_zone, lines)
+    # Geodetic heading is degrees clockwise from North.
+    psi = wrap_angle(math.pi / 2.0 - np.radians(angle))
+    return Trajectory(
+        vehicle_id, t, x, y, vx, vy, psi, psi_dot, alt, zone=zone, hemisphere=hemisphere
+    )
+
+
+def _project(
+    lat: np.ndarray, lon: np.ndarray, zone: int | None, lines: list[int]
+) -> tuple[np.ndarray, np.ndarray, int, str]:
+    """Easting and northing of every row in one zone (that of the first row
+    unless zone is given), that zone and the first row's hemisphere."""
+    points = []
+    for la, lo, line in zip(lat.tolist(), lon.tolist(), lines):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", line=1)
-        columns = UTM_COLUMNS if frame == "utm" else GEODETIC_COLUMNS
-        cells = list(zip(columns, _header_map(header, columns)))
-
-        rows: list[list[float]] = []
-        zone = forced_zone
-        hemisphere: str | None = None
-        for line, row in enumerate(reader, start=2):
-            if not "".join(row).strip():
-                continue
-            values = [_cell(row, pos, name, line) for name, pos in cells]
-            if frame == "geodetic":
-                lat, lon = values[1], values[2]
-                try:
-                    if zone is None:
-                        zone = zone_from_longitude(lon)
-                    utm = wgs84_to_utm(GeodeticPoint(lat, lon), forced_zone=zone)
-                except (InvalidCoordinate, OutOfZone) as err:
-                    raise ParseError(str(err), line)
-                hemisphere = hemisphere or utm.hemisphere
-                values[1], values[2] = utm.easting, utm.northing
-            rows.append(values)
-        if not rows:
-            raise ParseError("no data rows", line=2)
-        t, x, y, alt, vx, vy, angle, psi_dot = np.array(rows).T
-        # Geodetic heading is degrees clockwise from North.
-        psi = angle if frame == "utm" else math.pi / 2.0 - np.radians(angle)
-        return Trajectory(
-            vehicle_id, t, x, y, vx, vy, wrap_angle(psi), psi_dot, alt,
-            zone=zone if frame == "geodetic" else None,
-            hemisphere=hemisphere,
-        )
-    finally:
-        if owned:
-            stream.close()
-
-
-def _text(column: np.ndarray) -> list[str]:
-    # repr round-trips exactly, which write/parse bit-exactness relies on.
-    return ["" if v != v else repr(v) for v in column.tolist()]
+            if zone is None:
+                zone = zone_from_longitude(lo)
+            points.append(wgs84_to_utm(GeodeticPoint(la, lo), forced_zone=zone))
+        except (InvalidCoordinate, OutOfZone) as err:
+            raise ParseError(str(err), line)
+    easting = np.array([p.easting for p in points])
+    northing = np.array([p.northing for p in points])
+    return easting, northing, zone, points[0].hemisphere
 
 
 def write_trajectory_log(
@@ -337,14 +288,6 @@ def write_trajectory_log(
     """
     if frame not in FRAMES:
         raise ValueError(f"frame must be one of {FRAMES}, got {frame!r}")
-    if isinstance(dest, (str, Path)):
-        with Path(dest).open("w", newline="") as stream:
-            _write_rows(traj, stream, frame)
-    else:
-        _write_rows(traj, dest, frame)
-
-
-def _write_rows(traj: Trajectory, stream: IO[str], frame: str) -> None:
     if frame == "utm":
         header = UTM_COLUMNS
         cells = (traj.t, traj.x, traj.y, traj.alt, traj.vx, traj.vy, traj.psi, traj.psi_dot)
@@ -362,8 +305,7 @@ def _write_rows(traj: Trajectory, stream: IO[str], frame: str) -> None:
         lon = np.array([p.lon for p in points])
         heading = np.mod(90.0 - np.degrees(traj.psi), 360.0)
         cells = (traj.t, lat, lon, traj.alt, traj.vx, traj.vy, heading, traj.psi_dot)
-    stream.write(",".join(header) + "\n")
-    stream.writelines(",".join(row) + "\n" for row in zip(*map(_text, cells)))
+    write_csv_table(dest, header, cells)
 
 
 def trajectory_from_arrays(

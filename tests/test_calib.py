@@ -16,6 +16,7 @@ from gtforge.calib import (
     solve_hand_eye,
     write_pose_stream,
 )
+from gtforge.egokin import wrap_angle
 from gtforge.errors import (
     DegenerateMotion,
     LengthMismatch,
@@ -77,10 +78,24 @@ class TestRelativeMotions:
     def test_straight_motion_has_zero_rotation(self):
         t = np.arange(10) * 0.1
         poses = np.stack([t, 3.0 * t, np.zeros_like(t), np.zeros_like(t)], axis=1)
-        for inc in relative_motions(poses):
-            assert inc.dtheta == 0.0
-            assert inc.dx == pytest.approx(0.3)
-            assert inc.dy == 0.0
+        dtheta, dx, dy = relative_motions(poses).T
+        assert np.all(dtheta == 0.0)
+        assert dx == pytest.approx(np.full(9, 0.3))
+        assert np.all(dy == 0.0)
+
+    def test_matches_scalar_formula_bitwise(self):
+        rng = np.random.default_rng(8)
+        poses = np.cumsum(rng.normal(0.0, 2.0, (500, 3)), axis=0)  # some steps wrap
+        expected = []
+        for (x0, y0, th0), (x1, y1, th1) in zip(poses[:-1].tolist(), poses[1:].tolist()):
+            c = math.cos(th0)
+            s = math.sin(th0)
+            ux = x1 - x0
+            uy = y1 - y0
+            expected.append([wrap_angle(th1 - th0), c * ux + s * uy, -s * ux + c * uy])
+        got = relative_motions(poses)
+        assert got.shape == (499, 3)
+        assert got.tobytes() == np.array(expected).tobytes()
 
     def test_too_few(self):
         with pytest.raises(TooFewPoses):
@@ -192,6 +207,14 @@ class TestPoseStreamIO:
         with pytest.raises(ParseError) as err:
             parse_pose_stream(io.StringIO(text))
         assert err.value.line == 3
+        assert str(err.value) == "line 3: column 'x' is not a number: 'x'"
+
+    def test_write_is_repr_per_cell(self):
+        poses = wavy_poses(7)
+        buf = io.StringIO()
+        write_pose_stream(poses, buf)
+        rows = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in poses)
+        assert buf.getvalue() == "t,x,y,theta\n" + rows
 
     def test_times_must_increase(self):
         text = "t,x,y,theta\n1,0,0,0\n1,1,0,0\n"

@@ -198,6 +198,23 @@ class TestGenerate:
         # 25 m/s * 1 ms sampling advance
         assert first["x"] - 30.0 == pytest.approx(0.025, abs=1e-6)
 
+    def test_unknown_clock_key_is_usage_error(self, workspace, capsys):
+        clock = workspace / "clock.json"
+        clock.write_text(json.dumps({"lead_clean": {"ofset": 0.01}}))
+        rc, _ = self.generate(workspace, "--clock", str(clock))
+        assert rc == EXIT_USAGE
+        assert "'ofset'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("geometry", [
+        {"lenght": 4.0, "width": 2.0},
+        {"lead_clean": {"length": 4.0, "width": 2.0, "lenght": 5.0}},
+    ])
+    def test_unknown_geometry_key_is_usage_error(self, workspace, capsys, geometry):
+        (workspace / "geometry.json").write_text(json.dumps(geometry))
+        rc, _ = self.generate(workspace)
+        assert rc == EXIT_USAGE
+        assert "'lenght'" in capsys.readouterr().err
+
 
 class TestBounds:
     def test_reference_output(self, workspace, capsys):

@@ -33,31 +33,32 @@ class TestTrackGeometry:
         assert make_track().length == pytest.approx(3200.0)
 
     def test_starts_at_origin_heading_east(self):
-        track = make_track()
-        assert track.point_at(0.0) == (0.0, 0.0)
-        assert track.heading_at(0.0) == 0.0
-        assert track.curvature_at(0.0) == 0.0
+        x, y, heading, curvature = map(float, make_track().frame_at(0.0))
+        assert (x, y) == (0.0, 0.0)
+        assert heading == 0.0
+        assert curvature == 0.0
 
     def test_segment_landmarks(self):
         spec = TrackSpec(straight_len=100.0, curve_radius=50.0)
         track = make_track(spec)
         # end of first straight
-        assert track.point_at(100.0) == (pytest.approx(100.0), pytest.approx(0.0))
+        x, y, _, _ = track.frame_at(100.0)
+        assert (x, y) == (pytest.approx(100.0), pytest.approx(0.0))
         # top of the first half-circle: 180 degrees turned, shifted up 2r
         s = 100.0 + math.pi * 50.0
-        x, y = track.point_at(s)
+        x, y, heading, _ = track.frame_at(s)
         assert x == pytest.approx(100.0)
         assert y == pytest.approx(100.0)
-        assert track.heading_at(s) == pytest.approx(math.pi)
-        assert track.curvature_at(s - 1.0) == pytest.approx(1.0 / 50.0)
+        assert heading == pytest.approx(math.pi)
+        assert track.frame_at(s - 1.0)[3] == pytest.approx(1.0 / 50.0)
 
     def test_closed_and_periodic(self):
         track = make_track()
-        x0, y0 = track.point_at(0.0)
-        x1, y1 = track.point_at(track.length)
+        x0, y0, _, _ = track.frame_at(0.0)
+        x1, y1, heading, _ = track.frame_at(track.length)
         assert (x1, y1) == (pytest.approx(x0, abs=1e-9), pytest.approx(y0, abs=1e-9))
         # heading gains one full turn per lap
-        assert track.heading_at(track.length) == pytest.approx(math.tau)
+        assert heading == pytest.approx(math.tau)
 
     def test_heading_continuous_in_arc_length(self):
         track = make_track()
@@ -71,9 +72,9 @@ class TestTrackGeometry:
         track = make_track()
         h = 1e-6
         for s in (50.0, 1100.0 + 10.0, 1700.0, 3000.0):
-            x0, y0 = track.point_at(s - h)
-            x1, y1 = track.point_at(s + h)
-            heading = track.heading_at(s)
+            x0, y0, _, _ = track.frame_at(s - h)
+            x1, y1, _, _ = track.frame_at(s + h)
+            heading = track.frame_at(s)[2]
             assert (x1 - x0) / (2 * h) == pytest.approx(math.cos(heading), abs=1e-6)
             assert (y1 - y0) / (2 * h) == pytest.approx(math.sin(heading), abs=1e-6)
 
@@ -263,6 +264,16 @@ class TestScenarioConfig:
         with pytest.raises(ParseError) as err:
             scenario_from_mapping(bad)
         assert "duration" in str(err.value)
+
+    @pytest.mark.parametrize("key, patch", [
+        ("seeed", {"seeed": 1}),
+        ("straight", {"track": {"straight": 500.0}}),
+        ("rat", {"vehicles": [dict(GOOD["vehicles"][0], rat=10.0)]}),
+    ])
+    def test_unknown_key_rejected(self, key, patch):
+        with pytest.raises(ParseError) as err:
+            scenario_from_mapping(dict(self.GOOD, **patch))
+        assert repr(key) in str(err.value)
 
     def test_bad_speed_profile_wrapped(self):
         bad = {"vehicles": [{"id": "ego", "duration": 1.0, "rate": 10.0,

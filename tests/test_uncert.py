@@ -355,6 +355,12 @@ class TestConfigIO:
             noise_model_from_mapping({"sigma_pos": 1, "sigma_vel": 1,
                                       "sigma_psi": 1, "sigma_heading": 1})
 
+    def test_clock_offset_std_is_not_a_noise_field(self):
+        with pytest.raises(ParseError) as err:
+            noise_model_from_mapping({"sigma_pos": 1, "sigma_vel": 1,
+                                      "sigma_psi": 1, "clock_offset_std": 0.01})
+        assert "'clock_offset_std'" in str(err.value)
+
     def test_missing_field(self):
         with pytest.raises(ParseError):
             envelope_from_mapping({"d_max": 50})
