@@ -107,7 +107,7 @@ def opened(target: str | Path | IO[str], mode: str = "r") -> Iterator[IO[str]]:
         yield target
 
 
-def _cell(row: list[str], pos: int, name: str, optional: bool, line: int) -> float:
+def _cell(row: Sequence[str], pos: int, name: str, optional: bool, line: int) -> float:
     """One checked cell; NaN for an empty optional cell."""
     try:
         raw = row[pos].strip()
@@ -126,15 +126,36 @@ def _cell(row: list[str], pos: int, name: str, optional: bool, line: int) -> flo
     return value
 
 
+def _column(cells: Sequence[str], optional: bool) -> np.ndarray | None:
+    """One column of cells as floats, converted as a whole by the same float()
+    that _cell uses; an empty optional cell reads as NaN. None when some cell
+    needs _cell's own check: a blank required cell, a whitespace-only
+    optional cell, text or a non-finite number."""
+    empty = cells.count("") if optional else 0
+    try:
+        values = np.fromiter(
+            map(float, [c or "nan" for c in cells] if empty else cells), float, len(cells)
+        )
+    except ValueError:
+        return None
+    # Every empty cell became NaN, so any further non-finite value is bad.
+    if np.count_nonzero(~np.isfinite(values)) != empty:
+        return None
+    return values
+
+
 def read_csv_table(
     stream: IO[str], columns: Sequence[str], optional: Collection[str] = ()
 ) -> tuple[np.ndarray, list[int]]:
-    """The named columns of a CSV with a header row, checked cell by cell.
+    """The named columns of a CSV with a header row, every cell checked.
 
     Returns an (n, len(columns)) float array, one row per non-blank data
     row, and the file line number of each row. Every cell must be a finite
     number; a cell of an optional column may be empty and reads as NaN.
     Errors name the line of the first bad cell.
+
+    Whole columns are converted at once; only when that fails are the rows
+    scanned in order, cell by cell, to find and report the first bad cell.
     """
     reader = csv.reader(stream)
     try:
@@ -146,13 +167,23 @@ def read_csv_table(
         if name not in positions:
             raise MissingColumn(f"missing column {name!r} in header {header}", line=1)
     cells = [(positions[name], name, name in optional) for name in columns]
-    rows: list[list[float]] = []
+    rows: list[Sequence[str]] = []
     lines: list[int] = []
     for line, row in enumerate(reader, start=2):
         if "".join(row).strip():
-            rows.append([_cell(row, pos, name, opt, line) for pos, name, opt in cells])
+            rows.append(row)
             lines.append(line)
-    return np.array(rows, dtype=float).reshape(-1, len(columns)), lines
+    if rows and min(map(len, rows)) > max(pos for pos, _, _ in cells):
+        text = list(zip(*rows))
+        del rows  # the columns hold the same strings
+        values = [_column(text[pos], opt) for pos, _, opt in cells]
+        if all(v is not None for v in values):
+            return np.column_stack(values), lines
+        rows = list(zip(*text))
+    table = np.empty((len(rows), len(cells)))
+    for i, (row, line) in enumerate(zip(rows, lines)):
+        table[i] = [_cell(row, pos, name, opt, line) for pos, name, opt in cells]
+    return table, lines
 
 
 def write_csv_table(

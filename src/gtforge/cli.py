@@ -21,14 +21,13 @@ from . import __version__, gtgen, synth, uncert
 from ._util import derived_rng, fmt_float, json_object, load_json_object
 from .calib import parse_pose_stream, relative_motions, solve_hand_eye
 from .errors import (
+    CoordinateError,
     DegenerateMotion,
     GtForgeError,
-    InvalidCoordinate,
     LengthMismatch,
     MissingYawRate,
     NonMonotonicTimestamps,
     OutOfSupport,
-    OutOfZone,
     ParseError,
     TooFewPoses,
     TooFewSamples,
@@ -47,8 +46,7 @@ from .trajlog import (
 # discovered during computation exits 1.
 _INPUT_ERRORS = (
     ParseError,
-    InvalidCoordinate,
-    OutOfZone,
+    CoordinateError,
     NonMonotonicTimestamps,
     ZoneMismatch,
     ValueError,
@@ -152,6 +150,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     clocks = _load_clocks(args.clock) if args.clock else {}
     noise = uncert.load_noise_model(args.noise) if args.noise else None
     envelope = uncert.load_envelope(args.envelope) if args.envelope else None
+
+    ids = [traj.vehicle_id for traj in (ego, *targets)]
+    unknown = sorted(set(clocks) - set(ids))
+    if unknown:
+        raise ParseError(f"{args.clock}: clock id(s) {unknown} match no log; log ids are {ids}")
 
     # Retime once; the stamp window and the records both use the result.
     ego, *targets = [

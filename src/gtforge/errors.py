@@ -11,11 +11,20 @@ class GtForgeError(Exception):
     """Base class for all toolkit errors."""
 
 
-class InvalidCoordinate(GtForgeError):
+class CoordinateError(GtForgeError):
+    """A coordinate the projection cannot take. For an array of points,
+    index is the position of the first bad one."""
+
+    def __init__(self, message: str, index: int | None = None):
+        self.index = index
+        super().__init__(message)
+
+
+class InvalidCoordinate(CoordinateError):
     """Latitude/longitude outside the valid range, or non-finite."""
 
 
-class OutOfZone(GtForgeError):
+class OutOfZone(CoordinateError):
     """Point too far from the requested UTM zone's central meridian."""
 
 

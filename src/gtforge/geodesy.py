@@ -1,17 +1,29 @@
-"""WGS-84 to UTM conversion and back.
+"""WGS-84 to UTM conversion and back, on arrays of points.
 
 Transverse Mercator computed with Krueger-style series to 6th order in the
 third flattening, so truncation error inside a zone is far below a
 millimetre. Standard UTM conventions: scale 0.9996 at the central meridian,
 500 km false easting, 10 000 km false northing in the south.
+
+Each direction is one array kernel. Every transcendental function in it is
+Python's math function applied element by element, and the arithmetic keeps
+the order of the point-by-point formulas, so a point projects to the same
+bits alone or in an array. numpy's own tan, sinh, cosh, arcsinh, arctanh,
+hypot and arctan2 may differ from math by an ulp.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .errors import InvalidCoordinate, OutOfZone
+import numpy as np
+
+from .errors import CoordinateError, InvalidCoordinate, OutOfZone
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 WGS84_A = 6378137.0
 WGS84_F = 1.0 / 298.257223563
@@ -57,61 +69,38 @@ _BETA = (
 del _n
 
 
-def _require_finite(name: str, value: float) -> float:
-    if not math.isfinite(value):
-        raise InvalidCoordinate(f"{name} must be finite, got {value!r}")
-    return float(value)
+# math.radians and math.degrees multiply by these same constants.
+_DEG2RAD = math.pi / 180.0
+_RAD2DEG = 180.0 / math.pi
+
+_hypot1 = partial(math.hypot, 1.0)
 
 
-@dataclass(frozen=True)
-class GeodeticPoint:
-    """WGS-84 geodetic coordinates, degrees. alt is carried but never used."""
-
-    lat: float
-    lon: float
-    alt: float | None = None
-
-    def __post_init__(self) -> None:
-        _require_finite("lat", self.lat)
-        _require_finite("lon", self.lon)
-        if not -90.0 <= self.lat <= 90.0:
-            raise InvalidCoordinate(f"lat must be in [-90, 90], got {self.lat}")
-        if not -180.0 <= self.lon < 180.0:
-            raise InvalidCoordinate(f"lon must be in [-180, 180), got {self.lon}")
-        if self.alt is not None:
-            _require_finite("alt", self.alt)
+def _each(fn: Callable[..., float], *args: np.ndarray) -> np.ndarray:
+    """fn applied to the elements of equal-length 1-D arrays, one call each."""
+    return np.fromiter(map(fn, *(a.tolist() for a in args)), float, len(args[0]))
 
 
-@dataclass(frozen=True)
-class UtmPoint:
-    """Projected coordinates in one UTM zone, metres."""
+def _raise_first(
+    checks: Sequence[tuple[np.ndarray, type[CoordinateError], Callable[[int], str]]]
+) -> None:
+    """Raise for the first point any check flags, taking the checks in order
+    for that point, as if each point were checked on its own in turn.
 
-    easting: float
-    northing: float
-    zone: int
-    hemisphere: str = "north"
-    alt: float | None = None
-
-    def __post_init__(self) -> None:
-        _require_finite("easting", self.easting)
-        _require_finite("northing", self.northing)
-        if not 0.0 < self.easting < 1_000_000.0:
-            raise InvalidCoordinate(
-                f"easting must be in (0, 1e6), got {self.easting}"
-            )
-        if not 1 <= self.zone <= 60:
-            raise InvalidCoordinate(f"zone must be in 1..60, got {self.zone}")
-        if self.hemisphere not in ("north", "south"):
-            raise InvalidCoordinate(
-                f"hemisphere must be 'north' or 'south', got {self.hemisphere!r}"
-            )
-        if self.alt is not None:
-            _require_finite("alt", self.alt)
+    Each check is (flags per point, error type, message for point i).
+    """
+    bad = np.logical_or.reduce([flags for flags, _, _ in checks])
+    if bad.any():
+        i = int(np.argmax(bad))
+        for flags, error, message in checks:
+            if flags[i]:
+                raise error(message(i), index=i)
 
 
 def zone_from_longitude(lon: float) -> int:
     """Standard 6-degree UTM zone containing the given longitude."""
-    _require_finite("lon", lon)
+    if not math.isfinite(lon):
+        raise InvalidCoordinate(f"lon must be finite, got {lon!r}")
     if not -180.0 <= lon < 180.0:
         raise InvalidCoordinate(f"lon must be in [-180, 180), got {lon}")
     return int((lon + 180.0) // 6.0) + 1
@@ -123,80 +112,137 @@ def central_meridian_deg(zone: int) -> float:
     return (zone - 1) * 6.0 - 180.0 + 3.0
 
 
-def wgs84_to_utm(point: GeodeticPoint, forced_zone: int | None = None) -> UtmPoint:
-    """Project a geodetic point to UTM.
+def _conformal(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """tan of the conformal latitude from tau = tan(latitude), and
+    hypot(1, tau)."""
+    root = _each(_hypot1, tau)
+    sigma = _each(math.sinh, _E * _each(math.atanh, _E * tau / root))
+    return tau * _each(_hypot1, sigma) - sigma * root, root
 
-    The zone is derived from the longitude unless forced_zone is given.
-    Forcing allows a session that straddles a zone boundary to live in one
-    consistent plane, limited to 7 degrees from the central meridian.
+
+def wgs84_to_utm(
+    lat: ArrayLike, lon: ArrayLike, forced_zone: int | None = None
+) -> tuple[np.ndarray, np.ndarray, int, str]:
+    """Project geodetic points (degrees; at least one) to UTM: (easting,
+    northing, zone, hemisphere).
+
+    All points share one plane: the zone of the first point unless
+    forced_zone is given, which lets a session that straddles a zone
+    boundary live in one consistent plane, limited to 7 degrees from the
+    central meridian. The first point's hemisphere also sets the false
+    northing of every point, so a session that crosses the equator keeps a
+    continuous northing. A bad point raises InvalidCoordinate or OutOfZone
+    naming its index.
     """
-    zone = forced_zone if forced_zone is not None else zone_from_longitude(point.lon)
-    lon0 = central_meridian_deg(zone)
-    dlon = point.lon - lon0
-    if abs(dlon) >= MAX_CM_DISTANCE_DEG:
-        raise OutOfZone(
-            f"lon {point.lon} is {abs(dlon):.3f} deg from zone {zone}'s "
-            f"central meridian (limit {MAX_CM_DISTANCE_DEG})"
-        )
-
-    phi = math.radians(point.lat)
-    lam = math.radians(dlon)
+    lat = np.atleast_1d(np.asarray(lat, dtype=float))
+    lon = np.atleast_1d(np.asarray(lon, dtype=float))
+    in_range = (-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon < 180.0)
+    zone = forced_zone
+    if zone is None and in_range[0]:
+        zone = zone_from_longitude(lon.item(0))
+    zone_ok = zone is not None and 1 <= zone <= 60
+    dlon = lon - central_meridian_deg(zone) if zone_ok else np.full(lon.shape, math.nan)
+    ok = in_range & (np.abs(dlon) < MAX_CM_DISTANCE_DEG)
 
     # Conformal latitude, expressed through its tangent.
-    tau = math.tan(phi)
-    sigma = math.sinh(_E * math.atanh(_E * tau / math.hypot(1.0, tau)))
-    taup = tau * math.hypot(1.0, sigma) - sigma * math.hypot(1.0, tau)
-
-    xi_p = math.atan2(taup, math.cos(lam))
-    eta_p = math.asinh(math.sin(lam) / math.hypot(taup, math.cos(lam)))
+    lam = dlon[ok] * _DEG2RAD
+    taup, _ = _conformal(_each(math.tan, lat[ok] * _DEG2RAD))
+    cos_lam = _each(math.cos, lam)
+    xi_p = _each(math.atan2, taup, cos_lam)
+    eta_p = _each(math.asinh, _each(math.sin, lam) / _each(math.hypot, taup, cos_lam))
 
     xi = xi_p
     eta = eta_p
     for j, coeff in enumerate(_ALPHA, start=1):
-        xi += coeff * math.sin(2 * j * xi_p) * math.cosh(2 * j * eta_p)
-        eta += coeff * math.cos(2 * j * xi_p) * math.sinh(2 * j * eta_p)
+        xi = xi + coeff * _each(math.sin, 2 * j * xi_p) * _each(math.cosh, 2 * j * eta_p)
+        eta = eta + coeff * _each(math.cos, 2 * j * xi_p) * _each(math.sinh, 2 * j * eta_p)
 
-    easting = FALSE_EASTING + SCALE_FACTOR * _RADIUS * eta
-    northing = SCALE_FACTOR * _RADIUS * xi
-    hemisphere = "north" if point.lat >= 0.0 else "south"
+    easting = np.full(lat.shape, math.nan)
+    northing = np.full(lat.shape, math.nan)
+    easting[ok] = FALSE_EASTING + SCALE_FACTOR * _RADIUS * eta
+    northing[ok] = SCALE_FACTOR * _RADIUS * xi
+    first_row = np.arange(lat.size) == 0
+    _raise_first([
+        (~np.isfinite(lat), InvalidCoordinate,
+         lambda i: f"lat must be finite, got {lat.item(i)!r}"),
+        (~np.isfinite(lon), InvalidCoordinate,
+         lambda i: f"lon must be finite, got {lon.item(i)!r}"),
+        (~((-90.0 <= lat) & (lat <= 90.0)), InvalidCoordinate,
+         lambda i: f"lat must be in [-90, 90], got {lat.item(i)}"),
+        (~in_range, InvalidCoordinate,
+         lambda i: f"lon must be in [-180, 180), got {lon.item(i)}"),
+        (first_row & (not zone_ok), InvalidCoordinate,
+         lambda i: f"zone must be in 1..60, got {zone}"),
+        (~ok, OutOfZone,
+         lambda i: f"lon {lon.item(i)} is {abs(dlon.item(i)):.3f} deg from zone "
+         f"{zone}'s central meridian (limit {MAX_CM_DISTANCE_DEG})"),
+        (~((0.0 < easting) & (easting < 1_000_000.0)), InvalidCoordinate,
+         lambda i: f"easting must be in (0, 1e6), got {easting.item(i)}"),
+    ])
+    hemisphere = "north" if lat.item(0) >= 0.0 else "south"
     if hemisphere == "south":
         northing += FALSE_NORTHING_SOUTH
-    return UtmPoint(easting, northing, zone, hemisphere, alt=point.alt)
+    return easting, northing, zone, hemisphere
 
 
-def utm_to_wgs84(point: UtmPoint) -> GeodeticPoint:
-    """Invert the projection. Round-trips with wgs84_to_utm to ~1e-9 degrees."""
-    y = point.northing
-    if point.hemisphere == "south":
-        y -= FALSE_NORTHING_SOUTH
+def utm_to_wgs84(
+    easting: ArrayLike, northing: ArrayLike, zone: int, hemisphere: str = "north"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Invert the projection: (lat, lon) in degrees of points in one zone.
+
+    Round-trips with wgs84_to_utm to ~1e-9 degrees. A bad point raises
+    InvalidCoordinate naming its index.
+    """
+    easting = np.atleast_1d(np.asarray(easting, dtype=float))
+    northing = np.atleast_1d(np.asarray(northing, dtype=float))
+    every = np.ones(easting.shape, dtype=bool)
+    _raise_first([
+        (~np.isfinite(easting), InvalidCoordinate,
+         lambda i: f"easting must be finite, got {easting.item(i)!r}"),
+        (~np.isfinite(northing), InvalidCoordinate,
+         lambda i: f"northing must be finite, got {northing.item(i)!r}"),
+        (~((0.0 < easting) & (easting < 1_000_000.0)), InvalidCoordinate,
+         lambda i: f"easting must be in (0, 1e6), got {easting.item(i)}"),
+        (every & (not 1 <= zone <= 60), InvalidCoordinate,
+         lambda i: f"zone must be in 1..60, got {zone}"),
+        (every & (hemisphere not in ("north", "south")), InvalidCoordinate,
+         lambda i: f"hemisphere must be 'north' or 'south', got {hemisphere!r}"),
+    ])
+    y = northing - FALSE_NORTHING_SOUTH if hemisphere == "south" else northing
     xi = y / (SCALE_FACTOR * _RADIUS)
-    eta = (point.easting - FALSE_EASTING) / (SCALE_FACTOR * _RADIUS)
+    eta = (easting - FALSE_EASTING) / (SCALE_FACTOR * _RADIUS)
 
     xi_p = xi
     eta_p = eta
     for j, coeff in enumerate(_BETA, start=1):
-        xi_p -= coeff * math.sin(2 * j * xi) * math.cosh(2 * j * eta)
-        eta_p -= coeff * math.cos(2 * j * xi) * math.sinh(2 * j * eta)
+        xi_p = xi_p - coeff * _each(math.sin, 2 * j * xi) * _each(math.cosh, 2 * j * eta)
+        eta_p = eta_p - coeff * _each(math.cos, 2 * j * xi) * _each(math.sinh, 2 * j * eta)
 
-    taup = math.sin(xi_p) / math.hypot(math.sinh(eta_p), math.cos(xi_p))
-    lam = math.atan2(math.sinh(eta_p), math.cos(xi_p))
+    sinh_eta = _each(math.sinh, eta_p)
+    cos_xi = _each(math.cos, xi_p)
+    taup = _each(math.sin, xi_p) / _each(math.hypot, sinh_eta, cos_xi)
+    lam = _each(math.atan2, sinh_eta, cos_xi)
 
-    # Newton iteration for tau from its conformal counterpart.
+    # Newton iteration for tau from its conformal counterpart; each point
+    # stops at the first step below its own tolerance.
     e2m = 1.0 - _E2
     tau = taup / e2m
+    tolerance = 1e-15 * np.maximum(1.0, np.abs(taup))
+    todo = np.arange(tau.size)
     for _ in range(8):
-        sigma = math.sinh(_E * math.atanh(_E * tau / math.hypot(1.0, tau)))
-        taupa = tau * math.hypot(1.0, sigma) - sigma * math.hypot(1.0, tau)
+        t = tau[todo]
+        taupa, root = _conformal(t)
         dtau = (
-            (taup - taupa)
-            * (1.0 + e2m * tau * tau)
-            / (e2m * math.hypot(1.0, tau) * math.hypot(1.0, taupa))
+            (taup[todo] - taupa)
+            * (1.0 + e2m * t * t)
+            / (e2m * root * _each(_hypot1, taupa))
         )
-        tau += dtau
-        if abs(dtau) < 1e-15 * max(1.0, abs(taup)):
+        tau[todo] = t + dtau
+        todo = todo[~(np.abs(dtau) < tolerance[todo])]
+        if not todo.size:
             break
 
-    lat = math.degrees(math.atan(tau))
-    lon = central_meridian_deg(point.zone) + math.degrees(lam)
+    lat = _each(math.atan, tau) * _RAD2DEG
+    lon = central_meridian_deg(zone) + lam * _RAD2DEG
     lon = (lon + 180.0) % 360.0 - 180.0
-    return GeodeticPoint(lat, lon, alt=point.alt)
+    return lat, lon

@@ -29,19 +29,8 @@ import numpy as np
 
 from ._util import json_object, opened, read_csv_table, write_csv_table
 from .egokin import wrap_angle
-from .errors import (
-    InvalidCoordinate,
-    NonMonotonicTimestamps,
-    OutOfZone,
-    ParseError,
-)
-from .geodesy import (
-    GeodeticPoint,
-    UtmPoint,
-    utm_to_wgs84,
-    wgs84_to_utm,
-    zone_from_longitude,
-)
+from .errors import CoordinateError, NonMonotonicTimestamps, ParseError
+from .geodesy import utm_to_wgs84, wgs84_to_utm
 
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike
@@ -234,7 +223,8 @@ def parse_trajectory_log(
 
     Geodetic logs are projected into a single zone: forced_zone if given,
     otherwise the zone of the first row, so a session that brushes a zone
-    boundary stays in one consistent plane. Heading is converted via
+    boundary stays in one consistent plane. The first row's hemisphere sets
+    the false northing of every row. Heading is converted via
     psi = pi/2 - heading * pi/180 and wrapped. Errors name the line of the
     first bad cell, or else of the first bad coordinate. The vehicle id
     defaults to the file stem ("vehicle" for an open stream).
@@ -251,30 +241,15 @@ def parse_trajectory_log(
     t, x, y, alt, vx, vy, angle, psi_dot = table.T
     if frame == "utm":
         return Trajectory(vehicle_id, t, x, y, vx, vy, wrap_angle(angle), psi_dot, alt)
-    x, y, zone, hemisphere = _project(x, y, forced_zone, lines)
+    try:
+        x, y, zone, hemisphere = wgs84_to_utm(x, y, forced_zone)
+    except CoordinateError as err:
+        raise ParseError(str(err), lines[err.index])
     # Geodetic heading is degrees clockwise from North.
     psi = wrap_angle(math.pi / 2.0 - np.radians(angle))
     return Trajectory(
         vehicle_id, t, x, y, vx, vy, psi, psi_dot, alt, zone=zone, hemisphere=hemisphere
     )
-
-
-def _project(
-    lat: np.ndarray, lon: np.ndarray, zone: int | None, lines: list[int]
-) -> tuple[np.ndarray, np.ndarray, int, str]:
-    """Easting and northing of every row in one zone (that of the first row
-    unless zone is given), that zone and the first row's hemisphere."""
-    points = []
-    for la, lo, line in zip(lat.tolist(), lon.tolist(), lines):
-        try:
-            if zone is None:
-                zone = zone_from_longitude(lo)
-            points.append(wgs84_to_utm(GeodeticPoint(la, lo), forced_zone=zone))
-        except (InvalidCoordinate, OutOfZone) as err:
-            raise ParseError(str(err), line)
-    easting = np.array([p.easting for p in points])
-    northing = np.array([p.northing for p in points])
-    return easting, northing, zone, points[0].hemisphere
 
 
 def write_trajectory_log(
@@ -297,12 +272,7 @@ def write_trajectory_log(
                 "geodetic export needs a trajectory with zone/hemisphere metadata"
             )
         header = GEODETIC_COLUMNS
-        points = [
-            utm_to_wgs84(UtmPoint(x, y, traj.zone, traj.hemisphere))
-            for x, y in zip(traj.x.tolist(), traj.y.tolist())
-        ]
-        lat = np.array([p.lat for p in points])
-        lon = np.array([p.lon for p in points])
+        lat, lon = utm_to_wgs84(traj.x, traj.y, traj.zone, traj.hemisphere)
         heading = np.mod(90.0 - np.degrees(traj.psi), 360.0)
         cells = (traj.t, lat, lon, traj.alt, traj.vx, traj.vy, heading, traj.psi_dot)
     write_csv_table(dest, header, cells)

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -205,6 +208,20 @@ class TestGenerate:
         assert rc == EXIT_USAGE
         assert "'ofset'" in capsys.readouterr().err
 
+    def test_clock_id_matching_no_log_is_usage_error(self, workspace, capsys):
+        sim = simulate(workspace)
+        clock = workspace / "clock.json"
+        clock.write_text(json.dumps({"lead": {"offset": 0.5}}))
+        rc = main([
+            "generate", "--ego", str(sim / "ego_noisy.csv"),
+            "--target", str(sim / "lead_noisy.csv"), "--rate", "10",
+            "--geometry", str(workspace / "geometry.json"), "--clock", str(clock),
+            "--out", str(workspace / "gt.jsonl"),
+        ])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "['lead']" in err and "['ego_noisy', 'lead_noisy']" in err
+
     @pytest.mark.parametrize("geometry", [
         {"lenght": 4.0, "width": 2.0},
         {"lead_clean": {"length": 4.0, "width": 2.0, "lenght": 5.0}},
@@ -347,3 +364,13 @@ class TestUsage:
     def test_version(self, capsys):
         assert main(["--version"]) == EXIT_OK
         assert capsys.readouterr().out.strip()
+
+    def test_import_loads_no_scipy(self):
+        """scipy is imported only when a spline is built, so that commands
+        without one (bounds, validate, calibrate, ...) start fast."""
+        code = "import sys, gtforge.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "[]"

@@ -88,9 +88,9 @@ class TestGeodeticParsing:
     def test_projection_matches_geodesy(self):
         text = GEO_HEADER + "0.0,48.80,2.13,130.5,5.0,1.0,90.0,0.0\n"
         traj = parse_trajectory_log(io.StringIO(text), frame="geodetic")
-        u = geodesy.wgs84_to_utm(geodesy.GeodeticPoint(48.80, 2.13))
-        assert traj.x[0] == pytest.approx(u.easting, abs=1e-9)
-        assert traj.y[0] == pytest.approx(u.northing, abs=1e-9)
+        easting, northing, _, _ = geodesy.wgs84_to_utm([48.80], [2.13])
+        assert traj.x[0] == pytest.approx(easting[0], abs=1e-9)
+        assert traj.y[0] == pytest.approx(northing[0], abs=1e-9)
         assert traj.alt[0] == 130.5
         assert traj.zone == 31
         assert traj.hemisphere == "north"
@@ -123,6 +123,16 @@ class TestGeodeticParsing:
         assert traj.zone == 31
         # Monotone easting across the boundary: both rows in one plane.
         assert traj.x[1] > traj.x[0]
+
+    def test_northing_continuous_across_equator(self):
+        """The first row's hemisphere sets one false northing for the log."""
+        lats = (0.0003, 0.0002, 0.0001, -0.0001, -0.0002, -0.0003)
+        rows = "".join(f"{i / 10.0},{lat},9.0,,0.0,-3.0,180.0,\n" for i, lat in enumerate(lats))
+        traj = parse_trajectory_log(io.StringIO(GEO_HEADER + rows), frame="geodetic")
+        assert traj.zone == 32 and traj.hemisphere == "north"
+        steps = np.diff(traj.y)
+        assert np.all(steps < 0.0) and np.all(np.abs(steps) < 25.0)
+        assert traj.y[3] == pytest.approx(-0.0001 * 110574.4 * 0.9996, rel=1e-3)
 
     def test_forced_zone(self):
         text = GEO_HEADER + "0.0,48.80,2.13,,0.0,0.0,0.0,\n"
