@@ -136,11 +136,15 @@ def wgs84_to_utm(
     """
     lat = np.atleast_1d(np.asarray(lat, dtype=float))
     lon = np.atleast_1d(np.asarray(lon, dtype=float))
-    in_range = (-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon < 180.0)
     zone = forced_zone
-    if zone is None and in_range[0]:
-        zone = zone_from_longitude(lon.item(0))
-    zone_ok = zone is not None and 1 <= zone <= 60
+    if zone is None:
+        try:
+            zone = zone_from_longitude(lon.item(0))
+        except InvalidCoordinate as err:
+            err.index = 0
+            raise
+    in_range = (-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon < 180.0)
+    zone_ok = 1 <= zone <= 60
     dlon = lon - central_meridian_deg(zone) if zone_ok else np.full(lon.shape, math.nan)
     ok = in_range & (np.abs(dlon) < MAX_CM_DISTANCE_DEG)
 
@@ -161,7 +165,10 @@ def wgs84_to_utm(
     northing = np.full(lat.shape, math.nan)
     easting[ok] = FALSE_EASTING + SCALE_FACTOR * _RADIUS * eta
     northing[ok] = SCALE_FACTOR * _RADIUS * xi
-    first_row = np.arange(lat.size) == 0
+    # A forced zone comes from the user; as in a point-by-point loop, it is
+    # checked after the first point's own coordinates.
+    bad_zone = np.zeros(lat.shape, dtype=bool)
+    bad_zone[0] = not zone_ok
     _raise_first([
         (~np.isfinite(lat), InvalidCoordinate,
          lambda i: f"lat must be finite, got {lat.item(i)!r}"),
@@ -171,7 +178,7 @@ def wgs84_to_utm(
          lambda i: f"lat must be in [-90, 90], got {lat.item(i)}"),
         (~in_range, InvalidCoordinate,
          lambda i: f"lon must be in [-180, 180), got {lon.item(i)}"),
-        (first_row & (not zone_ok), InvalidCoordinate,
+        (bad_zone, InvalidCoordinate,
          lambda i: f"zone must be in 1..60, got {zone}"),
         (~ok, OutOfZone,
          lambda i: f"lon {lon.item(i)} is {abs(dlon.item(i)):.3f} deg from zone "
@@ -190,12 +197,16 @@ def utm_to_wgs84(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Invert the projection: (lat, lon) in degrees of points in one zone.
 
-    Round-trips with wgs84_to_utm to ~1e-9 degrees. A bad point raises
-    InvalidCoordinate naming its index.
+    Round-trips with wgs84_to_utm to ~1e-9 degrees. A bad zone or
+    hemisphere raises InvalidCoordinate, and so does a bad point, naming its
+    index.
     """
+    if not 1 <= zone <= 60:
+        raise InvalidCoordinate(f"zone must be in 1..60, got {zone}")
+    if hemisphere not in ("north", "south"):
+        raise InvalidCoordinate(f"hemisphere must be 'north' or 'south', got {hemisphere!r}")
     easting = np.atleast_1d(np.asarray(easting, dtype=float))
     northing = np.atleast_1d(np.asarray(northing, dtype=float))
-    every = np.ones(easting.shape, dtype=bool)
     _raise_first([
         (~np.isfinite(easting), InvalidCoordinate,
          lambda i: f"easting must be finite, got {easting.item(i)!r}"),
@@ -203,10 +214,6 @@ def utm_to_wgs84(
          lambda i: f"northing must be finite, got {northing.item(i)!r}"),
         (~((0.0 < easting) & (easting < 1_000_000.0)), InvalidCoordinate,
          lambda i: f"easting must be in (0, 1e6), got {easting.item(i)}"),
-        (every & (not 1 <= zone <= 60), InvalidCoordinate,
-         lambda i: f"zone must be in 1..60, got {zone}"),
-        (every & (hemisphere not in ("north", "south")), InvalidCoordinate,
-         lambda i: f"hemisphere must be 'north' or 'south', got {hemisphere!r}"),
     ])
     y = northing - FALSE_NORTHING_SOUTH if hemisphere == "south" else northing
     xi = y / (SCALE_FACTOR * _RADIUS)

@@ -11,6 +11,7 @@ strictly limited to the logged support; there is no extrapolation.
 from __future__ import annotations
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
 from .egokin import wrap_angle
 from .errors import OutOfSupport, TooFewSamples
@@ -31,10 +32,6 @@ class TrajectoryInterpolant:
     """C2 interpolant of one vehicle's motion; build with build_interpolant."""
 
     def __init__(self, traj: Trajectory):
-        # Imported here: scipy takes most of the package's import time, and
-        # only building a spline needs it.
-        from scipy.interpolate import CubicSpline
-
         if len(traj) < MIN_SAMPLES:
             raise TooFewSamples(
                 f"vehicle {traj.vehicle_id!r} has {len(traj)} samples, "

@@ -4,9 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -365,12 +362,3 @@ class TestUsage:
         assert main(["--version"]) == EXIT_OK
         assert capsys.readouterr().out.strip()
 
-    def test_import_loads_no_scipy(self):
-        """scipy is imported only when a spline is built, so that commands
-        without one (bounds, validate, calibrate, ...) start fast."""
-        code = "import sys, gtforge.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        ).stdout
-        assert out.strip() == "[]"

@@ -353,15 +353,31 @@ class TestArrayKernels:
         with pytest.raises(InvalidCoordinate, match="easting must be in") as err:
             geodesy.wgs84_to_utm([48.8, 0.0], [2.13, 9.9])
         assert err.value.index == 1
+        # A forced zone is checked after the first point's coordinates and
+        # before any later point.
         with pytest.raises(InvalidCoordinate, match="zone must be in 1..60, got 0") as err:
             geodesy.wgs84_to_utm([48.8, 95.0], [2.13, 2.13], forced_zone=0)
+        assert err.value.index == 0
+        with pytest.raises(InvalidCoordinate, match=r"lat must be in \[-90, 90\]") as err:
+            geodesy.wgs84_to_utm([95.0, 48.8], [2.13, 2.13], forced_zone=0)
         assert err.value.index == 0
         with pytest.raises(InvalidCoordinate, match="easting must be in") as err:
             geodesy.utm_to_wgs84([5e5, 2e6], [0.0, 0.0], 31)
         assert err.value.index == 1
-        # A point's own checks come before the zone's.
-        with pytest.raises(InvalidCoordinate, match="easting must be in") as err:
-            geodesy.utm_to_wgs84([2e6, 5e5], [0.0, 0.0], 61)
-        assert err.value.index == 0
         with pytest.raises(InvalidCoordinate, match="zone must be in 1..60, got 61"):
             geodesy.utm_to_wgs84([5e5, 2e6], [0.0, 0.0], 61)
+        with pytest.raises(InvalidCoordinate, match="hemisphere must be 'north' or 'south'"):
+            geodesy.utm_to_wgs84([5e5], [0.0], 31, "equator")
+
+    @pytest.mark.parametrize("lat, lon, message", [
+        (95.0, 200.0, r"lon must be in \[-180, 180\), got 200.0"),
+        (math.nan, 200.0, r"lon must be in \[-180, 180\), got 200.0"),
+        (math.nan, math.inf, "lon must be finite, got inf"),
+        (95.0, 2.13, r"lat must be in \[-90, 90\], got 95.0"),
+    ])
+    def test_first_point_longitude_checked_first_without_forced_zone(self, lat, lon, message):
+        # The zone comes from the first point's longitude, so that point's
+        # longitude is checked before its latitude.
+        with pytest.raises(InvalidCoordinate, match=message) as err:
+            geodesy.wgs84_to_utm([lat, 48.8], [lon, 2.13])
+        assert err.value.index == 0
