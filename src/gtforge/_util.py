@@ -11,6 +11,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 from typing import IO, Callable, Collection, Iterator, Mapping, Sequence, TypeVar
 
@@ -144,6 +145,30 @@ def _column(cells: Sequence[str], optional: bool) -> np.ndarray | None:
     return values
 
 
+# Rows converted together: bounds the cell text held at once, so a long
+# log takes no more memory than converting row by row.
+BLOCK_ROWS = 1024
+
+
+def _block(
+    rows: Sequence[Sequence[str]], lines: Sequence[int], cells: list[tuple[int, str, bool]]
+) -> np.ndarray:
+    """The checked cells of some rows as an (n, len(cells)) float array.
+
+    Whole columns are converted at once; only when that fails are the rows
+    scanned in order, cell by cell, to find and report the first bad cell.
+    """
+    if min(map(len, rows)) > max(pos for pos, _, _ in cells):
+        text = list(zip(*rows))
+        values = [_column(text[pos], opt) for pos, _, opt in cells]
+        if all(v is not None for v in values):
+            return np.column_stack(values)
+    table = np.empty((len(rows), len(cells)))
+    for i, (row, line) in enumerate(zip(rows, lines)):
+        table[i] = [_cell(row, pos, name, opt, line) for pos, name, opt in cells]
+    return table
+
+
 def read_csv_table(
     stream: IO[str], columns: Sequence[str], optional: Collection[str] = ()
 ) -> tuple[np.ndarray, list[int]]:
@@ -153,9 +178,6 @@ def read_csv_table(
     row, and the file line number of each row. Every cell must be a finite
     number; a cell of an optional column may be empty and reads as NaN.
     Errors name the line of the first bad cell.
-
-    Whole columns are converted at once; only when that fails are the rows
-    scanned in order, cell by cell, to find and report the first bad cell.
     """
     reader = csv.reader(stream)
     try:
@@ -167,23 +189,16 @@ def read_csv_table(
         if name not in positions:
             raise MissingColumn(f"missing column {name!r} in header {header}", line=1)
     cells = [(positions[name], name, name in optional) for name in columns]
-    rows: list[Sequence[str]] = []
+    numbered = (
+        (line, row) for line, row in enumerate(reader, start=2) if "".join(row).strip()
+    )
+    blocks = [np.empty((0, len(cells)))]
     lines: list[int] = []
-    for line, row in enumerate(reader, start=2):
-        if "".join(row).strip():
-            rows.append(row)
-            lines.append(line)
-    if rows and min(map(len, rows)) > max(pos for pos, _, _ in cells):
-        text = list(zip(*rows))
-        del rows  # the columns hold the same strings
-        values = [_column(text[pos], opt) for pos, _, opt in cells]
-        if all(v is not None for v in values):
-            return np.column_stack(values), lines
-        rows = list(zip(*text))
-    table = np.empty((len(rows), len(cells)))
-    for i, (row, line) in enumerate(zip(rows, lines)):
-        table[i] = [_cell(row, pos, name, opt, line) for pos, name, opt in cells]
-    return table, lines
+    while block := list(islice(numbered, BLOCK_ROWS)):
+        block_lines, rows = zip(*block)
+        blocks.append(_block(rows, block_lines, cells))
+        lines.extend(block_lines)
+    return np.concatenate(blocks), lines
 
 
 def write_csv_table(

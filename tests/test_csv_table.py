@@ -10,12 +10,14 @@ from __future__ import annotations
 import csv
 import io
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gtforge import _util
 from gtforge._util import read_csv_table
 from gtforge.errors import MissingColumn, ParseError
 
@@ -71,7 +73,11 @@ def outcome(reader, text):
 
 
 def assert_same(text):
-    assert outcome(read_csv_table, text) == outcome(reference_read_csv_table, text)
+    expect = outcome(reference_read_csv_table, text)
+    assert outcome(read_csv_table, text) == expect
+    # Small blocks put the bad cell, blank lines and short rows in any block.
+    with patch.object(_util, "BLOCK_ROWS", 3):
+        assert outcome(read_csv_table, text) == expect
 
 
 # A valid cell: repr of a finite float, some other spelling float() takes,
@@ -152,6 +158,12 @@ class TestColumnar:
         text = "t,x,alt\n0,1,\n1,2,nan\n"
         with pytest.raises(ParseError, match=r"^line 3: column 'alt' is not finite: 'nan'$"):
             read_csv_table(io.StringIO(text), COLUMNS, OPTIONAL)
+
+    @pytest.mark.parametrize("text", ["t,x,alt\n", "t,x,alt\n\n , ,\n"])
+    def test_no_data_rows(self, text):
+        assert_same(text)
+        table, lines = read_csv_table(io.StringIO(text), COLUMNS, OPTIONAL)
+        assert table.shape == (0, 3) and lines == []
 
     def test_whitespace_only_optional_cell_reads_as_nan(self):
         table, lines = read_csv_table(io.StringIO("t,x,alt\n0,1, \n\n1,2,3\n"), COLUMNS, OPTIONAL)
