@@ -1,15 +1,13 @@
-"""Small shared helpers: worker-count control, deterministic RNG streams,
-fixed-width float formatting for serialized output, JSON-object config
-loading, and the file opener, CSV table reader and CSV writer shared by
-every log format."""
+"""Small shared helpers: deterministic RNG streams, the positive-and-finite
+check, fixed-width float formatting for serialized output, JSON-object
+config loading, and the file opener, CSV table reader and CSV writer shared
+by every log format."""
 
 from __future__ import annotations
 
 import csv
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
@@ -19,26 +17,7 @@ import numpy as np
 
 from .errors import MissingColumn, ParseError
 
-THREADS_ENV_VAR = "GT_FORGE_THREADS"
-
 T = TypeVar("T")
-
-
-def worker_count() -> int:
-    """Worker cap from the GT_FORGE_THREADS environment variable (default 1).
-
-    Outputs never depend on this value; it only limits concurrency.
-    """
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}")
-    if value < 1:
-        raise ValueError(f"{THREADS_ENV_VAR} must be >= 1, got {value}")
-    return value
 
 
 def derived_rng(seed: int, stream: int) -> np.random.Generator:
@@ -52,16 +31,18 @@ def derived_rng(seed: int, stream: int) -> np.random.Generator:
 
 
 def ordered_map(fn: Callable[[T], object], items: Sequence[T]) -> list:
-    """Map fn over items, possibly in parallel, preserving item order.
+    """[fn(item) for item in items].
 
-    Results are identical to a sequential loop regardless of worker count:
-    work units are fixed by the caller and outputs are collected by index.
+    A named function so that perfbench/tracing.py can count the Monte Carlo
+    batches that uncert runs through it.
     """
-    workers = min(worker_count(), len(items)) if items else 1
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
+def positive(name: str, value: float) -> None:
+    """ValueError unless value is positive and finite."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def fmt_float(value: float) -> str:

@@ -35,6 +35,7 @@ from .errors import (
 )
 from .trajlog import (
     ClockModel,
+    States,
     Trajectory,
     apply_clock_model,
     clock_model_from_mapping,
@@ -233,10 +234,8 @@ def _check_trig_grid(samples: int, seed: int) -> dict:
 
 
 def _random_state_pair(rng: np.random.Generator, env: uncert.ScenarioEnvelope):
-    from .trajlog import TrajectorySample
-
     limit = env.d_max / math.sqrt(2.0)
-    ego = TrajectorySample(
+    ego = States(
         t=0.0,
         x=float(rng.uniform(-100.0, 100.0)),
         y=float(rng.uniform(-100.0, 100.0)),
@@ -249,14 +248,14 @@ def _random_state_pair(rng: np.random.Generator, env: uncert.ScenarioEnvelope):
     dy = float(rng.uniform(-limit, limit))
     dvx = float(rng.uniform(-env.v_max, env.v_max))
     dvy = float(rng.uniform(-env.v_max, env.v_max))
-    target = TrajectorySample(
+    target = States(
         t=0.0,
         x=ego.x + dx,
         y=ego.y + dy,
         vx=ego.vx + dvx,
         vy=ego.vy + dvy,
         psi=float(rng.uniform(-math.pi, math.pi)),
-        psi_dot=None,
+        psi_dot=math.nan,
     )
     return ego, target
 
@@ -335,7 +334,6 @@ def _check_domination(
             mc = uncert.monte_carlo_covariance(
                 ego, target, nm, samples, seed + 9000 + i
             )
-            assert mc.velocity is not None
             for value, bound in ((mc.velocity.a, vel_b.a), (mc.velocity.b, vel_b.b)):
                 min_margin = min(min_margin, bound - value)
                 if value > bound:
@@ -498,8 +496,8 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--stamps", help="stamp file, one timestamp per line")
     group.add_argument("--rate", type=float, help="synthesize stamps at this rate (Hz)")
     p.add_argument("--geometry", required=True, help="target geometry JSON")
-    p.add_argument("--noise", help="noise model JSON (enables bounds)")
-    p.add_argument("--envelope", help="scenario envelope JSON (required with --noise)")
+    p.add_argument("--noise", help="noise model JSON (enables bounds with --envelope)")
+    p.add_argument("--envelope", help="scenario envelope JSON (goes with --noise)")
     p.add_argument("--clock", help="per-vehicle clock model JSON")
     p.add_argument("--frame", choices=("utm", "geodetic"), default="utm")
     p.add_argument("--zone", type=int, help="force this UTM zone (geodetic input)")

@@ -9,14 +9,11 @@ familiar transport terms +psi_dot*dy / -psi_dot*dx before rotation.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple, overload
+from typing import NamedTuple, overload
 
 import numpy as np
 
 from .errors import MissingYawRate
-
-if TYPE_CHECKING:
-    from .trajlog import TrajectorySample
 
 _TWO_PI = 2.0 * math.pi
 
@@ -63,12 +60,12 @@ def relative_state(ego, target) -> RelativeState:
     """Target position, velocity and yaw in the rotating ego frame.
 
     ego and target carry x, y, vx, vy, psi (and ego psi_dot) as floats or
-    as equal-length arrays: a TrajectorySample, States or Trajectory. The
-    position is R(-psi_ego) applied to the offset; the velocity adds the
-    transport terms, so it needs the ego yaw rate and raises MissingYawRate
-    when that is absent (None or NaN).
+    as equal-length arrays: States or a Trajectory. The position is
+    R(-psi_ego) applied to the offset; the velocity adds the transport
+    terms, so it needs the ego yaw rate and raises MissingYawRate when that
+    is NaN.
     """
-    if ego.psi_dot is None or np.isnan(ego.psi_dot).any():
+    if np.isnan(ego.psi_dot).any():
         raise MissingYawRate(
             "ego state has no yaw rate; relative velocity in a rotating frame "
             "is undefined without it"
@@ -88,16 +85,16 @@ def relative_state(ego, target) -> RelativeState:
     )
 
 
-def utm_from_relative(ego: "TrajectorySample", rel: RelativeState):
+def utm_from_relative(ego, rel: RelativeState):
     """Rebuild the target's world-frame state from an ego-frame observation.
 
-    Inverse of relative_state given the same scalar ego sample. The returned
-    sample has no yaw rate (a single relative observation does not carry
-    the target's own psi_dot).
+    Inverse of relative_state given the same single ego state (float
+    channels). The returned States has a NaN yaw rate (a single relative
+    observation does not carry the target's own psi_dot).
     """
-    from .trajlog import TrajectorySample
+    from .trajlog import States
 
-    if ego.psi_dot is None:
+    if math.isnan(ego.psi_dot):
         raise MissingYawRate("ego sample has no yaw rate")
     c = math.cos(ego.psi)
     s = math.sin(ego.psi)
@@ -105,11 +102,12 @@ def utm_from_relative(ego: "TrajectorySample", rel: RelativeState):
     dy = rel.x * s + rel.y * c
     u = rel.vx * c - rel.vy * s
     v = rel.vx * s + rel.vy * c
-    return TrajectorySample(
+    return States(
         t=ego.t,
         x=ego.x + dx,
         y=ego.y + dy,
         vx=ego.vx + u - ego.psi_dot * dy,
         vy=ego.vy + v + ego.psi_dot * dx,
         psi=wrap_angle(rel.psi + ego.psi),
+        psi_dot=math.nan,
     )

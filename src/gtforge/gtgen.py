@@ -23,7 +23,7 @@ from typing import IO, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ._util import fmt_float, opened
+from ._util import fmt_float, opened, positive
 from .egokin import RelativeState, relative_state
 from .errors import ParseError, ZoneMismatch
 from .resample import build_interpolant
@@ -52,10 +52,8 @@ class VehicleGeometry:
     ref_to_center: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
-        for name in ("length", "width"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {v}")
+        positive("length", self.length)
+        positive("width", self.width)
         ox, oy = self.ref_to_center
         if not (math.isfinite(ox) and math.isfinite(oy)):
             raise ValueError("ref_to_center must be finite")
@@ -188,8 +186,8 @@ def generate_records(
     Clock corrections are applied per vehicle id before interpolation.
     Every stamp must lie in every trajectory's support (OutOfSupport names
     the offenders otherwise). Bounds are dataset-level constants computed
-    once from noise + envelope; passing a noise model without an envelope
-    is an error. Records come back sorted by (t, target_id).
+    once from noise + envelope; passing only one of the two is an error.
+    Records come back sorted by (t, target_id).
     """
     if not targets:
         raise ValueError("need at least one target trajectory")
@@ -200,6 +198,8 @@ def generate_records(
         raise ValueError(f"ego id {ego.vehicle_id!r} also appears as a target")
     if noise is not None and envelope is None:
         raise ValueError("a noise model needs a scenario envelope to form bounds")
+    if envelope is not None and noise is None:
+        raise ValueError("a scenario envelope needs a noise model to form bounds")
     _check_zones([ego, *targets])
     if clocks:
         ego, *targets = [

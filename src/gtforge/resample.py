@@ -38,8 +38,6 @@ class TrajectoryInterpolant:
                 f"need at least {MIN_SAMPLES} for a cubic interpolant"
             )
         self.vehicle_id = traj.vehicle_id
-        self.zone = traj.zone
-        self.hemisphere = traj.hemisphere
         t = traj.t
         self._t = t
         self._x = CubicSpline(t, traj.x, bc_type="natural")

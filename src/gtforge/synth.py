@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._util import derived_rng, json_object, load_json_object
+from ._util import derived_rng, json_object, load_json_object, positive
 from .egokin import wrap_angle
 from .errors import ParseError
 from .trajlog import (
@@ -33,19 +33,14 @@ DEFAULT_STRAIGHT_LEN = 1100.0
 DEFAULT_CURVE_RADIUS = 1000.0 / math.tau
 
 
-def _positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
 @dataclass(frozen=True)
 class TrackSpec:
     straight_len: float = DEFAULT_STRAIGHT_LEN
     curve_radius: float = DEFAULT_CURVE_RADIUS
 
     def __post_init__(self) -> None:
-        _positive("straight_len", self.straight_len)
-        _positive("curve_radius", self.curve_radius)
+        positive("straight_len", self.straight_len)
+        positive("curve_radius", self.curve_radius)
 
     @property
     def total_length(self) -> float:
@@ -128,8 +123,8 @@ class RunSpec:
     start_offset: float = 0.0
 
     def __post_init__(self) -> None:
-        _positive("duration", self.duration)
-        _positive("rate", self.rate)
+        positive("duration", self.duration)
+        positive("rate", self.rate)
         if not math.isfinite(self.start_offset):
             raise ValueError("start_offset must be finite")
         profile = tuple((float(t), float(v)) for t, v in self.speed_profile)
@@ -217,8 +212,8 @@ def straight_trajectory(
     Covers alignment and clock studies that need motion geometry the
     closed track cannot produce, e.g. two vehicles approaching head-on.
     """
-    _positive("duration", duration)
-    _positive("rate", rate)
+    positive("duration", duration)
+    positive("rate", rate)
     if speed < 0.0 or not math.isfinite(speed):
         raise ValueError(f"speed must be >= 0 and finite, got {speed}")
     count = int(math.floor(duration * rate + 1e-9))
@@ -317,7 +312,7 @@ def make_lead_follow(
 ) -> Scenario:
     """Two vehicles on the same track at the same speed, the lead ahead by
     a fixed arc gap. The stock validation scenario."""
-    _positive("gap", gap)
+    positive("gap", gap)
     run = RunSpec(duration=duration, rate=rate, speed_profile=((0.0, speed),))
     lead = RunSpec(
         duration=duration, rate=rate, speed_profile=((0.0, speed),),

@@ -52,51 +52,25 @@ def _finite(name: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
-    """One fused positioning fix in the projected plane.
-
-    x, y are easting/northing metres, vx, vy their time derivatives, psi the
-    yaw in (-pi, pi] and psi_dot its derivative (None when the log did not
-    record one). alt is carried through untouched.
-    """
-
-    t: float
-    x: float
-    y: float
-    vx: float
-    vy: float
-    psi: float
-    psi_dot: float | None = None
-    alt: float | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("t", "x", "y", "vx", "vy"):
-            _finite(name, getattr(self, name))
-        _finite("psi", self.psi)
-        if not -math.pi < self.psi <= math.pi:
-            raise ValueError(f"psi must lie in (-pi, pi], got {self.psi}")
-        if self.psi_dot is not None:
-            _finite("psi_dot", self.psi_dot)
-        if self.alt is not None:
-            _finite("alt", self.alt)
-
-
 @dataclass(frozen=True, eq=False)
 class States:
-    """Kinematic states at a sequence of times, one float64 array per channel.
+    """Kinematic states in the projected plane: one float64 array per
+    channel for many states, or one float per channel for a single state.
 
-    What interpolants and the closed-form simulator return. The times need
-    not increase and no check is run; psi_dot is always present.
+    x, y are easting/northing metres, vx, vy their time derivatives, psi
+    the yaw and psi_dot its derivative, NaN where the yaw rate is unknown.
+    What interpolants and the closed-form simulator return, and what the
+    Monte Carlo sampler draws around. The times need not increase and no
+    check is run; len() counts the states of the array form.
     """
 
-    t: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    vx: np.ndarray
-    vy: np.ndarray
-    psi: np.ndarray
-    psi_dot: np.ndarray
+    t: float | np.ndarray
+    x: float | np.ndarray
+    y: float | np.ndarray
+    vx: float | np.ndarray
+    vy: float | np.ndarray
+    psi: float | np.ndarray
+    psi_dot: float | np.ndarray
 
     def __len__(self) -> int:
         return len(self.t)
@@ -106,9 +80,10 @@ class States:
 class Trajectory:
     """One vehicle's log, one read-only float64 array per channel.
 
-    Channels are those of TrajectorySample. psi_dot and alt may be None, or
-    hold NaN where the log left a cell empty; every other value must be
-    finite, psi must lie in (-pi, pi] and t must increase strictly.
+    Channels are those of States plus alt, which is carried through
+    untouched. psi_dot and alt may be None, or hold NaN where the log left
+    a cell empty; every other value must be finite, psi must lie in
+    (-pi, pi] and t must increase strictly.
     zone/hemisphere record which UTM zone the samples live in when known
     (set by the geodetic parser); purely synthetic trajectories leave them
     None. Two trajectories are equal when their ids, zones and every

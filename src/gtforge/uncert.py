@@ -16,10 +16,10 @@ for small heading noise; the half variant is a reporting convention, not a
 tighter theorem, so certification checks against random configurations use
 the printed form.
 
-Every Monte Carlo routine is deterministic: work is split into fixed-size
-batches, each drawing from its own (seed, batch-index) stream, and batch
-statistics are merged in index order. Results are therefore independent of
-worker count (GT_FORGE_THREADS) and reproducible bit for bit.
+Every Monte Carlo routine is deterministic: work is split into batches of
+at most MC_BATCH_SIZE draws, each drawing from its own (seed, batch-index)
+stream, and batch statistics are merged in index order, so results are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from ._util import derived_rng, json_object, load_json_object, ordered_map
-from .egokin import wrap_angle
+from ._util import derived_rng, json_object, load_json_object, ordered_map, positive
+from .egokin import relative_state, wrap_angle
 from .errors import ParseError
-from .trajlog import TrajectorySample
+from .trajlog import States
 
 HALF_EXPONENT = "half_exponent"
 PRINTED = "printed"
@@ -49,11 +49,6 @@ def _exponent_scale(convention: str) -> float:
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
     return 0.5 if convention == HALF_EXPONENT else 1.0
-
-
-def _positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _nonnegative(name: str, value: float) -> None:
@@ -90,7 +85,7 @@ class ScenarioEnvelope:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            _positive(f.name, getattr(self, f.name))
+            positive(f.name, getattr(self, f.name))
 
 
 @dataclass(frozen=True)
@@ -338,18 +333,17 @@ POSITIONING_PRESETS: Mapping[str, NoiseModel] = {
 # ---------------------------------------------------------------------------
 # Monte Carlo machinery.
 
-def _batch_layout(n: int, batch_size: int) -> list[int]:
-    """Split n draws into near-equal batches.
+def _batch_layout(n: int) -> list[int]:
+    """Split n draws into near-equal batches of at most MC_BATCH_SIZE.
 
-    The layout depends only on (n, batch_size), never on worker count, so
-    partitioned runs reproduce sequential ones exactly. At least
-    MIN_BATCHES batches are used whenever n allows: the standard error is
-    estimated from the spread of the batch values, and with only a handful
-    of batches that estimate is noisy enough to make z-scores heavy-tailed.
+    The layout depends only on n. At least MIN_BATCHES batches are used
+    whenever n allows: the standard error is estimated from the spread of
+    the batch values, and with only a handful of batches that estimate is
+    noisy enough to make z-scores heavy-tailed.
     """
     if n < 4:
         raise ValueError(f"need at least 4 samples, got {n}")
-    count = max(MIN_BATCHES, math.ceil(n / batch_size))
+    count = max(MIN_BATCHES, math.ceil(n / MC_BATCH_SIZE))
     # Unbiased per-batch variances need >= 2 draws per batch.
     count = min(count, n // 2)
     base, extra = divmod(n, count)
@@ -360,15 +354,15 @@ def _batched_stats(
     n: int,
     seed: int,
     stat_fn: Callable[[np.random.Generator, int], np.ndarray],
-    batch_size: int = MC_BATCH_SIZE,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Estimate a vector statistic by averaging per-batch unbiased values.
 
     stat_fn(rng, m) must return the statistic computed from m fresh draws.
     Returns (estimate, standard error) where the standard error is the
-    spread of the batch values over sqrt(batch count).
+    spread of the batch values over sqrt(batch count). The batches run
+    through _util.ordered_map, where perfbench counts them.
     """
-    sizes = _batch_layout(n, batch_size)
+    sizes = _batch_layout(n)
 
     def one(batch: int) -> np.ndarray:
         return np.asarray(stat_fn(derived_rng(seed, batch), sizes[batch]))
@@ -395,12 +389,10 @@ def trig_moments_mc(
     omega: GaussianMoments,
     n: int,
     seed: int,
-    batch_size: int = MC_BATCH_SIZE,
 ) -> tuple[TrigMoments, TrigMoments]:
     """Monte Carlo counterpart of trig_moments, with standard errors.
 
-    Returns (estimate, se) as TrigMoments pairs. Deterministic per seed and
-    independent of worker count.
+    Returns (estimate, se) as TrigMoments pairs. Deterministic per seed.
     """
 
     def stat(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -410,7 +402,7 @@ def trig_moments_mc(
         var_c, var_s, cov = _pair_stats(c, s)
         return np.array([c.mean(), s.mean(), var_c, var_s, cov])
 
-    est, se = _batched_stats(n, seed, stat, batch_size)
+    est, se = _batched_stats(n, seed, stat)
     return TrigMoments(*est), TrigMoments(*se)
 
 
@@ -422,7 +414,6 @@ def mixed_trig_variance_mc(
     omega: GaussianMoments,
     n: int,
     seed: int,
-    batch_size: int = MC_BATCH_SIZE,
 ) -> tuple[float, float]:
     """Monte Carlo Var(cos(W) X + sin(W) Y) with standard error."""
 
@@ -434,7 +425,7 @@ def mixed_trig_variance_mc(
         dz = z - z.mean()
         return np.array([dz @ dz / (m - 1)])
 
-    est, se = _batched_stats(n, seed, stat, batch_size)
+    est, se = _batched_stats(n, seed, stat)
     return float(est[0]), float(se[0])
 
 
@@ -444,33 +435,31 @@ class MonteCarloCovariance:
 
     position: CovBound2
     position_se: CovBound2
-    velocity: CovBound2 | None
-    velocity_se: CovBound2 | None
+    velocity: CovBound2
+    velocity_se: CovBound2
     yaw_var: float
     yaw_var_se: float
-    n: int
 
 
 def monte_carlo_covariance(
-    ego: TrajectorySample,
-    target: TrajectorySample,
+    ego: States,
+    target: States,
     nm: NoiseModel,
     n: int,
     seed: int,
-    batch_size: int = MC_BATCH_SIZE,
 ) -> MonteCarloCovariance:
     """Empirical covariance of the ego-frame outputs at one true state pair.
 
-    Draws independent Gaussian perturbations of both vehicles' channels,
-    pushes every draw through the relative-state transformation and
-    returns empirical covariances with standard errors. Velocity is
-    included only when the ego sample carries a yaw rate (the target's yaw
-    rate never enters the outputs). Yaw dispersion is measured about the
-    true relative yaw, so a mean near +-pi does not split the wrapped
-    sample across the seam. Deterministic per seed.
+    ego and target are single states (float channels). Draws independent
+    Gaussian perturbations of both vehicles' channels, pushes every draw
+    through the relative-state transformation and returns empirical
+    covariances with standard errors. The ego must carry a yaw rate
+    (MissingYawRate otherwise); the target's yaw rate never enters the
+    outputs. Yaw dispersion is measured about the true relative yaw, so a
+    mean near +-pi does not split the wrapped sample across the seam.
+    Deterministic per seed.
     """
-    with_velocity = ego.psi_dot is not None
-    true_dpsi = wrap_angle(target.psi - ego.psi)
+    true_dpsi = relative_state(ego, target).psi
 
     def stat(rng: np.random.Generator, m: int) -> np.ndarray:
         ex = ego.x + rng.normal(0.0, nm.sigma_pos, m)
@@ -478,8 +467,7 @@ def monte_carlo_covariance(
         evx = ego.vx + rng.normal(0.0, nm.sigma_vel, m)
         evy = ego.vy + rng.normal(0.0, nm.sigma_vel, m)
         epsi = ego.psi + rng.normal(0.0, nm.sigma_psi, m)
-        if with_velocity:
-            erate = ego.psi_dot + rng.normal(0.0, nm.sigma_psi_dot, m)
+        erate = ego.psi_dot + rng.normal(0.0, nm.sigma_psi_dot, m)
         tx = target.x + rng.normal(0.0, nm.sigma_pos, m)
         ty = target.y + rng.normal(0.0, nm.sigma_pos, m)
         tvx = target.vx + rng.normal(0.0, nm.sigma_vel, m)
@@ -496,8 +484,6 @@ def monte_carlo_covariance(
         dpsi = wrap_angle(tpsi - epsi - true_dpsi)
         dd = dpsi - dpsi.mean()
         yv = dd @ dd / (m - 1)
-        if not with_velocity:
-            return np.array([pa, pb, pc, yv])
         ax = tvx - evx + erate * dy
         ay = tvy - evy - erate * dx
         rvx = ax * c + ay * s
@@ -505,17 +491,12 @@ def monte_carlo_covariance(
         va, vb, vc = _pair_stats(rvx, rvy)
         return np.array([pa, pb, pc, yv, va, vb, vc])
 
-    est, se = _batched_stats(n, seed, stat, batch_size)
-    velocity = velocity_se = None
-    if with_velocity:
-        velocity = CovBound2(*est[4:7])
-        velocity_se = CovBound2(*se[4:7])
+    est, se = _batched_stats(n, seed, stat)
     return MonteCarloCovariance(
         position=CovBound2(*est[0:3]),
         position_se=CovBound2(*se[0:3]),
-        velocity=velocity,
-        velocity_se=velocity_se,
+        velocity=CovBound2(*est[4:7]),
+        velocity_se=CovBound2(*se[4:7]),
         yaw_var=float(est[3]),
         yaw_var_se=float(se[3]),
-        n=n,
     )

@@ -124,6 +124,11 @@ class TestGenerate:
         rc, _ = self.generate(workspace, "--noise", str(workspace / "noise.json"))
         assert rc == EXIT_USAGE
 
+    def test_envelope_without_noise_is_usage_error(self, workspace):
+        rc, out = self.generate(workspace, "--envelope", str(workspace / "envelope.json"))
+        assert rc == EXIT_USAGE
+        assert not out.exists()
+
     def test_stamps_file(self, workspace):
         sim = simulate(workspace)
         stamps = workspace / "stamps.txt"

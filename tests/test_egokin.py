@@ -19,11 +19,11 @@ from gtforge.egokin import (
     wrap_angle,
 )
 from gtforge.errors import MissingYawRate
-from gtforge.trajlog import TrajectorySample, trajectory_from_arrays
+from gtforge.trajlog import States, trajectory_from_arrays
 
 
 def sample(t=0.0, x=0.0, y=0.0, vx=0.0, vy=0.0, psi=0.0, psi_dot=0.0):
-    return TrajectorySample(t=t, x=x, y=y, vx=vx, vy=vy, psi=psi, psi_dot=psi_dot)
+    return States(t=t, x=x, y=y, vx=vx, vy=vy, psi=psi, psi_dot=psi_dot)
 
 
 def relative_position(ego, target):
@@ -118,7 +118,7 @@ class TestRelativeVelocity:
         assert vy == pytest.approx(-5.0)
 
     def test_missing_yaw_rate_raises(self):
-        ego = TrajectorySample(t=0, x=0, y=0, vx=0, vy=0, psi=0.0, psi_dot=None)
+        ego = sample(psi_dot=math.nan)
         with pytest.raises(MissingYawRate):
             relative_velocity(ego, sample(x=1.0))
 
@@ -184,6 +184,7 @@ class TestRoundTrip:
             assert back.vx == pytest.approx(tgt.vx, abs=1e-9)
             assert back.vy == pytest.approx(tgt.vy, abs=1e-9)
             assert back.psi == pytest.approx(tgt.psi, abs=1e-9)
+            assert math.isnan(back.psi_dot)
 
     def test_relative_state_bundle(self):
         ego = sample(vx=20.0, psi_dot=0.0)

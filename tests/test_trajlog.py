@@ -14,7 +14,6 @@ from gtforge.errors import MissingColumn, NonMonotonicTimestamps, ParseError
 from gtforge.trajlog import (
     ClockModel,
     Trajectory,
-    TrajectorySample,
     apply_clock_model,
     parse_trajectory_log,
     trajectory_from_arrays,
@@ -244,14 +243,6 @@ class TestClockModel:
 
 
 class TestModelValidation:
-    def test_sample_rejects_out_of_range_psi(self):
-        with pytest.raises(ValueError):
-            TrajectorySample(t=0, x=0, y=0, vx=0, vy=0, psi=4.0)
-
-    def test_sample_rejects_nan(self):
-        with pytest.raises(ValueError):
-            TrajectorySample(t=0, x=math.nan, y=0, vx=0, vy=0, psi=0.0)
-
     def test_trajectory_needs_samples(self):
         with pytest.raises(ValueError):
             Trajectory("v", [], [], [], [], [], [])
@@ -269,6 +260,10 @@ class TestModelValidation:
     def test_trajectory_rejects_out_of_range_psi(self):
         with pytest.raises(ValueError):
             Trajectory("v", [0.0], [0.0], [0.0], [0.0], [0.0], [4.0])
+
+    def test_trajectory_rejects_nan(self):
+        with pytest.raises(ValueError):
+            Trajectory("v", [0.0], [math.nan], [0.0], [0.0], [0.0], [0.0])
 
     def test_trajectory_rejects_infinite_optional_cell(self):
         with pytest.raises(ValueError):

@@ -14,8 +14,8 @@ import pytest
 from scipy.integrate import quad
 
 from gtforge import uncert
-from gtforge.errors import ParseError
-from gtforge.trajlog import TrajectorySample
+from gtforge.errors import MissingYawRate, ParseError
+from gtforge.trajlog import States
 from gtforge.uncert import (
     ANALYSIS_ENVELOPE,
     ANALYSIS_NOISE,
@@ -126,13 +126,13 @@ class TestExactPositionCovariance:
         nm = NoiseModel(sigma_pos=0.05, sigma_vel=0.05, sigma_psi=0.02)
         rng = np.random.default_rng(31)
         for i in range(5):
-            ego = TrajectorySample(
+            ego = States(
                 t=0.0, x=0.0, y=0.0, vx=5.0, vy=0.0,
                 psi=float(rng.uniform(-3.0, 3.0)), psi_dot=0.1,
             )
-            target = TrajectorySample(
+            target = States(
                 t=0.0, x=float(rng.uniform(-40, 40)), y=float(rng.uniform(-40, 40)),
-                vx=0.0, vy=0.0, psi=0.0,
+                vx=0.0, vy=0.0, psi=0.0, psi_dot=math.nan,
             )
             mc = monte_carlo_covariance(ego, target, nm, 400_000, seed=600 + i)
             exact = position_covariance_exact(
@@ -269,12 +269,14 @@ class TestMonteCarloCovariance:
     NM = NoiseModel(sigma_pos=0.05, sigma_vel=0.04, sigma_psi=0.01, sigma_psi_dot=0.01)
 
     def ego(self, psi_dot=0.2):
-        return TrajectorySample(
+        return States(
             t=0.0, x=10.0, y=-5.0, vx=15.0, vy=1.0, psi=0.6, psi_dot=psi_dot
         )
 
     def target(self):
-        return TrajectorySample(t=0.0, x=40.0, y=5.0, vx=12.0, vy=-1.0, psi=-0.2)
+        return States(
+            t=0.0, x=40.0, y=5.0, vx=12.0, vy=-1.0, psi=-0.2, psi_dot=math.nan
+        )
 
     def test_deterministic_per_seed(self):
         a = monte_carlo_covariance(self.ego(), self.target(), self.NM, 50_000, seed=4)
@@ -283,19 +285,11 @@ class TestMonteCarloCovariance:
         c = monte_carlo_covariance(self.ego(), self.target(), self.NM, 50_000, seed=5)
         assert c != a
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        monkeypatch.setenv("GT_FORGE_THREADS", "1")
-        a = monte_carlo_covariance(self.ego(), self.target(), self.NM, 60_000, seed=6)
-        monkeypatch.setenv("GT_FORGE_THREADS", "4")
-        b = monte_carlo_covariance(self.ego(), self.target(), self.NM, 60_000, seed=6)
-        assert a == b
-
     def test_velocity_requires_ego_yaw_rate(self):
-        mc = monte_carlo_covariance(
-            self.ego(psi_dot=None), self.target(), self.NM, 10_000, seed=7
-        )
-        assert mc.velocity is None
-        assert mc.velocity_se is None
+        with pytest.raises(MissingYawRate):
+            monte_carlo_covariance(
+                self.ego(psi_dot=math.nan), self.target(), self.NM, 10_000, seed=7
+            )
 
     def test_yaw_variance_agreement(self):
         mc = monte_carlo_covariance(self.ego(), self.target(), self.NM, 400_000, seed=8)
@@ -312,21 +306,21 @@ class TestMonteCarloCovariance:
 class TestBatching:
     def test_layout_preserves_total(self):
         for n in (40, 1_000, 123_457, 2_000_000):
-            sizes = uncert._batch_layout(n, uncert.MC_BATCH_SIZE)
+            sizes = uncert._batch_layout(n)
             assert sum(sizes) == n
             assert len(sizes) >= min(uncert.MIN_BATCHES, n // 2)
             assert max(sizes) - min(sizes) <= 1
 
     def test_layout_scales_with_n(self):
-        sizes = uncert._batch_layout(10_000_000, uncert.MC_BATCH_SIZE)
+        sizes = uncert._batch_layout(10_000_000)
         assert len(sizes) == 100
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
-            uncert._batch_layout(3, uncert.MC_BATCH_SIZE)
+            uncert._batch_layout(3)
 
     def test_estimate_independent_of_batch_count_choice(self):
-        """Layout is a pure function of (n, batch size), so reruns agree."""
+        """Layout is a pure function of n, so reruns agree."""
         g = GaussianMoments(0.3, 0.2)
         a = trig_moments_mc(g, 30_000, seed=1)
         b = trig_moments_mc(g, 30_000, seed=1)
