@@ -1,7 +1,11 @@
 """Small shared helpers: deterministic RNG streams, the positive-and-finite
-check, fixed-width float formatting for serialized output, JSON-object
-config loading, and the file opener, CSV table reader and CSV writer shared
-by every log format."""
+check, fixed-width float formatting for serialized output, the JSON config
+loader, and the file opener, CSV table reader and CSV writer shared by
+every log format.
+
+Every JSON config is read by one rule, from_mapping: a config object's
+keys are the fields of the dataclass it builds, fields with defaults may
+be left out, and unknown keys are refused."""
 
 from __future__ import annotations
 
@@ -9,6 +13,7 @@ import csv
 import json
 import math
 from contextlib import contextmanager
+from dataclasses import MISSING, fields
 from itertools import islice
 from pathlib import Path
 from typing import IO, Callable, Collection, Iterator, Mapping, Sequence, TypeVar
@@ -76,6 +81,40 @@ def load_json_object(path: str | Path) -> Mapping:
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}: invalid JSON: {err}")
     return json_object(data, str(path))
+
+
+def from_mapping(cls: type[T], data: object, source: str) -> T:
+    """The dataclass cls built from the JSON object data.
+
+    The keys must be fields of cls; a field without a default must be
+    present. Float fields go through float(). Unknown keys, missing fields,
+    a float field float() refuses and any TypeError or ValueError from the
+    constructor raise ParseError naming source.
+    """
+    spec = fields(cls)
+    data = json_object(data, source, [f.name for f in spec])
+    missing = sorted(
+        f.name for f in spec
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in data
+    )
+    if missing:
+        raise ParseError(f"{source}: missing required field(s) {missing}")
+    kwargs = dict(data)
+    for f in spec:
+        if f.name in data and f.type in ("float", float):
+            try:
+                kwargs[f.name] = float(data[f.name])
+            except (TypeError, ValueError):
+                raise ParseError(f"{source}: {f.name} must be a number, got {data[f.name]!r}")
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as err:
+        raise ParseError(f"{source}: {err}")
+
+
+def load_config(cls: type[T], path: str | Path) -> T:
+    """from_mapping(cls) applied to the JSON file at path."""
+    return from_mapping(cls, load_json_object(path), str(path))
 
 
 @contextmanager

@@ -12,25 +12,21 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import __version__, gtgen, synth, uncert
-from ._util import derived_rng, fmt_float, json_object, load_json_object
+from ._util import derived_rng, fmt_float, from_mapping, load_config, load_json_object
 from .calib import parse_pose_stream, relative_motions, solve_hand_eye
 from .errors import (
     CoordinateError,
-    DegenerateMotion,
     GtForgeError,
-    LengthMismatch,
-    MissingYawRate,
     NonMonotonicTimestamps,
     OutOfSupport,
     ParseError,
-    TooFewPoses,
-    TooFewSamples,
     ZoneMismatch,
 )
 from .trajlog import (
@@ -38,27 +34,18 @@ from .trajlog import (
     States,
     Trajectory,
     apply_clock_model,
-    clock_model_from_mapping,
     parse_trajectory_log,
     write_trajectory_log,
 )
 
-# Problems with the input itself exit 2; insufficient or inconsistent data
-# discovered during computation exits 1.
+# Problems with the input itself exit 2; every other GtForgeError is
+# insufficient or inconsistent data discovered during computation and exits 1.
 _INPUT_ERRORS = (
     ParseError,
     CoordinateError,
     NonMonotonicTimestamps,
     ZoneMismatch,
     ValueError,
-)
-_COMPUTE_ERRORS = (
-    OutOfSupport,
-    TooFewSamples,
-    TooFewPoses,
-    MissingYawRate,
-    LengthMismatch,
-    DegenerateMotion,
 )
 
 EXIT_OK = 0
@@ -104,31 +91,27 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # generate
 
-_GEOMETRY_KEYS = ("length", "width", "ref_to_center")
-
-
-def _load_geometry(path: str) -> gtgen.VehicleGeometry | dict[str, gtgen.VehicleGeometry]:
+def _load_geometry(
+    path: str, target_ids: list[str]
+) -> gtgen.VehicleGeometry | dict[str, gtgen.VehicleGeometry]:
+    """One geometry for every target, or a mapping from target id to one."""
     data = load_json_object(path)
-
-    def one(obj: Mapping, where: str) -> gtgen.VehicleGeometry:
-        obj = json_object(obj, where, _GEOMETRY_KEYS)
-        try:
-            return gtgen.VehicleGeometry(
-                length=float(obj["length"]),
-                width=float(obj["width"]),
-                ref_to_center=tuple(obj.get("ref_to_center", (0.0, 0.0))),
-            )
-        except (KeyError, TypeError, ValueError) as err:
-            raise ParseError(f"{where}: bad geometry: {err}")
-
-    if not data.keys().isdisjoint(_GEOMETRY_KEYS):
-        return one(data, path)
-    return {key: one(value, f"{path}[{key!r}]") for key, value in data.items()}
+    if not data.keys().isdisjoint(f.name for f in fields(gtgen.VehicleGeometry)):
+        return from_mapping(gtgen.VehicleGeometry, data, path)
+    unknown = sorted(set(data) - set(target_ids))
+    if unknown:
+        raise ParseError(
+            f"{path}: geometry id(s) {unknown} match no target; target ids are {target_ids}"
+        )
+    return {
+        key: from_mapping(gtgen.VehicleGeometry, value, f"{path}[{key!r}]")
+        for key, value in data.items()
+    }
 
 
 def _load_clocks(path: str) -> dict[str, ClockModel]:
     return {
-        vehicle_id: clock_model_from_mapping(model, f"{path}[{vehicle_id!r}]")
+        vehicle_id: from_mapping(ClockModel, model, f"{path}[{vehicle_id!r}]")
         for vehicle_id, model in load_json_object(path).items()
     }
 
@@ -147,10 +130,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         parse_trajectory_log(path, frame=args.frame, forced_zone=args.zone)
         for path in args.target
     ]
-    geometry = _load_geometry(args.geometry)
+    geometry = _load_geometry(args.geometry, [traj.vehicle_id for traj in targets])
     clocks = _load_clocks(args.clock) if args.clock else {}
-    noise = uncert.load_noise_model(args.noise) if args.noise else None
-    envelope = uncert.load_envelope(args.envelope) if args.envelope else None
+    noise = load_config(uncert.NoiseModel, args.noise) if args.noise else None
+    envelope = load_config(uncert.ScenarioEnvelope, args.envelope) if args.envelope else None
 
     ids = [traj.vehicle_id for traj in (ego, *targets)]
     unknown = sorted(set(clocks) - set(ids))
@@ -186,8 +169,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 # bounds
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    nm = uncert.load_noise_model(args.noise)
-    env = uncert.load_envelope(args.envelope)
+    nm = load_config(uncert.NoiseModel, args.noise)
+    env = load_config(uncert.ScenarioEnvelope, args.envelope)
     report = {
         "convention": args.convention,
         "position": _cov_report(uncert.position_bound(nm, env, args.convention)),
@@ -206,6 +189,12 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 _TRIG_GRID_MEANS = (0.0, 0.5, -0.5, math.pi / 2.0, -math.pi / 2.0, 3.0)
 _TRIG_GRID_STDS = (0.001, 0.01, 0.1, 1.0)
+# Random configurations per check; the domination check runs the velocity
+# Monte Carlo on the first _DOMINATION_MC_CONFIGS of its configurations.
+_EXACT_COV_CONFIGS = 10
+_DOMINATION_CONFIGS = 100
+_DOMINATION_MC_CONFIGS = 10
+_TRIG_MIX_CONFIGS = 10
 
 
 def _check_trig_grid(samples: int, seed: int) -> dict:
@@ -265,11 +254,10 @@ def _check_exact_covariance(
     env: uncert.ScenarioEnvelope,
     samples: int,
     seed: int,
-    configs: int = 10,
 ) -> tuple[dict, dict]:
     worst_pos = 0.0
     worst_yaw = 0.0
-    for i in range(configs):
+    for i in range(_EXACT_COV_CONFIGS):
         rng = derived_rng(seed, 500 + i)
         ego, target = _random_state_pair(rng, env)
         mc = uncert.monte_carlo_covariance(ego, target, nm, samples, seed + 7000 + i)
@@ -290,14 +278,14 @@ def _check_exact_covariance(
     pos_check = {
         "name": "exact_position_covariance",
         "passed": bool(worst_pos <= 5.0),
-        "configs": configs,
+        "configs": _EXACT_COV_CONFIGS,
         "samples_per_config": samples,
         "max_abs_z": _round9(worst_pos),
     }
     yaw_check = {
         "name": "yaw_variance",
         "passed": bool(worst_yaw <= 5.0),
-        "configs": configs,
+        "configs": _EXACT_COV_CONFIGS,
         "samples_per_config": samples,
         "max_abs_z": _round9(worst_yaw),
     }
@@ -310,14 +298,12 @@ def _check_domination(
     samples: int,
     seed: int,
     convention: str,
-    configs: int = 100,
-    mc_configs: int = 10,
 ) -> dict:
     pos_b = uncert.position_bound(nm, env, convention)
     vel_b = uncert.velocity_bound(nm, env, convention)
     violations = 0
     min_margin = math.inf
-    for i in range(configs):
+    for i in range(_DOMINATION_CONFIGS):
         rng = derived_rng(seed, 2000 + i)
         ego, target = _random_state_pair(rng, env)
         exact = uncert.position_covariance_exact(
@@ -330,7 +316,7 @@ def _check_domination(
             min_margin = min(min_margin, bound - value)
             if value > bound:
                 violations += 1
-        if i < mc_configs:
+        if i < _DOMINATION_MC_CONFIGS:
             mc = uncert.monte_carlo_covariance(
                 ego, target, nm, samples, seed + 9000 + i
             )
@@ -342,17 +328,17 @@ def _check_domination(
         "name": "bound_domination",
         "passed": bool(violations == 0),
         "convention": convention,
-        "configs": configs,
-        "velocity_mc_configs": mc_configs,
+        "configs": _DOMINATION_CONFIGS,
+        "velocity_mc_configs": _DOMINATION_MC_CONFIGS,
         "violations": violations,
         "min_margin": _round9(min_margin),
     }
 
 
-def _check_trig_mix(samples: int, seed: int, configs: int = 10) -> dict:
+def _check_trig_mix(samples: int, seed: int) -> dict:
     violations = 0
     min_margin = math.inf
-    for i in range(configs):
+    for i in range(_TRIG_MIX_CONFIGS):
         rng = derived_rng(seed, 4000 + i)
         m_x = float(rng.uniform(-3.0, 3.0))
         m_y = float(rng.uniform(-3.0, 3.0))
@@ -375,7 +361,7 @@ def _check_trig_mix(samples: int, seed: int, configs: int = 10) -> dict:
     return {
         "name": "trig_mix_bound",
         "passed": bool(violations == 0),
-        "configs": configs,
+        "configs": _TRIG_MIX_CONFIGS,
         "samples_per_config": samples,
         "violations": violations,
         "min_margin": _round9(min_margin),
@@ -406,17 +392,17 @@ def run_validation(
         "samples": samples,
         "seed": seed,
         "convention": convention,
-        "noise": {k: _round9(v) for k, v in uncert.to_mapping(nm).items()},
-        "envelope": {k: _round9(v) for k, v in uncert.to_mapping(env).items()},
+        "noise": {k: _round9(v) for k, v in asdict(nm).items()},
+        "envelope": {k: _round9(v) for k, v in asdict(env).items()},
         "checks": checks,
         "passed": bool(all(c["passed"] for c in checks)),
     }
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    nm = uncert.load_noise_model(args.noise)
+    nm = load_config(uncert.NoiseModel, args.noise)
     env = (
-        uncert.load_envelope(args.envelope)
+        load_config(uncert.ScenarioEnvelope, args.envelope)
         if args.envelope
         else uncert.ANALYSIS_ENVELOPE
     )
@@ -551,13 +537,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except _COMPUTE_ERRORS as err:
-        sys.stderr.write(f"error: {err}\n")
-        return EXIT_FAILURE
-    except _INPUT_ERRORS as err:
-        sys.stderr.write(f"error: {err}\n")
-        return EXIT_USAGE
-    except OSError as err:
+    except (*_INPUT_ERRORS, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE
     except GtForgeError as err:

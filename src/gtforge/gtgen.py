@@ -54,9 +54,15 @@ class VehicleGeometry:
     def __post_init__(self) -> None:
         positive("length", self.length)
         positive("width", self.width)
-        ox, oy = self.ref_to_center
-        if not (math.isfinite(ox) and math.isfinite(oy)):
-            raise ValueError("ref_to_center must be finite")
+        try:
+            ox, oy = self.ref_to_center
+            finite = math.isfinite(ox) and math.isfinite(oy)
+        except (TypeError, ValueError):
+            finite = False
+        if not finite:
+            raise ValueError(
+                f"ref_to_center must be two finite numbers, got {self.ref_to_center!r}"
+            )
         object.__setattr__(self, "ref_to_center", (float(ox), float(oy)))
 
 

@@ -10,23 +10,17 @@ affine clock error, giving test data whose ground truth is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from ._util import derived_rng, json_object, load_json_object, positive
+from ._util import derived_rng, from_mapping, json_object, load_json_object, positive
 from .egokin import wrap_angle
 from .errors import ParseError
-from .trajlog import (
-    ClockModel,
-    States,
-    Trajectory,
-    apply_clock_model,
-    clock_model_from_mapping,
-)
-from .uncert import NoiseModel, noise_model_from_mapping
+from .trajlog import ClockModel, States, Trajectory, apply_clock_model
+from .uncert import NoiseModel
 
 # Defaults give a 3.2 km lap: 2 x 1100 m straights + 1 km of curve.
 DEFAULT_STRAIGHT_LEN = 1100.0
@@ -34,19 +28,6 @@ DEFAULT_CURVE_RADIUS = 1000.0 / math.tau
 
 
 @dataclass(frozen=True)
-class TrackSpec:
-    straight_len: float = DEFAULT_STRAIGHT_LEN
-    curve_radius: float = DEFAULT_CURVE_RADIUS
-
-    def __post_init__(self) -> None:
-        positive("straight_len", self.straight_len)
-        positive("curve_radius", self.curve_radius)
-
-    @property
-    def total_length(self) -> float:
-        return 2.0 * self.straight_len + math.tau * self.curve_radius
-
-
 class StadiumTrack:
     """Closed counter-clockwise stadium, parameterized by arc length.
 
@@ -55,15 +36,22 @@ class StadiumTrack:
     adds 2 pi), curvature is 0 on straights and 1/radius on curves.
     """
 
-    def __init__(self, spec: TrackSpec):
-        self.spec = spec
-        self.length = spec.total_length
+    straight_len: float = DEFAULT_STRAIGHT_LEN
+    curve_radius: float = DEFAULT_CURVE_RADIUS
+
+    def __post_init__(self) -> None:
+        positive("straight_len", self.straight_len)
+        positive("curve_radius", self.curve_radius)
+
+    @property
+    def length(self) -> float:
+        return 2.0 * self.straight_len + math.tau * self.curve_radius
 
     def frame_at(self, s) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(x, y, heading, curvature) at arc positions s (array-valued)."""
         s = np.asarray(s, dtype=float)
-        ls = self.spec.straight_len
-        r = self.spec.curve_radius
+        ls = self.straight_len
+        r = self.curve_radius
         lap, u = np.divmod(s, self.length)
 
         x = np.empty_like(u)
@@ -103,10 +91,6 @@ class StadiumTrack:
         return x, y, heading + math.tau * lap, curvature
 
 
-def make_track(spec: TrackSpec | None = None) -> StadiumTrack:
-    return StadiumTrack(spec if spec is not None else TrackSpec())
-
-
 @dataclass(frozen=True)
 class RunSpec:
     """One vehicle's schedule on the track.
@@ -127,7 +111,10 @@ class RunSpec:
         positive("rate", self.rate)
         if not math.isfinite(self.start_offset):
             raise ValueError("start_offset must be finite")
-        profile = tuple((float(t), float(v)) for t, v in self.speed_profile)
+        try:
+            profile = tuple((float(t), float(v)) for t, v in self.speed_profile)
+        except (TypeError, ValueError):
+            raise ValueError("speed_profile must be a list of [time, speed] number pairs")
         if not profile:
             raise ValueError("speed_profile must have at least one knot")
         for i, (t, v) in enumerate(profile):
@@ -270,7 +257,7 @@ class Scenario:
     """A full synthetic session: track, one run per vehicle, optional noise
     model (shared) and per-vehicle clock errors, one master seed."""
 
-    track: TrackSpec
+    track: StadiumTrack
     vehicles: tuple[VehicleRun, ...]
     noise: NoiseModel | None = None
     seed: int = 0
@@ -290,10 +277,9 @@ def run_scenario(scenario: Scenario) -> dict[str, tuple[Trajectory, Trajectory]]
     error. Noise streams are derived per vehicle index from the scenario
     seed, so output is deterministic regardless of evaluation order.
     """
-    track = make_track(scenario.track)
     out: dict[str, tuple[Trajectory, Trajectory]] = {}
     for index, vehicle in enumerate(scenario.vehicles):
-        clean = simulate_run(track, vehicle.run, vehicle_id=vehicle.vehicle_id)
+        clean = simulate_run(scenario.track, vehicle.run, vehicle_id=vehicle.vehicle_id)
         recorded = corrupt(
             clean, scenario.noise, vehicle.clock, seed=scenario.seed, stream=index
         )
@@ -306,7 +292,7 @@ def make_lead_follow(
     speed: float,
     duration: float,
     rate: float,
-    track: TrackSpec | None = None,
+    track: StadiumTrack | None = None,
     noise: NoiseModel | None = None,
     seed: int = 0,
 ) -> Scenario:
@@ -319,7 +305,7 @@ def make_lead_follow(
         start_offset=gap,
     )
     return Scenario(
-        track=track if track is not None else TrackSpec(),
+        track=track if track is not None else StadiumTrack(),
         vehicles=(
             VehicleRun("ego", run),
             VehicleRun("lead", lead),
@@ -332,54 +318,37 @@ def make_lead_follow(
 # ---------------------------------------------------------------------------
 # Scenario JSON configs.
 
-def _require(data: Mapping, key: str, source: str):
-    if key not in data:
-        raise ParseError(f"{source}: missing required field {key!r}")
-    return data[key]
-
-
 _SCENARIO_KEYS = ("seed", "track", "noise", "vehicles")
-_TRACK_KEYS = ("straight_len", "curve_radius")
-_VEHICLE_KEYS = ("id", "duration", "rate", "speed_profile", "start_offset", "clock")
+_VEHICLE_KEYS = ("id", "clock", *(f.name for f in fields(RunSpec)))
+
+
+def _vehicle_from_mapping(data: object, source: str) -> VehicleRun:
+    """A vehicle entry: its id, an optional clock, and the RunSpec fields."""
+    run = dict(json_object(data, source, _VEHICLE_KEYS))
+    if "id" not in run:
+        raise ParseError(f"{source}: missing required field(s) ['id']")
+    vehicle_id = str(run.pop("id"))
+    clock = run.pop("clock", None)
+    if clock is not None:
+        clock = from_mapping(ClockModel, clock, f"{source}.clock")
+    return VehicleRun(vehicle_id, from_mapping(RunSpec, run, source), clock)
 
 
 def scenario_from_mapping(data: Mapping, source: str = "scenario") -> Scenario:
     data = json_object(data, source, _SCENARIO_KEYS)
+    if "vehicles" not in data:
+        raise ParseError(f"{source}: missing required field(s) ['vehicles']")
+    track = from_mapping(StadiumTrack, data.get("track", {}), f"{source}.track")
+    noise = data.get("noise")
+    if noise is not None:
+        noise = from_mapping(NoiseModel, noise, f"{source}.noise")
     try:
-        track_data = json_object(data.get("track", {}), f"{source}.track", _TRACK_KEYS)
-        track = TrackSpec(
-            straight_len=float(track_data.get("straight_len", DEFAULT_STRAIGHT_LEN)),
-            curve_radius=float(track_data.get("curve_radius", DEFAULT_CURVE_RADIUS)),
+        vehicles = tuple(
+            _vehicle_from_mapping(v, f"{source}.vehicles[{i}]")
+            for i, v in enumerate(data["vehicles"])
         )
-        noise = None
-        if data.get("noise") is not None:
-            noise = noise_model_from_mapping(data["noise"], source=f"{source}.noise")
-        vehicles = []
-        for i, v in enumerate(_require(data, "vehicles", source)):
-            where = f"{source}.vehicles[{i}]"
-            v = json_object(v, where, _VEHICLE_KEYS)
-            profile = tuple(
-                (float(t), float(s)) for t, s in _require(v, "speed_profile", where)
-            )
-            run = RunSpec(
-                duration=float(_require(v, "duration", where)),
-                rate=float(_require(v, "rate", where)),
-                speed_profile=profile,
-                start_offset=float(v.get("start_offset", 0.0)),
-            )
-            clock = None
-            if v.get("clock") is not None:
-                clock = clock_model_from_mapping(v["clock"], f"{where}.clock")
-            vehicles.append(VehicleRun(str(_require(v, "id", where)), run, clock))
-        return Scenario(
-            track=track,
-            vehicles=tuple(vehicles),
-            noise=noise,
-            seed=int(data.get("seed", 0)),
-        )
-    except ParseError:
-        raise
-    except (TypeError, ValueError, KeyError) as err:
+        return Scenario(track, vehicles, noise, seed=int(data.get("seed", 0)))
+    except (TypeError, ValueError) as err:
         raise ParseError(f"{source}: {err}")
 
 

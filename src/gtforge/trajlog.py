@@ -23,11 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Mapping
+from typing import IO, TYPE_CHECKING
 
 import numpy as np
 
-from ._util import json_object, opened, read_csv_table, write_csv_table
+from ._util import opened, read_csv_table, write_csv_table
 from .egokin import wrap_angle
 from .errors import CoordinateError, NonMonotonicTimestamps, ParseError
 from .geodesy import utm_to_wgs84, wgs84_to_utm
@@ -157,7 +157,7 @@ class ClockModel:
     preserved.
     """
 
-    offset: float
+    offset: float = 0.0
     drift: float = 0.0
 
     def __post_init__(self) -> None:
@@ -165,21 +165,6 @@ class ClockModel:
         _finite("drift", self.drift)
         if abs(self.drift) >= 1.0:
             raise ValueError(f"|drift| must be < 1, got {self.drift}")
-
-    def inverse(self) -> "ClockModel":
-        """Model that undoes this one (composition is identity to ~1e-12 s)."""
-        return ClockModel(-self.offset, -self.drift / (1.0 - self.drift))
-
-
-def clock_model_from_mapping(data: Mapping, source: str) -> ClockModel:
-    """ClockModel from a JSON object with optional offset and drift keys."""
-    data = json_object(data, source, ("offset", "drift"))
-    try:
-        return ClockModel(
-            offset=float(data.get("offset", 0.0)), drift=float(data.get("drift", 0.0))
-        )
-    except (TypeError, ValueError) as err:
-        raise ParseError(f"{source}: bad clock model: {err}")
 
 
 def apply_clock_model(traj: Trajectory, clock: ClockModel) -> Trajectory:

@@ -7,6 +7,10 @@ moments are available in closed form, which gives an exact covariance for
 the relative position and worst-case bounds (over a scenario envelope) for
 position, velocity and yaw.
 
+NoiseModel and ScenarioEnvelope are also the noise and envelope JSON
+configs: _util.load_config reads a flat object whose keys are their
+fields (SI units), and dataclasses.asdict writes one back.
+
 Two exponent conventions exist for the e^{-sigma_psi^2} decay factors in
 the bound formulas. "half_exponent" (the default) halves the exponent in
 the diagonal position/velocity entries and reproduces the headline bound
@@ -25,15 +29,13 @@ reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
-from pathlib import Path
+from dataclasses import dataclass, fields
 from typing import Callable, Mapping
 
 import numpy as np
 
-from ._util import derived_rng, json_object, load_json_object, ordered_map, positive
+from ._util import derived_rng, ordered_map, positive
 from .egokin import relative_state, wrap_angle
-from .errors import ParseError
 from .trajlog import States
 
 HALF_EXPONENT = "half_exponent"
@@ -115,10 +117,6 @@ class CovBound2:
         _nonnegative("b", self.b)
         if not math.isfinite(self.c):
             raise ValueError("c must be finite")
-
-    @property
-    def is_positive_semidefinite(self) -> bool:
-        return self.c * self.c <= self.a * self.b * (1.0 + 1e-12) + 1e-300
 
 
 @dataclass(frozen=True)
@@ -266,46 +264,6 @@ def rms_from_cov(cov: CovBound2) -> float:
     """Scalar summary of a 2x2 covariance: Frobenius norm to the 1/2 power,
     i.e. (a^2 + b^2 + 2 c^2)^{1/4}. Has the unit of the underlying signal."""
     return (cov.a**2 + cov.b**2 + 2.0 * cov.c**2) ** 0.25
-
-
-# ---------------------------------------------------------------------------
-# Serialization of the two config types (flat JSON objects, SI units).
-
-def _from_mapping(cls, data: Mapping, source: str):
-    data = json_object(data, source, [f.name for f in fields(cls)])
-    required = {
-        f.name for f in fields(cls)
-        if f.default is MISSING and f.default_factory is MISSING
-    }
-    missing = required - set(data)
-    if missing:
-        raise ParseError(f"{source}: missing required field(s) {sorted(missing)}")
-    try:
-        return cls(**{k: float(v) for k, v in data.items()})
-    except (TypeError, ValueError) as err:
-        raise ParseError(f"{source}: {err}")
-
-
-def noise_model_from_mapping(data: Mapping, source: str = "noise model") -> NoiseModel:
-    return _from_mapping(NoiseModel, data, source)
-
-
-def envelope_from_mapping(
-    data: Mapping, source: str = "scenario envelope"
-) -> ScenarioEnvelope:
-    return _from_mapping(ScenarioEnvelope, data, source)
-
-
-def load_noise_model(path: str | Path) -> NoiseModel:
-    return noise_model_from_mapping(load_json_object(path), source=str(path))
-
-
-def load_envelope(path: str | Path) -> ScenarioEnvelope:
-    return envelope_from_mapping(load_json_object(path), source=str(path))
-
-
-def to_mapping(config: NoiseModel | ScenarioEnvelope) -> dict[str, float]:
-    return {f.name: getattr(config, f.name) for f in fields(config)}
 
 
 # Constants of the reference analysis this bound family is reported with.

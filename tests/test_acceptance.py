@@ -17,7 +17,7 @@ from gtforge import cli, synth
 from gtforge.calib import RigidTransform2D, relative_motions, solve_hand_eye
 from gtforge.egokin import relative_state, wrap_angle
 from gtforge.gtgen import VehicleGeometry, generate_records
-from gtforge.synth import TrackSpec, make_lead_follow, make_track, run_scenario, run_states
+from gtforge.synth import StadiumTrack, make_lead_follow, run_scenario, run_states
 from gtforge.trajlog import ClockModel, States, apply_clock_model
 from gtforge.uncert import (
     ANALYSIS_ENVELOPE,
@@ -192,12 +192,12 @@ def test_06_noiseless_end_to_end():
     # step (which scales with gap * v/R * h) inside the 1e-3 m budget.
     scenario = make_lead_follow(
         gap=gap, speed=speed, duration=duration, rate=rate,
-        track=TrackSpec(straight_len=500.0, curve_radius=1000.0),
+        track=StadiumTrack(straight_len=500.0, curve_radius=1000.0),
     )
     logs = run_scenario(scenario)
     ego_log, lead_log = logs["ego"][1], logs["lead"][1]
 
-    track = make_track(scenario.track)
+    track = scenario.track
     ego_run = scenario.vehicles[0].run
     lead_run = scenario.vehicles[1].run
 

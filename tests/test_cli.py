@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from gtforge import cli, errors
 from gtforge.calib import RigidTransform2D, write_pose_stream
 from gtforge.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 
@@ -234,6 +235,17 @@ class TestGenerate:
         assert rc == EXIT_USAGE
         assert "'lenght'" in capsys.readouterr().err
 
+    def test_geometry_id_matching_no_target_is_usage_error(self, workspace, capsys):
+        (workspace / "geometry.json").write_text(json.dumps({
+            "lead_clean": {"length": 4.0, "width": 2.0},
+            "lead": {"length": 9.0, "width": 3.0},
+        }))
+        rc, _ = self.generate(workspace)
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "geometry.json: geometry id(s) ['lead'] match no target" in err
+        assert "target ids are ['lead_clean']" in err
+
 
 class TestBounds:
     def test_reference_output(self, workspace, capsys):
@@ -367,3 +379,36 @@ class TestUsage:
         assert main(["--version"]) == EXIT_OK
         assert capsys.readouterr().out.strip()
 
+
+# Input errors exit 2; every other toolkit error is a computation failure.
+EXIT_CODES = {
+    errors.GtForgeError: EXIT_FAILURE,
+    errors.CoordinateError: EXIT_USAGE,
+    errors.InvalidCoordinate: EXIT_USAGE,
+    errors.OutOfZone: EXIT_USAGE,
+    errors.ParseError: EXIT_USAGE,
+    errors.MissingColumn: EXIT_USAGE,
+    errors.NonMonotonicTimestamps: EXIT_USAGE,
+    errors.TooFewSamples: EXIT_FAILURE,
+    errors.OutOfSupport: EXIT_FAILURE,
+    errors.MissingYawRate: EXIT_FAILURE,
+    errors.ZoneMismatch: EXIT_USAGE,
+    errors.TooFewPoses: EXIT_FAILURE,
+    errors.LengthMismatch: EXIT_FAILURE,
+    errors.DegenerateMotion: EXIT_FAILURE,
+}
+
+
+@pytest.mark.parametrize(
+    "error",
+    [c for c in vars(errors).values()
+     if isinstance(c, type) and issubclass(c, errors.GtForgeError)],
+    ids=lambda c: c.__name__,
+)
+def test_every_error_class_has_its_exit_code(monkeypatch, capsys, error):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "_cmd_bounds", fail)
+    assert main(["bounds", "--noise", "n.json", "--envelope", "e.json"]) == EXIT_CODES[error]
+    assert "error: boom" in capsys.readouterr().err

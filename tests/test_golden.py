@@ -48,7 +48,8 @@ SCENARIO = {
 # Vehicle ids are the log file stems.
 LEAD = {"length": 4.5, "width": 1.8, "ref_to_center": [1.2, 0.1]}
 TAIL = {"length": 12.0, "width": 2.5}
-GEOMETRY = {"lead_noisy": LEAD, "tail_noisy": TAIL, "lead_geo": LEAD, "tail_geo": TAIL}
+GEOMETRY = {"lead_noisy": LEAD, "tail_noisy": TAIL}
+GEOMETRY_GEO = {"lead_geo": LEAD, "tail_geo": TAIL}
 CLOCKS = {"lead_noisy": {"offset": -0.05, "drift": -2e-4}, "ego_noisy": {"offset": 0.01}}
 STAMPS = "0.5\n1.25\n\n2.0\n2.05\n3.999\n5.5\n"
 # Zone 31 north, about 48.8 N 2.3 E.
@@ -58,6 +59,7 @@ GEO_ORIGIN = (448_000.0, 5_405_000.0)
 def _write_inputs(work: Path) -> None:
     for name, data in (("noise", NOISE), ("envelope", ENVELOPE),
                        ("scenario", SCENARIO), ("geometry", GEOMETRY),
+                       ("geometry_geo", GEOMETRY_GEO),
                        ("clocks", CLOCKS)):
         (work / f"{name}.json").write_text(json.dumps(data))
     (work / "stamps.txt").write_text(STAMPS)
@@ -122,7 +124,7 @@ def produce(work: Path) -> dict[str, bytes]:
     stdout["generate_geodetic"] = _run(
         ["generate", "--frame", "geodetic", "--ego", str(work / "ego_geo.csv"),
          "--target", str(work / "lead_geo.csv"), "--target", str(work / "tail_geo.csv"),
-         "--rate", "4", "--geometry", str(work / "geometry.json"),
+         "--rate", "4", "--geometry", str(work / "geometry_geo.json"),
          "--noise", str(work / "noise.json"), "--envelope", str(work / "envelope.json"),
          "--out", str(work / "gt_geodetic.jsonl")],
         work,

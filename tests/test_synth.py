@@ -13,11 +13,10 @@ from gtforge.errors import ParseError
 from gtforge.synth import (
     RunSpec,
     Scenario,
-    TrackSpec,
+    StadiumTrack,
     VehicleRun,
     corrupt,
     make_lead_follow,
-    make_track,
     run_scenario,
     scenario_from_mapping,
     run_states,
@@ -30,17 +29,16 @@ from gtforge.uncert import NoiseModel
 
 class TestTrackGeometry:
     def test_default_lap_length(self):
-        assert make_track().length == pytest.approx(3200.0)
+        assert StadiumTrack().length == pytest.approx(3200.0)
 
     def test_starts_at_origin_heading_east(self):
-        x, y, heading, curvature = map(float, make_track().frame_at(0.0))
+        x, y, heading, curvature = map(float, StadiumTrack().frame_at(0.0))
         assert (x, y) == (0.0, 0.0)
         assert heading == 0.0
         assert curvature == 0.0
 
     def test_segment_landmarks(self):
-        spec = TrackSpec(straight_len=100.0, curve_radius=50.0)
-        track = make_track(spec)
+        track = StadiumTrack(straight_len=100.0, curve_radius=50.0)
         # end of first straight
         x, y, _, _ = track.frame_at(100.0)
         assert (x, y) == (pytest.approx(100.0), pytest.approx(0.0))
@@ -53,7 +51,7 @@ class TestTrackGeometry:
         assert track.frame_at(s - 1.0)[3] == pytest.approx(1.0 / 50.0)
 
     def test_closed_and_periodic(self):
-        track = make_track()
+        track = StadiumTrack()
         x0, y0, _, _ = track.frame_at(0.0)
         x1, y1, heading, _ = track.frame_at(track.length)
         assert (x1, y1) == (pytest.approx(x0, abs=1e-9), pytest.approx(y0, abs=1e-9))
@@ -61,7 +59,7 @@ class TestTrackGeometry:
         assert heading == pytest.approx(math.tau)
 
     def test_heading_continuous_in_arc_length(self):
-        track = make_track()
+        track = StadiumTrack()
         s = np.linspace(0.0, track.length, 20001)
         _, _, heading, _ = track.frame_at(s)
         steps = np.abs(np.diff(heading))
@@ -69,7 +67,7 @@ class TestTrackGeometry:
 
     def test_position_derivative_matches_heading(self):
         """d(x, y)/ds must be the unit vector of the heading everywhere."""
-        track = make_track()
+        track = StadiumTrack()
         h = 1e-6
         for s in (50.0, 1100.0 + 10.0, 1700.0, 3000.0):
             x0, y0, _, _ = track.frame_at(s - h)
@@ -110,7 +108,7 @@ class TestRunSpec:
 
 class TestRunStates:
     def test_velocity_matches_heading_and_speed(self):
-        track = make_track()
+        track = StadiumTrack()
         run = RunSpec(duration=60.0, rate=10.0, speed_profile=((0.0, 30.0),),
                       start_offset=1050.0)
         s = run_states(track, run, 5.0)  # inside the first curve by then
@@ -120,12 +118,12 @@ class TestRunStates:
         assert s.psi_dot[0] == pytest.approx(30.0 / synth.DEFAULT_CURVE_RADIUS)
 
     def test_yaw_rate_zero_on_straight(self):
-        track = make_track()
+        track = StadiumTrack()
         run = RunSpec(duration=10.0, rate=10.0, speed_profile=((0.0, 20.0),))
         assert run_states(track, run, 1.0).psi_dot[0] == 0.0
 
     def test_simulate_run_timing(self):
-        track = make_track()
+        track = StadiumTrack()
         run = RunSpec(duration=2.0, rate=50.0, speed_profile=((0.0, 10.0),))
         traj = simulate_run(track, run, vehicle_id="ego")
         assert len(traj) == 101
@@ -135,7 +133,7 @@ class TestRunStates:
 
     def test_position_consistent_with_velocity(self):
         """Central difference of the sampled path reproduces vx, vy."""
-        track = make_track()
+        track = StadiumTrack()
         run = RunSpec(duration=30.0, rate=100.0, speed_profile=((0.0, 30.0),),
                       start_offset=1000.0)
         traj = simulate_run(track, run)
@@ -161,7 +159,7 @@ class TestCorrupt:
     NM = NoiseModel(sigma_pos=0.05, sigma_vel=0.05, sigma_psi=0.01, sigma_psi_dot=0.01)
 
     def clean(self):
-        track = make_track()
+        track = StadiumTrack()
         run = RunSpec(duration=5.0, rate=20.0, speed_profile=((0.0, 20.0),))
         return simulate_run(track, run, vehicle_id="ego")
 
@@ -227,7 +225,7 @@ class TestScenario:
     def test_duplicate_ids_rejected(self):
         run = RunSpec(duration=1.0, rate=10.0, speed_profile=((0.0, 1.0),))
         with pytest.raises(ValueError):
-            Scenario(track=TrackSpec(),
+            Scenario(track=StadiumTrack(),
                      vehicles=(VehicleRun("a", run), VehicleRun("a", run)))
 
 

@@ -231,12 +231,6 @@ class TestClockModel:
         expect = traj.t - 0.01 * (traj.t - traj.t[0])
         np.testing.assert_allclose(fixed.t, expect)
 
-    def test_inverse_composes_to_identity(self):
-        traj = make_traj(n=40, seed=9)
-        clock = ClockModel(offset=0.137, drift=0.003)
-        back = apply_clock_model(apply_clock_model(traj, clock), clock.inverse())
-        assert np.max(np.abs(back.t - traj.t)) < 1e-12
-
     def test_drift_bound(self):
         with pytest.raises(ValueError):
             ClockModel(offset=0.0, drift=1.0)
