@@ -5,7 +5,8 @@ every log format.
 
 Every JSON config is read by one rule, from_mapping: a config object's
 keys are the fields of the dataclass it builds, fields with defaults may
-be left out, and unknown keys are refused."""
+be left out, unknown keys are refused, and a float field takes a JSON
+number only (never a boolean)."""
 
 from __future__ import annotations
 
@@ -88,8 +89,9 @@ def from_mapping(cls: type[T], data: object, source: str) -> T:
 
     The keys must be fields of cls; a field without a default must be
     present. Float fields go through float(). Unknown keys, missing fields,
-    a float field float() refuses and any TypeError or ValueError from the
-    constructor raise ParseError naming source.
+    a boolean or anything else float() refuses in a float field, and any
+    TypeError or ValueError from the constructor raise ParseError naming
+    source.
     """
     spec = fields(cls)
     data = json_object(data, source, [f.name for f in spec])
@@ -102,10 +104,13 @@ def from_mapping(cls: type[T], data: object, source: str) -> T:
     kwargs = dict(data)
     for f in spec:
         if f.name in data and f.type in ("float", float):
+            value = data[f.name]
             try:
-                kwargs[f.name] = float(data[f.name])
+                if isinstance(value, bool):  # float() would take True as 1.0
+                    raise TypeError
+                kwargs[f.name] = float(value)
             except (TypeError, ValueError):
-                raise ParseError(f"{source}: {f.name} must be a number, got {data[f.name]!r}")
+                raise ParseError(f"{source}: {f.name} must be a number, got {value!r}")
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as err:

@@ -1,6 +1,8 @@
 """Continuous-time view of a sampled trajectory.
 
-Natural cubic splines per channel over the logged timestamps. Yaw is
+Natural cubic splines per channel over the logged timestamps, from the
+in-repo kernel in spline.py, which reproduces
+scipy.interpolate.CubicSpline(bc_type="natural") bit for bit. Yaw is
 unwrapped before fitting (successive deltas mapped to (-pi, pi], then
 accumulated) so crossings of the +/-pi seam stay smooth; evaluations wrap
 the result back. The yaw-rate channel uses the logged psi_dot when every
@@ -11,8 +13,8 @@ strictly limited to the logged support; there is no extrapolation.
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
+from . import spline
 from .egokin import wrap_angle
 from .errors import OutOfSupport, TooFewSamples
 from .trajlog import States, Trajectory
@@ -38,18 +40,18 @@ class TrajectoryInterpolant:
                 f"need at least {MIN_SAMPLES} for a cubic interpolant"
             )
         self.vehicle_id = traj.vehicle_id
-        t = traj.t
-        self._t = t
-        self._x = CubicSpline(t, traj.x, bc_type="natural")
-        self._y = CubicSpline(t, traj.y, bc_type="natural")
-        self._vx = CubicSpline(t, traj.vx, bc_type="natural")
-        self._vy = CubicSpline(t, traj.vy, bc_type="natural")
-        self._psi = CubicSpline(t, _unwrap(traj.psi), bc_type="natural")
+        self._t = traj.t
         self.has_logged_yaw_rate = traj.has_yaw_rate
+        # Channels: x, y, vx, vy, unwrapped psi, then the logged psi_dot
+        # when there is one.
+        channels = [traj.x, traj.y, traj.vx, traj.vy, _unwrap(traj.psi)]
         if self.has_logged_yaw_rate:
-            self._psi_dot = CubicSpline(t, traj.psi_dot, bc_type="natural")
-        else:
-            self._psi_dot = self._psi.derivative()
+            channels.append(traj.psi_dot)
+        self._c = spline.coefficients(self._t, np.stack(channels))
+        self._dpsi = spline.derivative(self._c[:, 4:5])
+
+    def _at(self, c: np.ndarray, times: np.ndarray) -> np.ndarray:
+        return spline.evaluate(self._t, c, times)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -69,10 +71,10 @@ class TrajectoryInterpolant:
         """Evaluate every channel at the given times (all inside support)."""
         arr = np.atleast_1d(np.asarray(times, dtype=float))
         self._check(arr)
-        return States(
-            arr, self._x(arr), self._y(arr), self._vx(arr), self._vy(arr),
-            wrap_angle(self._psi(arr)), self._psi_dot(arr),
-        )
+        x, y, vx, vy, psi, *psi_dot = self._at(self._c, arr)
+        if not psi_dot:
+            psi_dot = self._at(self._dpsi, arr)
+        return States(arr, x, y, vx, vy, wrap_angle(psi), psi_dot[0])
 
     def velocity_consistency_rms(self) -> tuple[float, float]:
         """RMS gap between logged velocities and position-spline derivatives.
@@ -80,12 +82,10 @@ class TrajectoryInterpolant:
         Evaluated at the knots; a diagnostic for disagreeing position and
         velocity channels, never an error.
         """
-        dx = self._x.derivative()(self._t) - self._vx(self._t)
-        dy = self._y.derivative()(self._t) - self._vy(self._t)
-        return (
-            float(np.sqrt(np.mean(dx**2))),
-            float(np.sqrt(np.mean(dy**2))),
-        )
+        slope = self._at(spline.derivative(self._c[:, 0:2]), self._t)
+        gap = slope - self._at(self._c[:, 2:4], self._t)
+        rms_x, rms_y = (float(np.sqrt(np.mean(g**2))) for g in gap)
+        return rms_x, rms_y
 
     def yaw_rate_consistency_rms(self) -> float | None:
         """RMS gap between the yaw-spline derivative and logged psi_dot.
@@ -95,7 +95,7 @@ class TrajectoryInterpolant:
         """
         if not self.has_logged_yaw_rate:
             return None
-        gap = self._psi.derivative()(self._t) - self._psi_dot(self._t)
+        gap = self._at(self._dpsi, self._t) - self._at(self._c[:, 5:6], self._t)
         return float(np.sqrt(np.mean(gap**2)))
 
 

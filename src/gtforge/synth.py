@@ -342,12 +342,15 @@ def scenario_from_mapping(data: Mapping, source: str = "scenario") -> Scenario:
     noise = data.get("noise")
     if noise is not None:
         noise = from_mapping(NoiseModel, noise, f"{source}.noise")
+    seed = data.get("seed", 0)
+    if type(seed) is not int:
+        raise ParseError(f"{source}: seed must be an integer, got {seed!r}")
     try:
         vehicles = tuple(
             _vehicle_from_mapping(v, f"{source}.vehicles[{i}]")
             for i, v in enumerate(data["vehicles"])
         )
-        return Scenario(track, vehicles, noise, seed=int(data.get("seed", 0)))
+        return Scenario(track, vehicles, noise, seed)
     except (TypeError, ValueError) as err:
         raise ParseError(f"{source}: {err}")
 

@@ -11,12 +11,18 @@ from pathlib import Path
 import pytest
 
 from gtforge._util import from_mapping
+from gtforge.cli import EXIT_USAGE, main
+from gtforge.errors import ParseError
 from gtforge.gtgen import VehicleGeometry
 from gtforge.synth import StadiumTrack, scenario_from_mapping
 from gtforge.trajlog import ClockModel
 from gtforge.uncert import NoiseModel, ScenarioEnvelope
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SCENARIO = {
+    "seed": 3,
+    "vehicles": [{"id": "ego", "duration": 1.0, "rate": 10.0, "speed_profile": [[0.0, 5.0]]}],
+}
 
 
 @pytest.mark.parametrize("config", [
@@ -37,3 +43,40 @@ def test_readme_scenario_example_parses():
     assert [v.vehicle_id for v in scenario.vehicles] == ["ego", "lead"]
     assert scenario.track == StadiumTrack(straight_len=1100.0, curve_radius=159.155)
     assert scenario.vehicles[1].clock == ClockModel(offset=0.001)
+
+
+@pytest.mark.parametrize("config, key", [
+    (NoiseModel(sigma_pos=0.02, sigma_vel=0.03, sigma_psi=0.00175), "sigma_pos"),
+    (ScenarioEnvelope(d_max=50.0, v_max=36.0, psi_dot_max=1.0), "psi_dot_max"),
+    (ClockModel(offset=-0.05), "drift"),
+], ids=lambda value: type(value).__name__ if not isinstance(value, str) else value)
+def test_boolean_is_not_a_number(config, key):
+    data = dict(asdict(config), **{key: True})
+    with pytest.raises(ParseError, match=rf"^src: {key} must be a number, got True$"):
+        from_mapping(type(config), data, "src")
+
+
+def test_boolean_noise_config_exits_2(tmp_path, capsys):
+    noise = tmp_path / "noise.json"
+    noise.write_text(json.dumps({"sigma_pos": True, "sigma_vel": 0.02, "sigma_psi": 0.00175}))
+    envelope = tmp_path / "envelope.json"
+    envelope.write_text(json.dumps({"d_max": 50.0, "v_max": 36.0, "psi_dot_max": 1.0}))
+    rc = main(["bounds", "--noise", str(noise), "--envelope", str(envelope)])
+    assert rc == EXIT_USAGE
+    assert "sigma_pos must be a number, got True" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [True, 1.7, 1.0, "1"])
+def test_scenario_seed_must_be_an_integer(seed):
+    data = dict(SCENARIO, seed=seed)
+    with pytest.raises(ParseError, match=rf"^scenario: seed must be an integer, got {re.escape(repr(seed))}$"):
+        scenario_from_mapping(data, "scenario")
+
+
+def test_scenario_fractional_seed_exits_2(tmp_path, capsys):
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(dict(SCENARIO, seed=1.7)))
+    rc = main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "sim")])
+    assert rc == EXIT_USAGE
+    assert "seed must be an integer, got 1.7" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
