@@ -6,7 +6,7 @@ every log format.
 Every JSON config is read by one rule, from_mapping: a config object's
 keys are the fields of the dataclass it builds, fields with defaults may
 be left out, unknown keys are refused, and a float field takes a JSON
-number only (never a boolean)."""
+number only (never a boolean or a string)."""
 
 from __future__ import annotations
 
@@ -79,7 +79,7 @@ def load_json_object(path: str | Path) -> Mapping:
     try:
         with Path(path).open("r") as stream:
             data = json.load(stream)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
         raise ParseError(f"{path}: invalid JSON: {err}")
     return json_object(data, str(path))
 
@@ -88,10 +88,10 @@ def from_mapping(cls: type[T], data: object, source: str) -> T:
     """The dataclass cls built from the JSON object data.
 
     The keys must be fields of cls; a field without a default must be
-    present. Float fields go through float(). Unknown keys, missing fields,
-    a boolean or anything else float() refuses in a float field, and any
-    TypeError or ValueError from the constructor raise ParseError naming
-    source.
+    present. A float field takes a JSON number (int or float, never a
+    boolean). Unknown keys, missing fields, anything else in a float field,
+    and any TypeError or ValueError from the constructor raise ParseError
+    naming source.
     """
     spec = fields(cls)
     data = json_object(data, source, [f.name for f in spec])
@@ -105,11 +105,12 @@ def from_mapping(cls: type[T], data: object, source: str) -> T:
     for f in spec:
         if f.name in data and f.type in ("float", float):
             value = data[f.name]
+            # float() alone would also take True as 1.0 and "0.02" as 0.02.
             try:
-                if isinstance(value, bool):  # float() would take True as 1.0
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
                     raise TypeError
                 kwargs[f.name] = float(value)
-            except (TypeError, ValueError):
+            except (TypeError, OverflowError):
                 raise ParseError(f"{source}: {f.name} must be a number, got {value!r}")
     try:
         return cls(**kwargs)
@@ -202,9 +203,19 @@ def read_csv_table(
     Returns an (n, len(columns)) float array, one row per non-blank data
     row, and the file line number of each row. Every cell must be a finite
     number; a cell of an optional column may be empty and reads as NaN.
-    Errors name the line of the first bad cell.
+    Errors name the line of the first bad cell, or of a row csv cannot
+    read, such as one with a cell over csv's field size limit.
     """
     reader = csv.reader(stream)
+    try:
+        return _read_table(reader, columns, optional)
+    except csv.Error as err:
+        raise ParseError(f"malformed CSV: {err}", reader.line_num) from None
+
+
+def _read_table(
+    reader: Iterator[list[str]], columns: Sequence[str], optional: Collection[str]
+) -> tuple[np.ndarray, list[int]]:
     try:
         header = next(reader)
     except StopIteration:

@@ -189,12 +189,14 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 _TRIG_GRID_MEANS = (0.0, 0.5, -0.5, math.pi / 2.0, -math.pi / 2.0, 3.0)
 _TRIG_GRID_STDS = (0.001, 0.01, 0.1, 1.0)
-# Random configurations per check; the domination check runs the velocity
-# Monte Carlo on the first _DOMINATION_MC_CONFIGS of its configurations.
-_EXACT_COV_CONFIGS = 10
+# Random configurations per check. The exact-covariance, yaw and velocity
+# domination checks share one Monte Carlo run on each of _MC_CONFIGS
+# configurations; position domination is closed-form on its own set.
+_MC_CONFIGS = 10
 _DOMINATION_CONFIGS = 100
-_DOMINATION_MC_CONFIGS = 10
 _TRIG_MIX_CONFIGS = 10
+# One shared run: (ego, target, Monte Carlo covariance).
+_McRun = tuple[States, States, uncert.MonteCarloCovariance]
 
 
 def _check_trig_grid(samples: int, seed: int) -> dict:
@@ -249,18 +251,31 @@ def _random_state_pair(rng: np.random.Generator, env: uncert.ScenarioEnvelope):
     return ego, target
 
 
-def _check_exact_covariance(
+def _covariance_runs(
     nm: uncert.NoiseModel,
     env: uncert.ScenarioEnvelope,
     samples: int,
     seed: int,
+) -> list[_McRun]:
+    """(ego, target, Monte Carlo covariance) on each of _MC_CONFIGS random
+    configurations; the checks below share these runs."""
+    runs = []
+    for i in range(_MC_CONFIGS):
+        ego, target = _random_state_pair(derived_rng(seed, 500 + i), env)
+        runs.append((ego, target, uncert.monte_carlo_covariance(
+            ego, target, nm, samples, seed + 7000 + i
+        )))
+    return runs
+
+
+def _check_exact_covariance(
+    nm: uncert.NoiseModel,
+    runs: Sequence[_McRun],
+    samples: int,
 ) -> tuple[dict, dict]:
     worst_pos = 0.0
     worst_yaw = 0.0
-    for i in range(_EXACT_COV_CONFIGS):
-        rng = derived_rng(seed, 500 + i)
-        ego, target = _random_state_pair(rng, env)
-        mc = uncert.monte_carlo_covariance(ego, target, nm, samples, seed + 7000 + i)
+    for ego, target, mc in runs:
         exact = uncert.position_covariance_exact(
             target.x - ego.x,
             target.y - ego.y,
@@ -278,14 +293,14 @@ def _check_exact_covariance(
     pos_check = {
         "name": "exact_position_covariance",
         "passed": bool(worst_pos <= 5.0),
-        "configs": _EXACT_COV_CONFIGS,
+        "configs": len(runs),
         "samples_per_config": samples,
         "max_abs_z": _round9(worst_pos),
     }
     yaw_check = {
         "name": "yaw_variance",
         "passed": bool(worst_yaw <= 5.0),
-        "configs": _EXACT_COV_CONFIGS,
+        "configs": len(runs),
         "samples_per_config": samples,
         "max_abs_z": _round9(worst_yaw),
     }
@@ -295,43 +310,33 @@ def _check_exact_covariance(
 def _check_domination(
     nm: uncert.NoiseModel,
     env: uncert.ScenarioEnvelope,
-    samples: int,
+    runs: Sequence[_McRun],
     seed: int,
     convention: str,
 ) -> dict:
     pos_b = uncert.position_bound(nm, env, convention)
     vel_b = uncert.velocity_bound(nm, env, convention)
-    violations = 0
-    min_margin = math.inf
+    margins = []
     for i in range(_DOMINATION_CONFIGS):
-        rng = derived_rng(seed, 2000 + i)
-        ego, target = _random_state_pair(rng, env)
+        ego, target = _random_state_pair(derived_rng(seed, 2000 + i), env)
         exact = uncert.position_covariance_exact(
             target.x - ego.x,
             target.y - ego.y,
             math.sqrt(2.0) * nm.sigma_pos,
             uncert.GaussianMoments(ego.psi, nm.sigma_psi),
         )
-        for value, bound in ((exact.a, pos_b.a), (exact.b, pos_b.b)):
-            min_margin = min(min_margin, bound - value)
-            if value > bound:
-                violations += 1
-        if i < _DOMINATION_MC_CONFIGS:
-            mc = uncert.monte_carlo_covariance(
-                ego, target, nm, samples, seed + 9000 + i
-            )
-            for value, bound in ((mc.velocity.a, vel_b.a), (mc.velocity.b, vel_b.b)):
-                min_margin = min(min_margin, bound - value)
-                if value > bound:
-                    violations += 1
+        margins += [pos_b.a - exact.a, pos_b.b - exact.b]
+    for _, _, mc in runs:
+        margins += [vel_b.a - mc.velocity.a, vel_b.b - mc.velocity.b]
+    violations = sum(1 for m in margins if m < 0.0)
     return {
         "name": "bound_domination",
         "passed": bool(violations == 0),
         "convention": convention,
         "configs": _DOMINATION_CONFIGS,
-        "velocity_mc_configs": _DOMINATION_MC_CONFIGS,
+        "velocity_mc_configs": len(runs),
         "violations": violations,
-        "min_margin": _round9(min_margin),
+        "min_margin": _round9(min(margins)),
     }
 
 
@@ -377,15 +382,16 @@ def run_validation(
 ) -> dict:
     """The Monte Carlo certification suite behind `gtforge validate`.
 
-    Deterministic for fixed (samples, seed); every stream is derived from
-    the seed and a fixed stream id, so worker count never changes results.
+    Deterministic for fixed (samples, seed). The exact-covariance, yaw and
+    velocity domination checks share one Monte Carlo run per configuration.
     """
-    pos_check, yaw_check = _check_exact_covariance(nm, env, samples, seed)
+    runs = _covariance_runs(nm, env, samples, seed)
+    pos_check, yaw_check = _check_exact_covariance(nm, runs, samples)
     checks = [
         _check_trig_grid(samples, seed),
         pos_check,
         yaw_check,
-        _check_domination(nm, env, samples, seed, convention),
+        _check_domination(nm, env, runs, seed, convention),
         _check_trig_mix(samples, seed),
     ]
     return {

@@ -27,7 +27,8 @@ def wrap_angle(angle: np.ndarray) -> np.ndarray: ...
 def wrap_angle(angle):
     """Wrap an angle (scalar or array) into (-pi, pi].
 
-    Values already inside the interval are returned unchanged, bit for bit.
+    Values already inside the interval are returned unchanged, bit for bit;
+    an array always comes back as a new array.
     """
     if np.ndim(angle) == 0:
         a = float(angle)
@@ -36,9 +37,11 @@ def wrap_angle(angle):
         w = (a + math.pi) % _TWO_PI - math.pi
         return math.pi if w == -math.pi else w
     arr = np.asarray(angle, dtype=float)
+    inside = (arr > -math.pi) & (arr <= math.pi)
+    if inside.all():
+        return arr.copy()
     wrapped = np.mod(arr + math.pi, _TWO_PI) - math.pi
     wrapped = np.where(wrapped == -math.pi, math.pi, wrapped)
-    inside = (arr > -math.pi) & (arr <= math.pi)
     return np.where(inside, arr, wrapped)
 
 

@@ -306,7 +306,7 @@ def read_records_jsonl(source: str | Path | IO[str]) -> RecordSet:
                 continue
             try:
                 data = json.loads(text)
-            except json.JSONDecodeError as err:
+            except (json.JSONDecodeError, RecursionError) as err:
                 raise ParseError(f"invalid JSON: {err}", line_no)
             try:
                 corners = [(float(x), float(y)) for x, y in data["bbox"]]

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from gtforge import cli, errors
+from gtforge import cli, errors, uncert
 from gtforge.calib import RigidTransform2D, write_pose_stream
 from gtforge.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 
@@ -186,6 +186,21 @@ class TestGenerate:
         ])
         assert rc == EXIT_USAGE
 
+    def test_overlong_cell_is_usage_error(self, workspace, capsys):
+        sim = simulate(workspace)
+        lines = (sim / "lead_clean.csv").read_text().splitlines(keepends=True)
+        lines[3] = "1" * 131_073 + lines[3][lines[3].index(","):]
+        bad = workspace / "long.csv"
+        bad.write_text("".join(lines))
+        rc = main([
+            "generate", "--ego", str(sim / "ego_clean.csv"), "--target", str(bad),
+            "--rate", "10",
+            "--geometry", str(workspace / "geometry.json"),
+            "--out", str(workspace / "gt.jsonl"),
+        ])
+        assert rc == EXIT_USAGE
+        assert "line 4: malformed CSV: field larger than field limit" in capsys.readouterr().err
+
     def test_per_target_clock(self, workspace):
         sim = simulate(workspace)
         clock = workspace / "clock.json"
@@ -299,6 +314,43 @@ class TestValidate:
         assert main(args) == EXIT_OK
         assert capsys.readouterr().out == first
 
+    def test_one_covariance_run_per_config(self, monkeypatch):
+        calls = []
+        kernel = uncert.monte_carlo_covariance
+
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(uncert, "monte_carlo_covariance", counting)
+        report = cli.run_validation(uncert.ANALYSIS_NOISE, uncert.ANALYSIS_ENVELOPE, 2000, 5)
+        assert len(calls) == 10
+        assert report["passed"] is True
+
+    def test_domination_reads_the_shared_runs(self, monkeypatch):
+        nm, env = uncert.ANALYSIS_NOISE, uncert.ANALYSIS_ENVELOPE
+        vel_b = uncert.velocity_bound(nm, env, uncert.DEFAULT_CONVENTION)
+        cov = uncert.CovBound2(1e-4, 1e-4, 0.0)
+        over = uncert.MonteCarloCovariance(
+            position=cov, position_se=cov,
+            velocity=uncert.CovBound2(vel_b.a + 1.0, vel_b.b + 1.0, 0.0), velocity_se=cov,
+            yaw_var=uncert.yaw_variance(nm), yaw_var_se=1e-6,
+        )
+        kernel = uncert.monte_carlo_covariance
+
+        def exact_check_runs_over(*args):
+            # Only the exact check's MC seeds, seed + 7000 + i, read over the bound.
+            return over if 7000 <= args[-1] - 5 < 7010 else kernel(*args)
+
+        monkeypatch.setattr(uncert, "monte_carlo_covariance", exact_check_runs_over)
+        report = cli.run_validation(nm, env, 2000, 5)
+        (check,) = [c for c in report["checks"] if c["name"] == "bound_domination"]
+        assert check["velocity_mc_configs"] == 10
+        assert check["violations"] == 20
+        assert check["min_margin"] == pytest.approx(-1.0)
+        assert check["passed"] is False
+        assert report["passed"] is False
+
 
 class TestCalibrate:
     def test_recovers_transform(self, workspace, capsys):
@@ -330,6 +382,17 @@ class TestCalibrate:
         rc = main(["calibrate", "--stream-a", str(workspace / "a.csv"),
                    "--stream-b", str(workspace / "b.csv")])
         assert rc == EXIT_FAILURE
+
+    def test_overlong_cell_is_usage_error(self, workspace, capsys):
+        t = np.arange(20) * 0.1
+        write_pose_stream(np.stack([t, t, t, np.sin(t)], axis=1), workspace / "a.csv")
+        lines = (workspace / "a.csv").read_text().splitlines(keepends=True)
+        lines[5] = lines[5].rstrip("\n") + "9" * 131_073 + "\n"
+        (workspace / "b.csv").write_text("".join(lines))
+        rc = main(["calibrate", "--stream-a", str(workspace / "a.csv"),
+                   "--stream-b", str(workspace / "b.csv")])
+        assert rc == EXIT_USAGE
+        assert "line 6: malformed CSV: field larger than field limit" in capsys.readouterr().err
 
 
 class TestExportPlot:

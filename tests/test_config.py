@@ -66,6 +66,28 @@ def test_boolean_noise_config_exits_2(tmp_path, capsys):
     assert "sigma_pos must be a number, got True" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, key, value", [
+    (NoiseModel(sigma_pos=0.02, sigma_vel=0.03, sigma_psi=0.00175), "sigma_pos", "0.02"),
+    (NoiseModel(sigma_pos=0.02, sigma_vel=0.03, sigma_psi=0.00175), "sigma_vel", 10**400),
+    (ClockModel(offset=-0.05), "offset", "-0.05"),
+    (ScenarioEnvelope(d_max=50.0, v_max=36.0, psi_dot_max=1.0), "v_max", None),
+], ids=["NoiseModel-string", "NoiseModel-huge-int", "ClockModel-string", "ScenarioEnvelope-null"])
+def test_only_a_json_number_is_a_number(config, key, value):
+    data = dict(asdict(config), **{key: value})
+    with pytest.raises(ParseError, match=rf"^src: {key} must be a number, got {re.escape(repr(value))}$"):
+        from_mapping(type(config), data, "src")
+
+
+def test_deeply_nested_config_exits_2(tmp_path, capsys):
+    noise = tmp_path / "noise.json"
+    noise.write_text("[" * 100_000)
+    envelope = tmp_path / "envelope.json"
+    envelope.write_text(json.dumps({"d_max": 50.0, "v_max": 36.0, "psi_dot_max": 1.0}))
+    rc = main(["bounds", "--noise", str(noise), "--envelope", str(envelope)])
+    assert rc == EXIT_USAGE
+    assert "noise.json: invalid JSON: maximum recursion" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("seed", [True, 1.7, 1.0, "1"])
 def test_scenario_seed_must_be_an_integer(seed):
     data = dict(SCENARIO, seed=seed)

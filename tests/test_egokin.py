@@ -62,6 +62,30 @@ class TestWrapAngle:
             wrap_angle(a), wrap_angle(a + 2 * math.pi), atol=1e-12
         )
 
+    @staticmethod
+    def formula(a):
+        """The full wrap, applied to every element."""
+        wrapped = np.mod(a + math.pi, 2.0 * math.pi) - math.pi
+        wrapped = np.where(wrapped == -math.pi, math.pi, wrapped)
+        return np.where((a > -math.pi) & (a <= math.pi), a, wrapped)
+
+    def test_in_range_array_is_a_bit_identical_copy(self):
+        a = np.array([0.0, -0.0, math.pi, math.nextafter(-math.pi, 0.0), 1.5, -3.0])
+        before = a.copy()
+        got = wrap_angle(a)
+        assert got is not a
+        assert got.tobytes() == a.tobytes() == self.formula(a).tobytes()
+        got[:] = 7.0
+        assert a.tobytes() == before.tobytes()
+
+    def test_mixed_array_matches_formula_bits(self):
+        a = np.array([
+            math.pi, -math.pi, -0.0, 0.0, math.nan, 4.0, -4.0, 3 * math.pi,
+            -3 * math.pi, math.nextafter(math.pi, 4.0), 1e6, -1e-300,
+        ])
+        assert wrap_angle(a).tobytes() == self.formula(a).tobytes()
+        assert wrap_angle(a[[2, 4]]).tobytes() == self.formula(a[[2, 4]]).tobytes()
+
     def test_array_matches_scalar(self):
         a = np.array([0.0, 4.0, -4.0, math.pi, -math.pi])
         got = wrap_angle(a)

@@ -298,6 +298,12 @@ class TestJsonl:
             read_records_jsonl(io.StringIO('{"t": 1}\n{oops\n'))
         assert err.value.line in (1, 2)
 
+    def test_read_deeply_nested_line(self):
+        text = io.StringIO()
+        write_records_jsonl(self.record(), text)
+        with pytest.raises(ParseError, match=r"^line 2: invalid JSON: maximum recursion"):
+            read_records_jsonl(io.StringIO(text.getvalue() + "[" * 100_000 + "\n"))
+
     def test_bounds_all_or_none_enforced(self):
         rel = RelativeState(*(np.array([v]) for v in (1.0, 0.0, 0.0, 0.0, 0.0)))
         with pytest.raises(ValueError):
