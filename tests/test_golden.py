@@ -18,11 +18,13 @@ import json
 import math
 import sys
 from contextlib import redirect_stdout
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gtforge import uncert
 from gtforge.cli import main
 from gtforge.trajlog import trajectory_from_arrays, write_trajectory_log
 
@@ -60,7 +62,8 @@ def _write_inputs(work: Path) -> None:
     for name, data in (("noise", NOISE), ("envelope", ENVELOPE),
                        ("scenario", SCENARIO), ("geometry", GEOMETRY),
                        ("geometry_geo", GEOMETRY_GEO),
-                       ("clocks", CLOCKS)):
+                       ("clocks", CLOCKS),
+                       ("noise_outage", asdict(uncert.POSITIONING_PRESETS["outage_300s"]))):
         (work / f"{name}.json").write_text(json.dumps(data))
     (work / "stamps.txt").write_text(STAMPS)
     t = np.arange(200) * 0.05
@@ -148,6 +151,13 @@ def produce(work: Path) -> dict[str, bytes]:
         ["validate", "--noise", str(work / "noise.json"),
          "--envelope", str(work / "envelope.json"),
          "--samples", "2000", "--seed", "3"],
+        work,
+    )
+    # The printed convention's domination path on a large-sigma_pos model.
+    stdout["validate_printed"] = _run(
+        ["validate", "--noise", str(work / "noise_outage.json"),
+         "--envelope", str(work / "envelope.json"), "--convention", "printed",
+         "--samples", "2000", "--seed", "4"],
         work,
     )
 
