@@ -1,6 +1,7 @@
-"""Command-line interface.
+"""Command-line interface: argument wiring over the gtforge modules.
 
-Subcommands: simulate, generate, bounds, validate, calibrate, export-plot.
+Subcommands: simulate, generate, bounds, validate (certify.run_validation,
+also bound here as run_validation), calibrate, export-plot.
 Exit codes: 0 on success, 1 when a computation or validation fails (failed
 certification inequality, degenerate calibration motion, stamps outside
 the data, ...), 2 for usage errors and malformed input files.
@@ -12,15 +13,16 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import __version__, gtgen, synth, uncert
-from ._util import derived_rng, fmt_float, from_mapping, load_config, load_json_object
+from ._util import fmt_float, from_mapping, load_config, load_json_object
 from .calib import parse_pose_stream, relative_motions, solve_hand_eye
+from .certify import run_validation
 from .errors import (
     CoordinateError,
     GtForgeError,
@@ -31,7 +33,6 @@ from .errors import (
 )
 from .trajlog import (
     ClockModel,
-    States,
     Trajectory,
     apply_clock_model,
     parse_trajectory_log,
@@ -186,224 +187,6 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # validate
-
-_TRIG_GRID_MEANS = (0.0, 0.5, -0.5, math.pi / 2.0, -math.pi / 2.0, 3.0)
-_TRIG_GRID_STDS = (0.001, 0.01, 0.1, 1.0)
-# Random configurations per check. The exact-covariance, yaw and velocity
-# domination checks share one Monte Carlo run on each of _MC_CONFIGS
-# configurations; position domination is closed-form on its own set.
-_MC_CONFIGS = 10
-_DOMINATION_CONFIGS = 100
-_TRIG_MIX_CONFIGS = 10
-# One shared run: (ego, target, Monte Carlo covariance).
-_McRun = tuple[States, States, uncert.MonteCarloCovariance]
-
-
-def _check_trig_grid(samples: int, seed: int) -> dict:
-    worst = 0.0
-    worst_point = None
-    for i, mean in enumerate(_TRIG_GRID_MEANS):
-        for j, std in enumerate(_TRIG_GRID_STDS):
-            g = uncert.GaussianMoments(mean, std)
-            analytic = uncert.trig_moments(g)
-            mc, se = uncert.trig_moments_mc(g, samples, seed + 1000 * i + j)
-            for name in ("e_cos", "e_sin", "var_cos", "var_sin", "cov_cos_sin"):
-                gap = abs(getattr(mc, name) - getattr(analytic, name))
-                scale = getattr(se, name)
-                z = gap / scale if scale > 0.0 else (0.0 if gap == 0.0 else math.inf)
-                if z > worst:
-                    worst = z
-                    worst_point = [mean, std, name]
-    return {
-        "name": "trig_moments_grid",
-        "passed": bool(worst <= 5.0),
-        "grid_points": len(_TRIG_GRID_MEANS) * len(_TRIG_GRID_STDS),
-        "samples_per_point": samples,
-        "max_abs_z": _round9(worst),
-        "worst_point": worst_point,
-    }
-
-
-def _random_state_pair(rng: np.random.Generator, env: uncert.ScenarioEnvelope):
-    limit = env.d_max / math.sqrt(2.0)
-    ego = States(
-        t=0.0,
-        x=float(rng.uniform(-100.0, 100.0)),
-        y=float(rng.uniform(-100.0, 100.0)),
-        vx=float(rng.uniform(-env.v_max, env.v_max)) / 2.0,
-        vy=float(rng.uniform(-env.v_max, env.v_max)) / 2.0,
-        psi=float(rng.uniform(-math.pi, math.pi)),
-        psi_dot=float(rng.uniform(-env.psi_dot_max, env.psi_dot_max)),
-    )
-    dx = float(rng.uniform(-limit, limit))
-    dy = float(rng.uniform(-limit, limit))
-    dvx = float(rng.uniform(-env.v_max, env.v_max))
-    dvy = float(rng.uniform(-env.v_max, env.v_max))
-    target = States(
-        t=0.0,
-        x=ego.x + dx,
-        y=ego.y + dy,
-        vx=ego.vx + dvx,
-        vy=ego.vy + dvy,
-        psi=float(rng.uniform(-math.pi, math.pi)),
-        psi_dot=math.nan,
-    )
-    return ego, target
-
-
-def _covariance_runs(
-    nm: uncert.NoiseModel,
-    env: uncert.ScenarioEnvelope,
-    samples: int,
-    seed: int,
-) -> list[_McRun]:
-    """(ego, target, Monte Carlo covariance) on each of _MC_CONFIGS random
-    configurations; the checks below share these runs."""
-    runs = []
-    for i in range(_MC_CONFIGS):
-        ego, target = _random_state_pair(derived_rng(seed, 500 + i), env)
-        runs.append((ego, target, uncert.monte_carlo_covariance(
-            ego, target, nm, samples, seed + 7000 + i
-        )))
-    return runs
-
-
-def _check_exact_covariance(
-    nm: uncert.NoiseModel,
-    runs: Sequence[_McRun],
-    samples: int,
-) -> tuple[dict, dict]:
-    worst_pos = 0.0
-    worst_yaw = 0.0
-    for ego, target, mc in runs:
-        exact = uncert.position_covariance_exact(
-            target.x - ego.x,
-            target.y - ego.y,
-            math.sqrt(2.0) * nm.sigma_pos,
-            uncert.GaussianMoments(ego.psi, nm.sigma_psi),
-        )
-        for name in ("a", "b", "c"):
-            gap = abs(getattr(mc.position, name) - getattr(exact, name))
-            se = getattr(mc.position_se, name)
-            if se > 0.0:
-                worst_pos = max(worst_pos, gap / se)
-        yaw_gap = abs(mc.yaw_var - uncert.yaw_variance(nm))
-        if mc.yaw_var_se > 0.0:
-            worst_yaw = max(worst_yaw, yaw_gap / mc.yaw_var_se)
-    pos_check = {
-        "name": "exact_position_covariance",
-        "passed": bool(worst_pos <= 5.0),
-        "configs": len(runs),
-        "samples_per_config": samples,
-        "max_abs_z": _round9(worst_pos),
-    }
-    yaw_check = {
-        "name": "yaw_variance",
-        "passed": bool(worst_yaw <= 5.0),
-        "configs": len(runs),
-        "samples_per_config": samples,
-        "max_abs_z": _round9(worst_yaw),
-    }
-    return pos_check, yaw_check
-
-
-def _check_domination(
-    nm: uncert.NoiseModel,
-    env: uncert.ScenarioEnvelope,
-    runs: Sequence[_McRun],
-    seed: int,
-    convention: str,
-) -> dict:
-    pos_b = uncert.position_bound(nm, env, convention)
-    vel_b = uncert.velocity_bound(nm, env, convention)
-    margins = []
-    for i in range(_DOMINATION_CONFIGS):
-        ego, target = _random_state_pair(derived_rng(seed, 2000 + i), env)
-        exact = uncert.position_covariance_exact(
-            target.x - ego.x,
-            target.y - ego.y,
-            math.sqrt(2.0) * nm.sigma_pos,
-            uncert.GaussianMoments(ego.psi, nm.sigma_psi),
-        )
-        margins += [pos_b.a - exact.a, pos_b.b - exact.b]
-    for _, _, mc in runs:
-        margins += [vel_b.a - mc.velocity.a, vel_b.b - mc.velocity.b]
-    violations = sum(1 for m in margins if m < 0.0)
-    return {
-        "name": "bound_domination",
-        "passed": bool(violations == 0),
-        "convention": convention,
-        "configs": _DOMINATION_CONFIGS,
-        "velocity_mc_configs": len(runs),
-        "violations": violations,
-        "min_margin": _round9(min(margins)),
-    }
-
-
-def _check_trig_mix(samples: int, seed: int) -> dict:
-    violations = 0
-    min_margin = math.inf
-    for i in range(_TRIG_MIX_CONFIGS):
-        rng = derived_rng(seed, 4000 + i)
-        m_x = float(rng.uniform(-3.0, 3.0))
-        m_y = float(rng.uniform(-3.0, 3.0))
-        s_x = float(rng.uniform(0.01, 0.5))
-        s_y = float(rng.uniform(0.01, 0.5))
-        omega = uncert.GaussianMoments(
-            float(rng.uniform(-math.pi, math.pi)), float(rng.uniform(0.05, 0.5))
-        )
-        # The plain-exponent form is the proven inequality; certify that one.
-        bound = uncert.bounded_trig_mix_var(
-            m_x, m_y, s_x, s_y, omega, convention=uncert.PRINTED
-        )
-        var, se = uncert.mixed_trig_variance_mc(
-            m_x, m_y, s_x, s_y, omega, samples, seed + 11000 + i
-        )
-        margin = bound + 5.0 * se - var
-        min_margin = min(min_margin, margin)
-        if margin < 0.0:
-            violations += 1
-    return {
-        "name": "trig_mix_bound",
-        "passed": bool(violations == 0),
-        "configs": _TRIG_MIX_CONFIGS,
-        "samples_per_config": samples,
-        "violations": violations,
-        "min_margin": _round9(min_margin),
-    }
-
-
-def run_validation(
-    nm: uncert.NoiseModel,
-    env: uncert.ScenarioEnvelope,
-    samples: int,
-    seed: int,
-    convention: str = uncert.DEFAULT_CONVENTION,
-) -> dict:
-    """The Monte Carlo certification suite behind `gtforge validate`.
-
-    Deterministic for fixed (samples, seed). The exact-covariance, yaw and
-    velocity domination checks share one Monte Carlo run per configuration.
-    """
-    runs = _covariance_runs(nm, env, samples, seed)
-    pos_check, yaw_check = _check_exact_covariance(nm, runs, samples)
-    checks = [
-        _check_trig_grid(samples, seed),
-        pos_check,
-        yaw_check,
-        _check_domination(nm, env, runs, seed, convention),
-        _check_trig_mix(samples, seed),
-    ]
-    return {
-        "samples": samples,
-        "seed": seed,
-        "convention": convention,
-        "noise": {k: _round9(v) for k, v in asdict(nm).items()},
-        "envelope": {k: _round9(v) for k, v in asdict(env).items()},
-        "checks": checks,
-        "passed": bool(all(c["passed"] for c in checks)),
-    }
-
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     nm = load_config(uncert.NoiseModel, args.noise)

@@ -290,15 +290,20 @@ def write_records_jsonl(records: RecordSet, dest: str | Path | IO[str]) -> None:
         stream.writelines(record_to_json(records))
 
 
-_RECORD_FLOATS = ("t", "x", "y", "vx", "vy", "psi")
+# The types json gives a JSON number; bool is neither, so test the type.
+_NUMBER = {int, float}
 
 
 def read_records_jsonl(source: str | Path | IO[str]) -> RecordSet:
-    """Parse records written by write_records_jsonl; errors name the line."""
+    """Parse records written by write_records_jsonl; errors name the line.
+
+    Values must be JSON numbers and target_id a JSON string. The bounds are
+    built from the first record, and every other record must repeat them.
+    """
     rows: list[list[float]] = []
     ids: list[str] = []
     lines: list[int] = []
-    bounds = None
+    first = bounds = None
     with opened(source) as stream:
         for line_no, line in enumerate(stream, start=1):
             text = line.strip()
@@ -309,24 +314,32 @@ def read_records_jsonl(source: str | Path | IO[str]) -> RecordSet:
             except (json.JSONDecodeError, RecursionError) as err:
                 raise ParseError(f"invalid JSON: {err}", line_no)
             try:
-                corners = [(float(x), float(y)) for x, y in data["bbox"]]
-                if len(corners) != 4:
-                    raise ValueError(f"bbox needs exactly 4 corners, got {len(corners)}")
-                row = [float(data[key]) for key in _RECORD_FLOATS]
-                row += [v for corner in corners for v in corner]
-                found = None
+                (ax, ay), (bx, by), (cx, cy), (dx, dy) = data["bbox"]
+                row = [data["t"], data["x"], data["y"], data["vx"], data["vy"], data["psi"],
+                       ax, ay, bx, by, cx, cy, dx, dy]
+                kinds = set(map(type, row))
+                raw = None
                 if "pos_bound" in data:
-                    found = (
-                        CovBound2(**data["pos_bound"]),
-                        CovBound2(**data["vel_bound"]),
-                        float(data["yaw_var"]),
-                    )
-                ids.append(str(data["target_id"]))
-            except (KeyError, TypeError, ValueError) as err:
+                    raw = (data["pos_bound"], data["vel_bound"], data["yaw_var"])
+                    if not rows:
+                        bounds = (CovBound2(**raw[0]), CovBound2(**raw[1]), float(raw[2]))
+                if rows and raw != first:
+                    raise ValueError("bounds differ from the first record's")
+                if raw:
+                    kinds.update(map(type, [*raw[0].values(), *raw[1].values(), raw[2]]))
+                if not kinds <= _NUMBER:
+                    names = sorted(kind.__name__ for kind in kinds - _NUMBER)
+                    raise ValueError(f"values must be JSON numbers, got {names}")
+                # An int past the float range fails here, naming its line.
+                if int in kinds:
+                    row = [float(v) for v in row]
+                target_id = data["target_id"]
+                if not isinstance(target_id, str):
+                    raise ValueError(f"target_id must be a JSON string, got {target_id!r}")
+                ids.append(target_id)
+            except (KeyError, TypeError, ValueError, OverflowError) as err:
                 raise ParseError(f"bad record: {err}", line_no)
-            if rows and found != bounds:
-                raise ParseError("bad record: bounds differ from the first record's", line_no)
-            bounds = found
+            first = raw
             rows.append(row)
             lines.append(line_no)
     table = np.array(rows, dtype=float).reshape(-1, 14)

@@ -409,44 +409,38 @@ def monte_carlo_covariance(
     """Empirical covariance of the ego-frame outputs at one true state pair.
 
     ego and target are single states (float channels). Draws independent
-    Gaussian perturbations of both vehicles' channels, pushes every draw
-    through the relative-state transformation and returns empirical
-    covariances with standard errors. The ego must carry a yaw rate
-    (MissingYawRate otherwise); the target's yaw rate never enters the
-    outputs. Yaw dispersion is measured about the true relative yaw, so a
-    mean near +-pi does not split the wrapped sample across the seam.
-    Deterministic per seed.
+    Gaussian perturbations of both vehicles' channels, pushes every batch
+    of draws through egokin.relative_state (the transform that writes the
+    records) and returns empirical covariances with standard errors. The
+    ego must carry a yaw rate (MissingYawRate otherwise); the target's yaw
+    rate never enters the outputs. Yaw dispersion is measured about the
+    true relative yaw, so a mean near +-pi does not split the wrapped
+    sample across the seam. Deterministic per seed.
     """
     true_dpsi = relative_state(ego, target).psi
 
     def stat(rng: np.random.Generator, m: int) -> np.ndarray:
-        ex = ego.x + rng.normal(0.0, nm.sigma_pos, m)
-        ey = ego.y + rng.normal(0.0, nm.sigma_pos, m)
-        evx = ego.vx + rng.normal(0.0, nm.sigma_vel, m)
-        evy = ego.vy + rng.normal(0.0, nm.sigma_vel, m)
-        epsi = ego.psi + rng.normal(0.0, nm.sigma_psi, m)
-        erate = ego.psi_dot + rng.normal(0.0, nm.sigma_psi_dot, m)
-        tx = target.x + rng.normal(0.0, nm.sigma_pos, m)
-        ty = target.y + rng.normal(0.0, nm.sigma_pos, m)
-        tvx = target.vx + rng.normal(0.0, nm.sigma_vel, m)
-        tvy = target.vy + rng.normal(0.0, nm.sigma_vel, m)
-        tpsi = target.psi + rng.normal(0.0, nm.sigma_psi, m)
+        def draw(mean: float, std: float) -> np.ndarray:
+            return mean + rng.normal(0.0, std, m)
 
-        dx = tx - ex
-        dy = ty - ey
-        c = np.cos(epsi)
-        s = np.sin(epsi)
-        rx = dx * c + dy * s
-        ry = dy * c - dx * s
-        pa, pb, pc = _pair_stats(rx, ry)
-        dpsi = wrap_angle(tpsi - epsi - true_dpsi)
+        # The draw order (ego channels, then target's) is the stream layout.
+        t = np.full(m, ego.t)
+        e = States(
+            t, draw(ego.x, nm.sigma_pos), draw(ego.y, nm.sigma_pos),
+            draw(ego.vx, nm.sigma_vel), draw(ego.vy, nm.sigma_vel),
+            draw(ego.psi, nm.sigma_psi), draw(ego.psi_dot, nm.sigma_psi_dot),
+        )
+        tg = States(
+            t, draw(target.x, nm.sigma_pos), draw(target.y, nm.sigma_pos),
+            draw(target.vx, nm.sigma_vel), draw(target.vy, nm.sigma_vel),
+            draw(target.psi, nm.sigma_psi), target.psi_dot,
+        )
+        rel = relative_state(e, tg)
+        pa, pb, pc = _pair_stats(rel.x, rel.y)
+        dpsi = wrap_angle(tg.psi - e.psi - true_dpsi)
         dd = dpsi - dpsi.mean()
         yv = dd @ dd / (m - 1)
-        ax = tvx - evx + erate * dy
-        ay = tvy - evy - erate * dx
-        rvx = ax * c + ay * s
-        rvy = ay * c - ax * s
-        va, vb, vc = _pair_stats(rvx, rvy)
+        va, vb, vc = _pair_stats(rel.vx, rel.vy)
         return np.array([pa, pb, pc, yv, va, vb, vc])
 
     est, se = _batched_stats(n, seed, stat)

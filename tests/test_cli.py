@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from gtforge import cli, errors, uncert
+from gtforge import certify, cli, errors, uncert
 from gtforge.calib import RigidTransform2D, write_pose_stream
 from gtforge.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 
@@ -313,6 +313,9 @@ class TestValidate:
         first = capsys.readouterr().out
         assert main(args) == EXIT_OK
         assert capsys.readouterr().out == first
+
+    def test_run_validation_is_certify_binding(self):
+        assert cli.run_validation is certify.run_validation
 
     def test_one_covariance_run_per_config(self, monkeypatch):
         calls = []

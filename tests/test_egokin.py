@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtforge.egokin import (
     RelativeState,
@@ -125,6 +127,39 @@ class TestRelativePosition:
         for psi in rng.uniform(-math.pi, math.pi, 25):
             ego = sample(x=3.0, y=-2.0, psi=float(psi))
             assert math.hypot(*relative_position(ego, tgt)) == pytest.approx(d)
+
+
+coords = st.floats(-1e3, 1e3)
+speeds = st.floats(-50.0, 50.0)
+angles = st.floats(-math.pi, math.pi)
+
+
+@st.composite
+def states(draw):
+    return sample(x=draw(coords), y=draw(coords), vx=draw(speeds), vy=draw(speeds),
+                  psi=draw(angles), psi_dot=draw(st.floats(-2.0, 2.0)))
+
+
+def moved(state, angle, tx, ty):
+    """state seen in a world frame rotated by angle and shifted by (tx, ty)."""
+    c, s = math.cos(angle), math.sin(angle)
+    return sample(
+        x=c * state.x - s * state.y + tx, y=s * state.x + c * state.y + ty,
+        vx=c * state.vx - s * state.vy, vy=s * state.vx + c * state.vy,
+        psi=wrap_angle(state.psi + angle), psi_dot=state.psi_dot,
+    )
+
+
+class TestRigidMotionInvariance:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(states(), states(), angles, st.floats(-1e5, 1e5), st.floats(-1e5, 1e5))
+    def test_world_rotation_and_translation_leave_output_unchanged(
+        self, ego, target, angle, tx, ty
+    ):
+        before = relative_state(ego, target)
+        after = relative_state(moved(ego, angle, tx, ty), moved(target, angle, tx, ty))
+        np.testing.assert_allclose(after[:4], before[:4], rtol=0.0, atol=1e-9)
+        assert abs(math.remainder(after.psi - before.psi, 2.0 * math.pi)) <= 1e-9
 
 
 class TestRelativeVelocity:

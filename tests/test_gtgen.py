@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -268,12 +269,28 @@ class TestJsonl:
             read_records_jsonl(io.StringIO(text))
         assert err.value.line == 2
 
-    @pytest.mark.parametrize("key, value", [("x", "NaN"), ("psi", "3.5")])
+    @pytest.mark.parametrize("key, value", [
+        ("x", "NaN"), ("psi", "3.5"), ("x", '"30.0"'), ("x", "true"),
+        pytest.param("x", "1" + "0" * 400, id="x-int-past-float-range"),
+        ("yaw_var", '"6.125e-06"'), ("target_id", "7"),
+    ])
     def test_read_rejects_bad_value_with_line(self, key, value):
         good = to_jsonl(self.record())
         bad = good.replace(f'"{key}": ', f'"{key}": {value}, "_": ', 1)
         with pytest.raises(ParseError) as err:
             read_records_jsonl(io.StringIO(good + bad))
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("pattern, value", [
+        (r'(?<="bbox": \[\[)[^,]+', '"30.0"'),
+        (r'(?<="pos_bound": \{"a": )[^,]+', "true"),
+    ])
+    def test_read_rejects_nested_non_number(self, pattern, value):
+        good = to_jsonl(self.record())
+        bad = re.sub(pattern, value, good, count=1)
+        assert bad != good
+        with pytest.raises(ParseError, match="must be JSON numbers") as err:
+            read_records_jsonl(io.StringIO("\n" + bad))
         assert err.value.line == 2
 
     def test_write_refuses_non_finite(self):

@@ -275,6 +275,21 @@ class TestMonteCarloCovariance:
         c = monte_carlo_covariance(self.ego(), self.target(), self.NM, 50_000, seed=5)
         assert c != a
 
+    def test_draws_go_through_relative_state(self, monkeypatch):
+        """Every draw passes through the transform that writes the records."""
+        lengths = []
+        transform = uncert.relative_state
+
+        def recording(ego, target):
+            if np.ndim(ego.x) == 1:
+                lengths.append((len(ego), len(target)))
+            return transform(ego, target)
+
+        monkeypatch.setattr(uncert, "relative_state", recording)
+        monte_carlo_covariance(self.ego(), self.target(), self.NM, 2000, seed=3)
+        assert sum(n for n, _ in lengths) == 2000
+        assert all(n == m for n, m in lengths)
+
     def test_velocity_requires_ego_yaw_rate(self):
         with pytest.raises(MissingYawRate):
             monte_carlo_covariance(
