@@ -1,7 +1,7 @@
 """Small shared helpers: deterministic RNG streams, the positive-and-finite
 check, fixed-width float formatting for serialized output, the JSON config
-loader, and the file opener, CSV table reader and CSV writer shared by
-every log format.
+loader, the file opener and CSV table reader shared by every log format,
+and the CSV writer of trajectory logs.
 
 Every JSON config is read by one rule, from_mapping: a config object's
 keys are the fields of the dataclass it builds, fields with defaults may

@@ -11,9 +11,9 @@ unit circle and a translation-only re-solve.
 
 Motions are held as (n - 1, 3) arrays of (dtheta, dx, dy) rows and the
 least-squares system is built from whole columns. Pose stream CSVs carry
-columns t,x,y,theta (seconds, metres, radians) and go through the same
-checked CSV reader and repr writer as trajectory logs, so a bad cell is
-reported as line N and writing then parsing a stream is bit-exact.
+columns t,x,y,theta (seconds, metres, radians) and are read by the same
+checked CSV reader as trajectory logs, so a bad cell is reported as
+line N.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from ._util import opened, read_csv_table, write_csv_table
+from ._util import opened, read_csv_table
 from .egokin import wrap_angle
 from .errors import (
     DegenerateMotion,
@@ -53,24 +53,6 @@ class RigidTransform2D:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         object.__setattr__(self, "theta", wrap_angle(self.theta))
-
-    def apply(self, point: tuple[float, float]) -> tuple[float, float]:
-        c = math.cos(self.theta)
-        s = math.sin(self.theta)
-        x, y = point
-        return (c * x - s * y + self.tx, s * x + c * y + self.ty)
-
-    def compose(self, other: "RigidTransform2D") -> "RigidTransform2D":
-        """self applied after other: (self * other)(p) = self(other(p))."""
-        x, y = self.apply((other.tx, other.ty))
-        return RigidTransform2D(self.theta + other.theta, x, y)
-
-    def inverse(self) -> "RigidTransform2D":
-        c = math.cos(self.theta)
-        s = math.sin(self.theta)
-        return RigidTransform2D(
-            -self.theta, -(c * self.tx + s * self.ty), -(-s * self.tx + c * self.ty)
-        )
 
 
 def relative_motions(poses: Sequence | np.ndarray) -> np.ndarray:
@@ -185,7 +167,3 @@ def parse_pose_stream(source: str | Path | IO[str]) -> np.ndarray:
         raise NonMonotonicTimestamps("pose timestamps must increase strictly")
     return poses
 
-
-def write_pose_stream(poses: np.ndarray, dest: str | Path | IO[str]) -> None:
-    """Write an (N, 4) pose array as a t,x,y,theta CSV."""
-    write_csv_table(dest, POSE_COLUMNS, np.asarray(poses, dtype=float).T)

@@ -126,6 +126,8 @@ def _overlap_window(trajectories: Sequence[Trajectory]) -> tuple[float, float]:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    if args.zone is not None and args.frame != "geodetic":
+        raise ValueError("--zone applies to geodetic input only (--frame geodetic)")
     ego = parse_trajectory_log(args.ego, frame=args.frame, forced_zone=args.zone)
     targets = [
         parse_trajectory_log(path, frame=args.frame, forced_zone=args.zone)

@@ -87,30 +87,3 @@ def relative_state(ego, target) -> RelativeState:
         wrap_angle(target.psi - ego.psi),
     )
 
-
-def utm_from_relative(ego, rel: RelativeState):
-    """Rebuild the target's world-frame state from an ego-frame observation.
-
-    Inverse of relative_state given the same single ego state (float
-    channels). The returned States has a NaN yaw rate (a single relative
-    observation does not carry the target's own psi_dot).
-    """
-    from .trajlog import States
-
-    if math.isnan(ego.psi_dot):
-        raise MissingYawRate("ego sample has no yaw rate")
-    c = math.cos(ego.psi)
-    s = math.sin(ego.psi)
-    dx = rel.x * c - rel.y * s
-    dy = rel.x * s + rel.y * c
-    u = rel.vx * c - rel.vy * s
-    v = rel.vx * s + rel.vy * c
-    return States(
-        t=ego.t,
-        x=ego.x + dx,
-        y=ego.y + dy,
-        vx=ego.vx + u - ego.psi_dot * dy,
-        vy=ego.vy + v + ego.psi_dot * dx,
-        psi=wrap_angle(rel.psi + ego.psi),
-        psi_dot=math.nan,
-    )

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._util import fmt_float, opened, positive
 from .egokin import RelativeState, relative_state
-from .errors import ParseError, ZoneMismatch
+from .errors import MissingYawRate, ParseError, ZoneMismatch
 from .resample import build_interpolant
 from .trajlog import ClockModel, Trajectory, apply_clock_model
 from .uncert import (
@@ -193,6 +193,7 @@ def generate_records(
     Every stamp must lie in every trajectory's support (OutOfSupport names
     the offenders otherwise). Bounds are dataset-level constants computed
     once from noise + envelope; passing only one of the two is an error.
+    They need a logged ego yaw rate; MissingYawRate names an ego without one.
     Records come back sorted by (t, target_id).
     """
     if not targets:
@@ -206,6 +207,8 @@ def generate_records(
         raise ValueError("a noise model needs a scenario envelope to form bounds")
     if envelope is not None and noise is None:
         raise ValueError("a scenario envelope needs a noise model to form bounds")
+    if noise is not None and not ego.has_yaw_rate:
+        raise MissingYawRate(f"ego {ego.vehicle_id!r} has no yaw rate; bounds need a logged one")
     _check_zones([ego, *targets])
     if clocks:
         ego, *targets = [
@@ -323,6 +326,8 @@ def read_records_jsonl(source: str | Path | IO[str]) -> RecordSet:
                     raw = (data["pos_bound"], data["vel_bound"], data["yaw_var"])
                     if not rows:
                         bounds = (CovBound2(**raw[0]), CovBound2(**raw[1]), float(raw[2]))
+                        if not (math.isfinite(bounds[2]) and bounds[2] >= 0.0):
+                            raise ValueError(f"yaw_var must be >= 0 and finite, got {raw[2]}")
                 if rows and raw != first:
                     raise ValueError("bounds differ from the first record's")
                 if raw:

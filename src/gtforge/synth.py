@@ -186,34 +186,6 @@ def simulate_run(
     return Trajectory(vehicle_id, s.t, s.x, s.y, s.vx, s.vy, s.psi, s.psi_dot)
 
 
-def straight_trajectory(
-    vehicle_id: str,
-    start: tuple[float, float],
-    heading: float,
-    speed: float,
-    duration: float,
-    rate: float,
-) -> Trajectory:
-    """Constant-velocity straight-line log (speed 0 gives a parked vehicle).
-
-    Covers alignment and clock studies that need motion geometry the
-    closed track cannot produce, e.g. two vehicles approaching head-on.
-    """
-    positive("duration", duration)
-    positive("rate", rate)
-    if speed < 0.0 or not math.isfinite(speed):
-        raise ValueError(f"speed must be >= 0 and finite, got {speed}")
-    count = int(math.floor(duration * rate + 1e-9))
-    t = np.arange(count + 1) / rate
-    psi = wrap_angle(float(heading))
-    vx = speed * math.cos(psi)
-    vy = speed * math.sin(psi)
-    return Trajectory(
-        vehicle_id, t, start[0] + vx * t, start[1] + vy * t,
-        np.full_like(t, vx), np.full_like(t, vy), np.full_like(t, psi), np.zeros_like(t),
-    )
-
-
 def corrupt(
     traj: Trajectory,
     nm: NoiseModel | None,
@@ -285,34 +257,6 @@ def run_scenario(scenario: Scenario) -> dict[str, tuple[Trajectory, Trajectory]]
         )
         out[vehicle.vehicle_id] = (clean, recorded)
     return out
-
-
-def make_lead_follow(
-    gap: float,
-    speed: float,
-    duration: float,
-    rate: float,
-    track: StadiumTrack | None = None,
-    noise: NoiseModel | None = None,
-    seed: int = 0,
-) -> Scenario:
-    """Two vehicles on the same track at the same speed, the lead ahead by
-    a fixed arc gap. The stock validation scenario."""
-    positive("gap", gap)
-    run = RunSpec(duration=duration, rate=rate, speed_profile=((0.0, speed),))
-    lead = RunSpec(
-        duration=duration, rate=rate, speed_profile=((0.0, speed),),
-        start_offset=gap,
-    )
-    return Scenario(
-        track=track if track is not None else StadiumTrack(),
-        vehicles=(
-            VehicleRun("ego", run),
-            VehicleRun("lead", lead),
-        ),
-        noise=noise,
-        seed=seed,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,112 @@
+"""Fixture builders shared by the tests.
+
+None of these is on a subcommand's path, so they live here rather than in
+the package: two scenario builders, the pose-stream writer, SE(2)
+composition for building a second pose stream from a first, and the
+inverse of egokin.relative_state that the round-trip test uses as oracle.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from gtforge._util import write_csv_table
+from gtforge.calib import POSE_COLUMNS, RigidTransform2D
+from gtforge.egokin import RelativeState, wrap_angle
+from gtforge.synth import RunSpec, Scenario, StadiumTrack, VehicleRun
+from gtforge.trajlog import States, Trajectory
+from gtforge.uncert import NoiseModel
+
+
+def straight_trajectory(
+    vehicle_id: str,
+    start: tuple[float, float],
+    heading: float,
+    speed: float,
+    duration: float,
+    rate: float,
+) -> Trajectory:
+    """Constant-velocity straight-line log (speed 0 gives a parked vehicle).
+
+    Covers clock studies that need motion geometry the closed track cannot
+    produce, e.g. two vehicles approaching head-on.
+    """
+    count = int(math.floor(duration * rate + 1e-9))
+    t = np.arange(count + 1) / rate
+    psi = wrap_angle(float(heading))
+    vx = speed * math.cos(psi)
+    vy = speed * math.sin(psi)
+    return Trajectory(
+        vehicle_id, t, start[0] + vx * t, start[1] + vy * t,
+        np.full_like(t, vx), np.full_like(t, vy), np.full_like(t, psi), np.zeros_like(t),
+    )
+
+
+def make_lead_follow(
+    gap: float,
+    speed: float,
+    duration: float,
+    rate: float,
+    track: StadiumTrack | None = None,
+    noise: NoiseModel | None = None,
+    seed: int = 0,
+) -> Scenario:
+    """Vehicles "ego" and "lead" on the same track at the same speed, the
+    lead ahead by a fixed arc gap."""
+    run = RunSpec(duration=duration, rate=rate, speed_profile=((0.0, speed),))
+    lead = RunSpec(
+        duration=duration, rate=rate, speed_profile=((0.0, speed),),
+        start_offset=gap,
+    )
+    return Scenario(
+        track=track if track is not None else StadiumTrack(),
+        vehicles=(VehicleRun("ego", run), VehicleRun("lead", lead)),
+        noise=noise,
+        seed=seed,
+    )
+
+
+def write_pose_stream(poses: np.ndarray, dest) -> None:
+    """Write an (N, 4) pose array as the t,x,y,theta CSV calibrate reads."""
+    write_csv_table(dest, POSE_COLUMNS, np.asarray(poses, dtype=float).T)
+
+
+def compose(poses: np.ndarray, x: RigidTransform2D) -> np.ndarray:
+    """Stream b = a o X: each (t, x, y, theta) pose of a followed by x.
+
+    Pose b_i maps a point p to a_i(X(p)), so b_i's translation is a_i
+    applied to X's and its rotation is theta_a + theta_X, wrapped.
+    """
+    t, px, py, theta = np.asarray(poses, dtype=float).T
+    c = np.cos(theta)
+    s = np.sin(theta)
+    return np.stack(
+        (t, c * x.tx - s * x.ty + px, s * x.tx + c * x.ty + py, wrap_angle(theta + x.theta)),
+        axis=1,
+    )
+
+
+def utm_from_relative(ego, rel: RelativeState) -> States:
+    """Rebuild the target's world-frame state from an ego-frame observation.
+
+    Inverse of relative_state given the same single ego state (float
+    channels). The returned States has a NaN yaw rate (a single relative
+    observation does not carry the target's own psi_dot).
+    """
+    c = math.cos(ego.psi)
+    s = math.sin(ego.psi)
+    dx = rel.x * c - rel.y * s
+    dy = rel.x * s + rel.y * c
+    u = rel.vx * c - rel.vy * s
+    v = rel.vx * s + rel.vy * c
+    return States(
+        t=ego.t,
+        x=ego.x + dx,
+        y=ego.y + dy,
+        vx=ego.vx + u - ego.psi_dot * dy,
+        vy=ego.vy + v + ego.psi_dot * dx,
+        psi=wrap_angle(rel.psi + ego.psi),
+        psi_dot=math.nan,
+    )

@@ -13,11 +13,11 @@ import time
 import numpy as np
 import pytest
 
-from gtforge import cli, synth
+from gtforge import cli
 from gtforge.calib import RigidTransform2D, relative_motions, solve_hand_eye
 from gtforge.egokin import relative_state, wrap_angle
 from gtforge.gtgen import VehicleGeometry, generate_records
-from gtforge.synth import StadiumTrack, make_lead_follow, run_scenario, run_states
+from gtforge.synth import StadiumTrack, run_scenario, run_states
 from gtforge.trajlog import ClockModel, States, apply_clock_model
 from gtforge.uncert import (
     ANALYSIS_ENVELOPE,
@@ -35,6 +35,7 @@ from gtforge.uncert import (
     velocity_bound,
     yaw_variance,
 )
+from helpers import compose, make_lead_follow, straight_trajectory
 
 GEOM = VehicleGeometry(length=4.0, width=2.0)
 
@@ -234,8 +235,8 @@ def test_07_clock_offset_sensitivity():
     """An uncompensated target clock offset shifts the range by speed*delta."""
     t0 = time.monotonic()
     speed = 70.0
-    ego = synth.straight_trajectory("ego", (0.0, 0.0), 0.0, 0.0, 4.0, 100.0)
-    target_true = synth.straight_trajectory(
+    ego = straight_trajectory("ego", (0.0, 0.0), 0.0, 0.0, 4.0, 100.0)
+    target_true = straight_trajectory(
         "target", (300.0, 0.0), math.pi, speed, 4.0, 100.0
     )
     stamps = np.linspace(0.5, 3.5, 61)
@@ -290,15 +291,8 @@ def test_08_hand_eye_calibration():
         t = np.arange(n) * 0.1
         return np.stack([t, 2.0 * t, np.sin(t), 1.5 * np.sin(0.7 * t)], axis=1)
 
-    def conjugate(p: np.ndarray) -> np.ndarray:
-        out = p.copy()
-        for i in range(p.shape[0]):
-            q = RigidTransform2D(p[i, 3], p[i, 1], p[i, 2]).compose(x_true)
-            out[i, 1:] = (q.tx, q.ty, q.theta)
-        return out
-
     clean_a = poses(1000)
-    clean_b = conjugate(clean_a)
+    clean_b = compose(clean_a, x_true)
     result = solve_hand_eye(relative_motions(clean_a), relative_motions(clean_b))
     clean_err = max(
         abs(result.transform.theta - x_true.theta),
@@ -309,7 +303,7 @@ def test_08_hand_eye_calibration():
     def noisy_error(n: int, trial: int) -> float:
         rng = np.random.default_rng((71, n, trial))
         a = poses(n)
-        b = conjugate(a)
+        b = compose(a, x_true)
         a[:, 1:3] += rng.normal(0, 0.02, (n, 2))
         a[:, 3] += rng.normal(0, 1.75e-3, n)
         b[:, 1:3] += rng.normal(0, 0.02, (n, 2))

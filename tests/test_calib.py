@@ -14,7 +14,6 @@ from gtforge.calib import (
     parse_pose_stream,
     relative_motions,
     solve_hand_eye,
-    write_pose_stream,
 )
 from gtforge.egokin import wrap_angle
 from gtforge.errors import (
@@ -24,6 +23,7 @@ from gtforge.errors import (
     ParseError,
     TooFewPoses,
 )
+from helpers import compose, write_pose_stream
 
 
 def wavy_poses(n: int = 200, dt: float = 0.1, turn: float = 1.5) -> np.ndarray:
@@ -34,33 +34,7 @@ def wavy_poses(n: int = 200, dt: float = 0.1, turn: float = 1.5) -> np.ndarray:
     )
 
 
-def conjugated_stream(poses: np.ndarray, x: RigidTransform2D) -> np.ndarray:
-    out = poses.copy()
-    for i in range(poses.shape[0]):
-        p = RigidTransform2D(poses[i, 3], poses[i, 1], poses[i, 2]).compose(x)
-        out[i, 1:] = (p.tx, p.ty, p.theta)
-    return out
-
-
 class TestRigidTransform:
-    def test_apply(self):
-        x = RigidTransform2D(theta=math.pi / 2, tx=1.0, ty=0.0)
-        got = x.apply((2.0, 0.0))
-        assert got[0] == pytest.approx(1.0)
-        assert got[1] == pytest.approx(2.0)
-
-    def test_compose_inverse_is_identity(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            x = RigidTransform2D(
-                float(rng.uniform(-3, 3)), float(rng.uniform(-5, 5)),
-                float(rng.uniform(-5, 5)),
-            )
-            ident = x.compose(x.inverse())
-            assert ident.theta == pytest.approx(0.0, abs=1e-12)
-            assert ident.tx == pytest.approx(0.0, abs=1e-12)
-            assert ident.ty == pytest.approx(0.0, abs=1e-12)
-
     def test_theta_wrapped(self):
         assert RigidTransform2D(theta=4.0, tx=0.0, ty=0.0).theta == pytest.approx(
             4.0 - 2 * math.pi
@@ -107,7 +81,7 @@ class TestHandEye:
 
     def test_noiseless_recovery(self):
         poses_a = wavy_poses()
-        poses_b = conjugated_stream(poses_a, self.X)
+        poses_b = compose(poses_a, self.X)
         result = solve_hand_eye(
             relative_motions(poses_a), relative_motions(poses_b)
         )
@@ -129,7 +103,7 @@ class TestHandEye:
             )
             result = solve_hand_eye(
                 relative_motions(poses_a),
-                relative_motions(conjugated_stream(poses_a, x)),
+                relative_motions(compose(poses_a, x)),
             )
             assert result.transform.theta == pytest.approx(x.theta, abs=1e-9)
             assert result.transform.tx == pytest.approx(x.tx, abs=1e-9)
@@ -149,7 +123,7 @@ class TestHandEye:
         def estimate_error(n: int, trial: int) -> float:
             local = np.random.default_rng((17, n, trial))
             poses_a = wavy_poses(n)
-            poses_b = conjugated_stream(poses_a, self.X)
+            poses_b = compose(poses_a, self.X)
             poses_a[:, 1:3] += local.normal(0, sigma_pos, (n, 2))
             poses_a[:, 3] += local.normal(0, sigma_theta, n)
             poses_b[:, 1:3] += local.normal(0, sigma_pos, (n, 2))
@@ -175,7 +149,7 @@ class TestHandEye:
         with pytest.raises(DegenerateMotion):
             solve_hand_eye(
                 relative_motions(straight),
-                relative_motions(conjugated_stream(straight, self.X)),
+                relative_motions(compose(straight, self.X)),
             )
 
     def test_length_mismatch(self):
@@ -208,13 +182,6 @@ class TestPoseStreamIO:
             parse_pose_stream(io.StringIO(text))
         assert err.value.line == 3
         assert str(err.value) == "line 3: column 'x' is not a number: 'x'"
-
-    def test_write_is_repr_per_cell(self):
-        poses = wavy_poses(7)
-        buf = io.StringIO()
-        write_pose_stream(poses, buf)
-        rows = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in poses)
-        assert buf.getvalue() == "t,x,y,theta\n" + rows
 
     def test_times_must_increase(self):
         text = "t,x,y,theta\n1,0,0,0\n1,1,0,0\n"

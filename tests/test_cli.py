@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 import pytest
 
 from gtforge import certify, cli, errors, uncert
-from gtforge.calib import RigidTransform2D, write_pose_stream
+from gtforge.calib import RigidTransform2D
 from gtforge.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+from helpers import compose, write_pose_stream
 
 NOISE = {"sigma_pos": 0.02, "sigma_vel": 0.02, "sigma_psi": 0.00175,
          "sigma_psi_dot": 0.00175}
@@ -261,6 +261,37 @@ class TestGenerate:
         assert "geometry.json: geometry id(s) ['lead'] match no target" in err
         assert "target ids are ['lead_clean']" in err
 
+    @pytest.mark.parametrize("blank, expected", [("ego", EXIT_FAILURE), ("lead", EXIT_OK)])
+    def test_bounds_need_a_logged_ego_yaw_rate(self, workspace, capsys, blank, expected):
+        """Without one, the ego yaw rate is the derivative of the noisy yaw
+        and vel_bound, which assumes sigma_psi_dot, would not hold."""
+        sim = simulate(workspace)
+        for name in ("ego", "lead"):
+            lines = (sim / f"{name}_noisy.csv").read_text().splitlines(keepends=True)
+            if name == blank:
+                lines[1:] = [line.rsplit(",", 1)[0] + ",\n" for line in lines[1:]]
+            (workspace / f"{name}.csv").write_text("".join(lines))
+        out = workspace / "gt.jsonl"
+        rc = main([
+            "generate", "--ego", str(workspace / "ego.csv"),
+            "--target", str(workspace / "lead.csv"), "--rate", "10",
+            "--geometry", str(workspace / "geometry.json"),
+            "--noise", str(workspace / "noise.json"),
+            "--envelope", str(workspace / "envelope.json"), "--out", str(out),
+        ])
+        assert rc == expected
+        if expected == EXIT_FAILURE:
+            assert "ego 'ego' has no yaw rate" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert "vel_bound" in json.loads(out.read_text().splitlines()[0])
+
+    def test_zone_with_utm_input_is_usage_error(self, workspace, capsys):
+        rc, out = self.generate(workspace, "--frame", "utm", "--zone", "99")
+        assert rc == EXIT_USAGE
+        assert "--zone applies to geodetic input only" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBounds:
     def test_reference_output(self, workspace, capsys):
@@ -359,16 +390,9 @@ class TestCalibrate:
     def test_recovers_transform(self, workspace, capsys):
         x = RigidTransform2D(theta=0.3, tx=1.2, ty=-0.4)
         t = np.arange(150) * 0.1
-        rows_a, rows_b = [], []
-        for ti in t:
-            pa = RigidTransform2D(
-                1.5 * math.sin(0.7 * ti), 2.0 * ti, math.sin(ti)
-            )
-            pb = pa.compose(x)
-            rows_a.append((ti, pa.tx, pa.ty, pa.theta))
-            rows_b.append((ti, pb.tx, pb.ty, pb.theta))
-        write_pose_stream(np.array(rows_a), workspace / "a.csv")
-        write_pose_stream(np.array(rows_b), workspace / "b.csv")
+        poses = np.stack([t, 2.0 * t, np.sin(t), 1.5 * np.sin(0.7 * t)], axis=1)
+        write_pose_stream(poses, workspace / "a.csv")
+        write_pose_stream(compose(poses, x), workspace / "b.csv")
         rc = main(["calibrate", "--stream-a", str(workspace / "a.csv"),
                    "--stream-b", str(workspace / "b.csv")])
         assert rc == EXIT_OK
@@ -427,6 +451,20 @@ class TestExportPlot:
         rc = main(["export-plot", "--gt", str(gt), "--channel", "x",
                    "--target", "ghost", "--out", str(workspace / "x.csv")])
         assert rc == EXIT_USAGE
+
+    @pytest.mark.parametrize("yaw_var", ["-1.0", "NaN"])
+    def test_bad_yaw_var_is_usage_error(self, workspace, capsys, yaw_var):
+        gt = workspace / "gt.jsonl"
+        gt.write_text(
+            '{"t": 1.5, "target_id": "lead", "x": 30, "y": 0, "vx": 0, "vy": 0, "psi": 0, '
+            '"bbox": [[32, 1], [32, -1], [28, -1], [28, 1]], '
+            '"pos_bound": {"a": 0.0085, "b": 0.0085, "c": 0.0057}, '
+            f'"vel_bound": {{"a": 0.064, "b": 0.064, "c": 0.0041}}, "yaw_var": {yaw_var}}}\n'
+        )
+        rc = main(["export-plot", "--gt", str(gt), "--channel", "x",
+                   "--out", str(workspace / "x.csv")])
+        assert rc == EXIT_USAGE
+        assert "line 1: bad record: yaw_var must be >= 0 and finite" in capsys.readouterr().err
 
     def test_bad_channel_rejected(self, workspace, capsys):
         rc = main(["export-plot", "--gt", "x", "--channel", "altitude",

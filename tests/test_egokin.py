@@ -14,14 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtforge.egokin import (
-    RelativeState,
-    relative_state,
-    utm_from_relative,
-    wrap_angle,
-)
+from gtforge.egokin import RelativeState, relative_state, wrap_angle
 from gtforge.errors import MissingYawRate
 from gtforge.trajlog import States, trajectory_from_arrays
+from helpers import utm_from_relative
 
 
 def sample(t=0.0, x=0.0, y=0.0, vx=0.0, vy=0.0, psi=0.0, psi_dot=0.0):

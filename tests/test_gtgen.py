@@ -24,9 +24,10 @@ from gtforge.gtgen import (
     read_stamps,
     write_records_jsonl,
 )
-from gtforge.synth import make_lead_follow, run_scenario
+from gtforge.synth import run_scenario
 from gtforge.trajlog import ClockModel
 from gtforge.uncert import ANALYSIS_ENVELOPE, ANALYSIS_NOISE, CovBound2
+from helpers import make_lead_follow
 
 
 def lead_follow_logs(duration=5.0, rate=20.0, gap=30.0):
@@ -272,7 +273,8 @@ class TestJsonl:
     @pytest.mark.parametrize("key, value", [
         ("x", "NaN"), ("psi", "3.5"), ("x", '"30.0"'), ("x", "true"),
         pytest.param("x", "1" + "0" * 400, id="x-int-past-float-range"),
-        ("yaw_var", '"6.125e-06"'), ("target_id", "7"),
+        ("yaw_var", '"6.125e-06"'), ("yaw_var", "-1.0"), ("yaw_var", "NaN"),
+        ("target_id", "7"),
     ])
     def test_read_rejects_bad_value_with_line(self, key, value):
         good = to_jsonl(self.record())

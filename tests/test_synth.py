@@ -16,15 +16,14 @@ from gtforge.synth import (
     StadiumTrack,
     VehicleRun,
     corrupt,
-    make_lead_follow,
     run_scenario,
     scenario_from_mapping,
     run_states,
     simulate_run,
-    straight_trajectory,
 )
 from gtforge.trajlog import ClockModel, trajectory_from_arrays
 from gtforge.uncert import NoiseModel
+from helpers import make_lead_follow
 
 
 class TestTrackGeometry:
@@ -140,19 +139,6 @@ class TestRunStates:
         t, x, vx = traj.t, traj.x, traj.vx
         mid_vx = (x[2:] - x[:-2]) / (t[2:] - t[:-2])
         assert np.max(np.abs(mid_vx - vx[1:-1])) < 2e-3
-
-
-class TestStraightTrajectory:
-    def test_parked_vehicle(self):
-        traj = straight_trajectory("ego", (5.0, 5.0), 0.0, 0.0, 2.0, 10.0)
-        assert np.all(traj.x == 5.0) and np.all(traj.vx == 0.0)
-        assert traj.has_yaw_rate
-
-    def test_heading_sets_velocity_direction(self):
-        traj = straight_trajectory("t", (0.0, 0.0), math.pi, 70.0, 1.0, 10.0)
-        assert traj.vx[0] == pytest.approx(-70.0)
-        assert traj.vy[0] == pytest.approx(0.0, abs=1e-12)
-        assert traj.x[-1] == pytest.approx(-70.0)
 
 
 class TestCorrupt:
