@@ -3,10 +3,12 @@ check, fixed-width float formatting for serialized output, the JSON config
 loader, the file opener and CSV table reader shared by every log format,
 and the CSV writer of trajectory logs.
 
-Every JSON config is read by one rule, from_mapping: a config object's
-keys are the fields of the dataclass it builds, fields with defaults may
-be left out, unknown keys are refused, and a float field takes a JSON
-number only (never a boolean or a string)."""
+Every JSON config, the scenario included, is read by one rule,
+from_mapping: a config object's keys are the fields of the dataclass it
+builds, fields with defaults may be left out, unknown keys are refused,
+and each value must be what its field's annotation says: a float a JSON
+number, an int an integer, a str a string (never a boolean), a tuple an
+array, a nested dataclass an object, and an optional field may be null."""
 
 from __future__ import annotations
 
@@ -14,10 +16,14 @@ import csv
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, is_dataclass
 from itertools import islice
 from pathlib import Path
-from typing import IO, Callable, Collection, Iterator, Mapping, Sequence, TypeVar
+from types import UnionType
+from typing import (
+    IO, Callable, Collection, Iterator, Mapping, Sequence, TypeVar, Union, get_args,
+    get_origin, get_type_hints,
+)
 
 import numpy as np
 
@@ -84,13 +90,59 @@ def load_json_object(path: str | Path) -> Mapping:
     return json_object(data, str(path))
 
 
+# Scalar annotation -> (what the error calls it, the JSON values it takes).
+_SCALARS = {
+    float: ("a number", (int, float)),
+    int: ("an integer", int),
+    str: ("a string", str),
+}
+
+
+def _field_value(tp: object, value: object, name: str, source: str) -> object:
+    """value read as the annotation tp of the field (or item) name in source."""
+    args = get_args(tp)
+    if get_origin(tp) in (Union, UnionType) and len(args) == 2 and type(None) in args:
+        if value is None:
+            return None
+        (tp,) = [arg for arg in args if arg is not type(None)]
+        return _field_value(tp, value, name, source)
+    if is_dataclass(tp):
+        return from_mapping(tp, value, f"{source}.{name}")
+    if get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ParseError(f"{source}: {name} must be an array, got {value!r}")
+        items = args[:1] * len(value) if args[1:] == (...,) else args
+        if len(items) != len(value):
+            raise ParseError(
+                f"{source}: {name} must be an array of {len(items)} items, got {value!r}"
+            )
+        return tuple(
+            _field_value(item, v, f"{name}[{i}]", source)
+            for i, (item, v) in enumerate(zip(items, value))
+        )
+    if tp not in _SCALARS:
+        raise TypeError(f"from_mapping cannot read {name} annotated {tp!r}")
+    kind, json_types = _SCALARS[tp]
+    # Python's own conversions would take True as 1 and "0.02" as 0.02.
+    try:
+        if isinstance(value, bool) or not isinstance(value, json_types):
+            raise TypeError
+        return float(value) if tp is float else value
+    except (TypeError, OverflowError):
+        raise ParseError(f"{source}: {name} must be {kind}, got {value!r}")
+
+
 def from_mapping(cls: type[T], data: object, source: str) -> T:
     """The dataclass cls built from the JSON object data.
 
     The keys must be fields of cls; a field without a default must be
-    present. A float field takes a JSON number (int or float, never a
-    boolean). Unknown keys, missing fields, anything else in a float field,
-    and any TypeError or ValueError from the constructor raise ParseError
+    present. Each value is read as its field's annotation: a float takes a
+    JSON number, an int only an integer, a str only a string, and none of
+    them a boolean; tuple[X, Y] and tuple[X, ...] take an array of such
+    items; a dataclass field is a nested object, read by this rule and
+    named source.field (source.field[i] inside an array); X | None also
+    takes null. Any other annotation raises TypeError. A bad key or value,
+    and any TypeError or ValueError from the constructor, raise ParseError
     naming source.
     """
     spec = fields(cls)
@@ -101,17 +153,8 @@ def from_mapping(cls: type[T], data: object, source: str) -> T:
     )
     if missing:
         raise ParseError(f"{source}: missing required field(s) {missing}")
-    kwargs = dict(data)
-    for f in spec:
-        if f.name in data and f.type in ("float", float):
-            value = data[f.name]
-            # float() alone would also take True as 1.0 and "0.02" as 0.02.
-            try:
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise TypeError
-                kwargs[f.name] = float(value)
-            except (TypeError, OverflowError):
-                raise ParseError(f"{source}: {f.name} must be a number, got {value!r}")
+    types = get_type_hints(cls)
+    kwargs = {key: _field_value(types[key], value, key, source) for key, value in data.items()}
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as err:

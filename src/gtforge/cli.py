@@ -75,10 +75,9 @@ def _cov_report(cov: uncert.CovBound2) -> dict:
 # simulate
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = synth.load_scenario(args.config)
+    logs = synth.run_scenario(load_config(synth.Scenario, args.config))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    logs = synth.run_scenario(scenario)
     for vehicle_id in sorted(logs):
         clean, recorded = logs[vehicle_id]
         clean_path = out_dir / f"{vehicle_id}_clean.csv"
@@ -128,6 +127,8 @@ def _overlap_window(trajectories: Sequence[Trajectory]) -> tuple[float, float]:
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.zone is not None and args.frame != "geodetic":
         raise ValueError("--zone applies to geodetic input only (--frame geodetic)")
+    if args.zone is not None and not 1 <= args.zone <= 60:
+        raise ValueError(f"--zone must be in 1..60, got {args.zone}")
     ego = parse_trajectory_log(args.ego, frame=args.frame, forced_zone=args.zone)
     targets = [
         parse_trajectory_log(path, frame=args.frame, forced_zone=args.zone)
@@ -331,7 +332,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (*_INPUT_ERRORS, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE
-    except GtForgeError as err:
+    except (GtForgeError, MemoryError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_FAILURE
 

@@ -131,8 +131,9 @@ def wgs84_to_utm(
     boundary live in one consistent plane, limited to 7 degrees from the
     central meridian. The first point's hemisphere also sets the false
     northing of every point, so a session that crosses the equator keeps a
-    continuous northing. A bad point raises InvalidCoordinate or OutOfZone
-    naming its index.
+    continuous northing. A bad forced_zone raises InvalidCoordinate before
+    any point is looked at; a bad point raises InvalidCoordinate or
+    OutOfZone naming its index.
     """
     lat = np.atleast_1d(np.asarray(lat, dtype=float))
     lon = np.atleast_1d(np.asarray(lon, dtype=float))
@@ -144,8 +145,7 @@ def wgs84_to_utm(
             err.index = 0
             raise
     in_range = (-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon < 180.0)
-    zone_ok = 1 <= zone <= 60
-    dlon = lon - central_meridian_deg(zone) if zone_ok else np.full(lon.shape, math.nan)
+    dlon = lon - central_meridian_deg(zone)
     ok = in_range & (np.abs(dlon) < MAX_CM_DISTANCE_DEG)
 
     # Conformal latitude, expressed through its tangent.
@@ -165,10 +165,6 @@ def wgs84_to_utm(
     northing = np.full(lat.shape, math.nan)
     easting[ok] = FALSE_EASTING + SCALE_FACTOR * _RADIUS * eta
     northing[ok] = SCALE_FACTOR * _RADIUS * xi
-    # A forced zone comes from the user; as in a point-by-point loop, it is
-    # checked after the first point's own coordinates.
-    bad_zone = np.zeros(lat.shape, dtype=bool)
-    bad_zone[0] = not zone_ok
     _raise_first([
         (~np.isfinite(lat), InvalidCoordinate,
          lambda i: f"lat must be finite, got {lat.item(i)!r}"),
@@ -178,8 +174,6 @@ def wgs84_to_utm(
          lambda i: f"lat must be in [-90, 90], got {lat.item(i)}"),
         (~in_range, InvalidCoordinate,
          lambda i: f"lon must be in [-180, 180), got {lon.item(i)}"),
-        (bad_zone, InvalidCoordinate,
-         lambda i: f"zone must be in 1..60, got {zone}"),
         (~ok, OutOfZone,
          lambda i: f"lon {lon.item(i)} is {abs(dlon.item(i)):.3f} deg from zone "
          f"{zone}'s central meridian (limit {MAX_CM_DISTANCE_DEG})"),

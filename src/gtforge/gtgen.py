@@ -54,16 +54,8 @@ class VehicleGeometry:
     def __post_init__(self) -> None:
         positive("length", self.length)
         positive("width", self.width)
-        try:
-            ox, oy = self.ref_to_center
-            finite = math.isfinite(ox) and math.isfinite(oy)
-        except (TypeError, ValueError):
-            finite = False
-        if not finite:
-            raise ValueError(
-                f"ref_to_center must be two finite numbers, got {self.ref_to_center!r}"
-            )
-        object.__setattr__(self, "ref_to_center", (float(ox), float(oy)))
+        if not all(map(math.isfinite, self.ref_to_center)):
+            raise ValueError(f"ref_to_center must be finite, got {self.ref_to_center!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,20 +5,21 @@ following piecewise-linear speed profiles, so position, velocity, yaw and
 yaw rate are available in closed form at any time. Logs sampled from these
 runs can be corrupted with the standard per-channel Gaussian noise and an
 affine clock error, giving test data whose ground truth is exact.
+
+A Scenario is plain config: simulate reads it from JSON with
+_util.load_config, so its keys, and each vehicle's, are the fields of
+Scenario and RunSpec.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
-from pathlib import Path
-from typing import Mapping
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._util import derived_rng, from_mapping, json_object, load_json_object, positive
+from ._util import derived_rng, positive
 from .egokin import wrap_angle
-from .errors import ParseError
 from .trajlog import ClockModel, States, Trajectory, apply_clock_model
 from .uncert import NoiseModel
 
@@ -91,30 +92,35 @@ class StadiumTrack:
         return x, y, heading + math.tau * lap, curvature
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RunSpec:
-    """One vehicle's schedule on the track.
+    """One vehicle's run on the track, and the clock error of its log.
 
-    speed_profile is a tuple of (time, speed) knots; speed is interpolated
-    linearly between knots and held constant outside them, so plateaus with
-    linear ramps are expressed directly and travelled distance integrates
-    exactly. start_offset is the arc position at t = 0.
+    id names the vehicle and its log files, so it must be a file stem:
+    non-empty, with no '/' or '\\'. speed_profile is a tuple of
+    (time, speed) knots; speed is interpolated linearly between knots and
+    held constant outside them, so plateaus with linear ramps are expressed
+    directly and travelled distance integrates exactly. start_offset is
+    the arc position at t = 0. clock, when given, retimes the recorded log.
     """
 
+    id: str
     duration: float
     rate: float
     speed_profile: tuple[tuple[float, float], ...]
     start_offset: float = 0.0
+    clock: ClockModel | None = None
 
     def __post_init__(self) -> None:
+        if not self.id or "/" in self.id or "\\" in self.id:
+            raise ValueError(
+                f"id must be a file stem (non-empty, no '/' or '\\'), got {self.id!r}"
+            )
         positive("duration", self.duration)
         positive("rate", self.rate)
         if not math.isfinite(self.start_offset):
             raise ValueError("start_offset must be finite")
-        try:
-            profile = tuple((float(t), float(v)) for t, v in self.speed_profile)
-        except (TypeError, ValueError):
-            raise ValueError("speed_profile must be a list of [time, speed] number pairs")
+        profile = self.speed_profile
         if not profile:
             raise ValueError("speed_profile must have at least one knot")
         for i, (t, v) in enumerate(profile):
@@ -124,7 +130,6 @@ class RunSpec:
                 raise ValueError(f"speeds must be >= 0, got {v}")
             if i and t <= profile[i - 1][0]:
                 raise ValueError("speed_profile times must increase strictly")
-        object.__setattr__(self, "speed_profile", profile)
 
     def speed_at(self, t) -> np.ndarray:
         times = np.array([k[0] for k in self.speed_profile])
@@ -178,12 +183,11 @@ def sample_times(run: RunSpec) -> np.ndarray:
     return np.arange(count + 1) / run.rate
 
 
-def simulate_run(
-    track: StadiumTrack, run: RunSpec, vehicle_id: str = "vehicle"
-) -> Trajectory:
-    """Noise-free log of one run, sampled at the run's rate from t = 0."""
+def simulate_run(track: StadiumTrack, run: RunSpec) -> Trajectory:
+    """Noise-free log of one run, named run.id, sampled at the run's rate
+    from t = 0."""
     s = run_states(track, run, sample_times(run))
-    return Trajectory(vehicle_id, s.t, s.x, s.y, s.vx, s.vy, s.psi, s.psi_dot)
+    return Trajectory(run.id, s.t, s.x, s.y, s.vx, s.vy, s.psi, s.psi_dot)
 
 
 def corrupt(
@@ -218,26 +222,19 @@ def corrupt(
 
 
 @dataclass(frozen=True)
-class VehicleRun:
-    vehicle_id: str
-    run: RunSpec
-    clock: ClockModel | None = None
-
-
-@dataclass(frozen=True)
 class Scenario:
-    """A full synthetic session: track, one run per vehicle, optional noise
-    model (shared) and per-vehicle clock errors, one master seed."""
+    """A full synthetic session: one run per vehicle, the track, an optional
+    noise model (shared) and one master seed."""
 
-    track: StadiumTrack
-    vehicles: tuple[VehicleRun, ...]
+    vehicles: tuple[RunSpec, ...]
+    track: StadiumTrack = StadiumTrack()
     noise: NoiseModel | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.vehicles:
             raise ValueError("scenario needs at least one vehicle")
-        ids = [v.vehicle_id for v in self.vehicles]
+        ids = [run.id for run in self.vehicles]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate vehicle ids in scenario: {ids}")
 
@@ -250,54 +247,8 @@ def run_scenario(scenario: Scenario) -> dict[str, tuple[Trajectory, Trajectory]]
     seed, so output is deterministic regardless of evaluation order.
     """
     out: dict[str, tuple[Trajectory, Trajectory]] = {}
-    for index, vehicle in enumerate(scenario.vehicles):
-        clean = simulate_run(scenario.track, vehicle.run, vehicle_id=vehicle.vehicle_id)
-        recorded = corrupt(
-            clean, scenario.noise, vehicle.clock, seed=scenario.seed, stream=index
-        )
-        out[vehicle.vehicle_id] = (clean, recorded)
+    for index, run in enumerate(scenario.vehicles):
+        clean = simulate_run(scenario.track, run)
+        recorded = corrupt(clean, scenario.noise, run.clock, seed=scenario.seed, stream=index)
+        out[run.id] = (clean, recorded)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Scenario JSON configs.
-
-_SCENARIO_KEYS = ("seed", "track", "noise", "vehicles")
-_VEHICLE_KEYS = ("id", "clock", *(f.name for f in fields(RunSpec)))
-
-
-def _vehicle_from_mapping(data: object, source: str) -> VehicleRun:
-    """A vehicle entry: its id, an optional clock, and the RunSpec fields."""
-    run = dict(json_object(data, source, _VEHICLE_KEYS))
-    if "id" not in run:
-        raise ParseError(f"{source}: missing required field(s) ['id']")
-    vehicle_id = str(run.pop("id"))
-    clock = run.pop("clock", None)
-    if clock is not None:
-        clock = from_mapping(ClockModel, clock, f"{source}.clock")
-    return VehicleRun(vehicle_id, from_mapping(RunSpec, run, source), clock)
-
-
-def scenario_from_mapping(data: Mapping, source: str = "scenario") -> Scenario:
-    data = json_object(data, source, _SCENARIO_KEYS)
-    if "vehicles" not in data:
-        raise ParseError(f"{source}: missing required field(s) ['vehicles']")
-    track = from_mapping(StadiumTrack, data.get("track", {}), f"{source}.track")
-    noise = data.get("noise")
-    if noise is not None:
-        noise = from_mapping(NoiseModel, noise, f"{source}.noise")
-    seed = data.get("seed", 0)
-    if type(seed) is not int:
-        raise ParseError(f"{source}: seed must be an integer, got {seed!r}")
-    try:
-        vehicles = tuple(
-            _vehicle_from_mapping(v, f"{source}.vehicles[{i}]")
-            for i, v in enumerate(data["vehicles"])
-        )
-        return Scenario(track, vehicles, noise, seed)
-    except (TypeError, ValueError) as err:
-        raise ParseError(f"{source}: {err}")
-
-
-def load_scenario(path: str | Path) -> Scenario:
-    return scenario_from_mapping(load_json_object(path), source=str(path))

@@ -186,8 +186,9 @@ def parse_trajectory_log(
     boundary stays in one consistent plane. The first row's hemisphere sets
     the false northing of every row. Heading is converted via
     psi = pi/2 - heading * pi/180 and wrapped. Errors name the line of the
-    first bad cell, or else of the first bad coordinate. The vehicle id
-    defaults to the file stem ("vehicle" for an open stream).
+    first bad cell, or else of the first bad coordinate; a bad forced_zone
+    names no line. The vehicle id defaults to the file stem ("vehicle" for
+    an open stream).
     """
     if frame not in FRAMES:
         raise ValueError(f"frame must be one of {FRAMES}, got {frame!r}")
@@ -204,7 +205,7 @@ def parse_trajectory_log(
     try:
         x, y, zone, hemisphere = wgs84_to_utm(x, y, forced_zone)
     except CoordinateError as err:
-        raise ParseError(str(err), lines[err.index])
+        raise ParseError(str(err), None if err.index is None else lines[err.index])
     # Geodetic heading is degrees clockwise from North.
     psi = wrap_angle(math.pi / 2.0 - np.radians(angle))
     return Trajectory(

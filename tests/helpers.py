@@ -15,7 +15,7 @@ import numpy as np
 from gtforge._util import write_csv_table
 from gtforge.calib import POSE_COLUMNS, RigidTransform2D
 from gtforge.egokin import RelativeState, wrap_angle
-from gtforge.synth import RunSpec, Scenario, StadiumTrack, VehicleRun
+from gtforge.synth import RunSpec, Scenario, StadiumTrack
 from gtforge.trajlog import States, Trajectory
 from gtforge.uncert import NoiseModel
 
@@ -55,14 +55,14 @@ def make_lead_follow(
 ) -> Scenario:
     """Vehicles "ego" and "lead" on the same track at the same speed, the
     lead ahead by a fixed arc gap."""
-    run = RunSpec(duration=duration, rate=rate, speed_profile=((0.0, speed),))
+    ego = RunSpec(id="ego", duration=duration, rate=rate, speed_profile=((0.0, speed),))
     lead = RunSpec(
-        duration=duration, rate=rate, speed_profile=((0.0, speed),),
+        id="lead", duration=duration, rate=rate, speed_profile=((0.0, speed),),
         start_offset=gap,
     )
     return Scenario(
         track=track if track is not None else StadiumTrack(),
-        vehicles=(VehicleRun("ego", run), VehicleRun("lead", lead)),
+        vehicles=(ego, lead),
         noise=noise,
         seed=seed,
     )

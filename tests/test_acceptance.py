@@ -199,8 +199,8 @@ def test_06_noiseless_end_to_end():
     ego_log, lead_log = logs["ego"][1], logs["lead"][1]
 
     track = scenario.track
-    ego_run = scenario.vehicles[0].run
-    lead_run = scenario.vehicles[1].run
+    ego_run = scenario.vehicles[0]
+    lead_run = scenario.vehicles[1]
 
     def truth_at(stamps):
         ego_states = run_states(track, ego_run, stamps)

@@ -84,6 +84,29 @@ class TestSimulate:
         assert rc == EXIT_USAGE
         assert "expected a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("vehicle_id", ["../escape", "a\\b", ""])
+    def test_vehicle_id_must_be_a_file_stem(self, workspace, capsys, vehicle_id):
+        bad = workspace / "bad.json"
+        bad.write_text(json.dumps(
+            dict(SCENARIO, vehicles=[dict(SCENARIO["vehicles"][0], id=vehicle_id)])
+        ))
+        rc = main(["simulate", "--config", str(bad), "--out-dir", str(workspace / "sim")])
+        assert rc == EXIT_USAGE
+        assert "bad.json.vehicles[0]: id must be a file stem" in capsys.readouterr().err
+        assert not list(workspace.rglob("*.csv"))
+
+    def test_allocation_failure_exits_1(self, workspace, capsys):
+        """10^17 samples need 711 PiB, beyond any 57-bit address space, so
+        the allocation fails without touching memory."""
+        huge = workspace / "huge.json"
+        huge.write_text(json.dumps(
+            dict(SCENARIO, vehicles=[dict(SCENARIO["vehicles"][0], duration=1e15, rate=100.0)])
+        ))
+        rc = main(["simulate", "--config", str(huge), "--out-dir", str(workspace / "sim")])
+        assert rc == EXIT_FAILURE
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+        assert not (workspace / "sim").exists()
+
 
 class TestGenerate:
     def generate(self, workspace, *extra):
@@ -290,6 +313,12 @@ class TestGenerate:
         rc, out = self.generate(workspace, "--frame", "utm", "--zone", "99")
         assert rc == EXIT_USAGE
         assert "--zone applies to geodetic input only" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zone_out_of_range_is_flag_error(self, workspace, capsys):
+        rc, out = self.generate(workspace, "--frame", "geodetic", "--zone", "99")
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --zone must be in 1..60, got 99\n"
         assert not out.exists()
 
 

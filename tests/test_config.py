@@ -1,11 +1,12 @@
 """The one JSON config rule: a config object's keys are the fields of its
-dataclass, and fields with defaults may be left out."""
+dataclass, fields with defaults may be left out, and each value is read as
+its field's annotation."""
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from gtforge._util import from_mapping
 from gtforge.cli import EXIT_USAGE, main
 from gtforge.errors import ParseError
 from gtforge.gtgen import VehicleGeometry
-from gtforge.synth import StadiumTrack, scenario_from_mapping
+from gtforge.synth import RunSpec, Scenario, StadiumTrack
 from gtforge.trajlog import ClockModel
 from gtforge.uncert import NoiseModel, ScenarioEnvelope
 
@@ -39,8 +40,8 @@ def test_round_trip(config):
 def test_readme_scenario_example_parses():
     blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.DOTALL)
     (example,) = [block for block in blocks if '"vehicles"' in block]
-    scenario = scenario_from_mapping(json.loads(example), "README.md")
-    assert [v.vehicle_id for v in scenario.vehicles] == ["ego", "lead"]
+    scenario = from_mapping(Scenario, json.loads(example), "README.md")
+    assert [v.id for v in scenario.vehicles] == ["ego", "lead"]
     assert scenario.track == StadiumTrack(straight_len=1100.0, curve_radius=159.155)
     assert scenario.vehicles[1].clock == ClockModel(offset=0.001)
 
@@ -92,7 +93,7 @@ def test_deeply_nested_config_exits_2(tmp_path, capsys):
 def test_scenario_seed_must_be_an_integer(seed):
     data = dict(SCENARIO, seed=seed)
     with pytest.raises(ParseError, match=rf"^scenario: seed must be an integer, got {re.escape(repr(seed))}$"):
-        scenario_from_mapping(data, "scenario")
+        from_mapping(Scenario, data, "scenario")
 
 
 def test_scenario_fractional_seed_exits_2(tmp_path, capsys):
@@ -102,3 +103,83 @@ def test_scenario_fractional_seed_exits_2(tmp_path, capsys):
     assert rc == EXIT_USAGE
     assert "seed must be an integer, got 1.7" in capsys.readouterr().err
     assert not (tmp_path / "sim").exists()
+
+
+# A scenario with every field set, a noise model and a clock included.
+FULL_SCENARIO = Scenario(
+    vehicles=(
+        RunSpec(id="ego", duration=2.0, rate=50.0, speed_profile=((0.0, 10.0), (1.5, 12.5))),
+        RunSpec(id="lead", duration=3.0, rate=20.0, speed_profile=((0.5, 11.0),),
+                start_offset=40.0, clock=ClockModel(offset=0.002, drift=-1e-4)),
+    ),
+    track=StadiumTrack(straight_len=60.0, curve_radius=25.0),
+    noise=NoiseModel(sigma_pos=0.02, sigma_vel=0.03, sigma_psi=0.00175, sigma_psi_dot=0.002),
+    seed=17,
+)
+
+
+@pytest.mark.parametrize("config", [
+    NoiseModel(sigma_pos=0.02, sigma_vel=0.03, sigma_psi=0.00175, sigma_psi_dot=0.002),
+    ScenarioEnvelope(d_max=50.0, v_max=36.0, psi_dot_max=1.0),
+    ClockModel(offset=-0.05, drift=2e-4),
+    VehicleGeometry(length=4.5, width=1.8, ref_to_center=(1.2, 0.1)),
+    StadiumTrack(straight_len=60.0, curve_radius=25.0),
+    FULL_SCENARIO.vehicles[1],
+    FULL_SCENARIO,
+], ids=lambda config: type(config).__name__)
+def test_round_trip_through_json_text(config):
+    data = json.loads(json.dumps(asdict(config)))
+    assert from_mapping(type(config), data, "src") == config
+
+
+@pytest.mark.parametrize("patch, message", [
+    ({"speed_profile": [[True, 5.0]]},
+     "scenario.vehicles[0]: speed_profile[0][0] must be a number, got True"),
+    ({"speed_profile": [[0.0, 5.0], [1.0, "7"]]},
+     "scenario.vehicles[0]: speed_profile[1][1] must be a number, got '7'"),
+    ({"speed_profile": [[0.0, 5.0, 1.0]]},
+     "scenario.vehicles[0]: speed_profile[0] must be an array of 2 items, got [0.0, 5.0, 1.0]"),
+    ({"speed_profile": 5.0},
+     "scenario.vehicles[0]: speed_profile must be an array, got 5.0"),
+    ({"id": None}, "scenario.vehicles[0]: id must be a string, got None"),
+    ({"id": 5}, "scenario.vehicles[0]: id must be a string, got 5"),
+], ids=["bool-knot", "string-knot", "3-item-knot", "number-profile", "null-id", "int-id"])
+def test_vehicle_values_are_read_by_annotation(patch, message):
+    data = dict(SCENARIO, vehicles=[dict(SCENARIO["vehicles"][0], **patch)])
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        from_mapping(Scenario, data, "scenario")
+
+
+def test_nested_source_names_the_vehicle_index():
+    data = asdict(FULL_SCENARIO)
+    data["vehicles"][1]["clock"]["drift"] = True
+    with pytest.raises(ParseError, match=re.escape(
+        "scenario.vehicles[1].clock: drift must be a number, got True"
+    )):
+        from_mapping(Scenario, data, "scenario")
+
+
+def test_vehicles_must_be_an_array():
+    with pytest.raises(ParseError, match="^scenario: vehicles must be an array, got 5$"):
+        from_mapping(Scenario, dict(SCENARIO, vehicles=5), "scenario")
+
+
+@pytest.mark.parametrize("offset, message", [
+    ([True, 0.5], "ref_to_center[0] must be a number, got True"),
+    ([1.0], "ref_to_center must be an array of 2 items, got [1.0]"),
+    ([1.0, 0.5, 0.0], "ref_to_center must be an array of 2 items, got [1.0, 0.5, 0.0]"),
+], ids=["bool", "1-item", "3-item"])
+def test_ref_to_center_is_two_numbers(offset, message):
+    data = {"length": 4.0, "width": 2.0, "ref_to_center": offset}
+    with pytest.raises(ParseError, match=f"^src: {re.escape(message)}$"):
+        from_mapping(VehicleGeometry, data, "src")
+
+
+@dataclass(frozen=True)
+class _ListConfig:
+    values: list[float]
+
+
+def test_unsupported_annotation_is_a_programming_error():
+    with pytest.raises(TypeError, match="cannot read values"):
+        from_mapping(_ListConfig, {"values": [1.0]}, "src")

@@ -353,14 +353,11 @@ class TestArrayKernels:
         with pytest.raises(InvalidCoordinate, match="easting must be in") as err:
             geodesy.wgs84_to_utm([48.8, 0.0], [2.13, 9.9])
         assert err.value.index == 1
-        # A forced zone is checked after the first point's coordinates and
-        # before any later point.
-        with pytest.raises(InvalidCoordinate, match="zone must be in 1..60, got 0") as err:
-            geodesy.wgs84_to_utm([48.8, 95.0], [2.13, 2.13], forced_zone=0)
-        assert err.value.index == 0
-        with pytest.raises(InvalidCoordinate, match=r"lat must be in \[-90, 90\]") as err:
-            geodesy.wgs84_to_utm([95.0, 48.8], [2.13, 2.13], forced_zone=0)
-        assert err.value.index == 0
+        # A bad forced zone is refused before any point, and names none.
+        for lat in ([48.8, 95.0], [95.0, 48.8]):
+            with pytest.raises(InvalidCoordinate, match="zone must be in 1..60, got 0") as err:
+                geodesy.wgs84_to_utm(lat, [2.13, 2.13], forced_zone=0)
+            assert err.value.index is None
         with pytest.raises(InvalidCoordinate, match="easting must be in") as err:
             geodesy.utm_to_wgs84([5e5, 2e6], [0.0, 0.0], 31)
         assert err.value.index == 1

@@ -9,15 +9,14 @@ import pytest
 from scipy.integrate import quad
 
 from gtforge import synth
+from gtforge._util import from_mapping, load_config
 from gtforge.errors import ParseError
 from gtforge.synth import (
     RunSpec,
     Scenario,
     StadiumTrack,
-    VehicleRun,
     corrupt,
     run_scenario,
-    scenario_from_mapping,
     run_states,
     simulate_run,
 )
@@ -78,12 +77,12 @@ class TestTrackGeometry:
 
 class TestRunSpec:
     def test_constant_speed_distance(self):
-        run = RunSpec(duration=10.0, rate=10.0, speed_profile=((0.0, 20.0),))
+        run = RunSpec(id="ego", duration=10.0, rate=10.0, speed_profile=((0.0, 20.0),))
         assert float(run.distance_at(4.0)) == pytest.approx(80.0)
 
     def test_ramp_distance_matches_quadrature(self):
         run = RunSpec(
-            duration=20.0, rate=10.0,
+            id="ego", duration=20.0, rate=10.0,
             speed_profile=((0.0, 10.0), (5.0, 30.0), (12.0, 30.0), (18.0, 0.0)),
         )
         for t in (2.5, 5.0, 9.1, 15.0, 19.5):
@@ -91,24 +90,24 @@ class TestRunSpec:
             assert float(run.distance_at(t)) == pytest.approx(want, abs=1e-7)
 
     def test_profile_held_outside_knots(self):
-        run = RunSpec(duration=10.0, rate=10.0, speed_profile=((2.0, 10.0),))
+        run = RunSpec(id="ego", duration=10.0, rate=10.0, speed_profile=((2.0, 10.0),))
         assert float(run.speed_at(0.0)) == 10.0
         assert float(run.speed_at(9.0)) == 10.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RunSpec(duration=10.0, rate=10.0, speed_profile=())
+            RunSpec(id="ego", duration=10.0, rate=10.0, speed_profile=())
         with pytest.raises(ValueError):
-            RunSpec(duration=10.0, rate=10.0, speed_profile=((0.0, -1.0),))
+            RunSpec(id="ego", duration=10.0, rate=10.0, speed_profile=((0.0, -1.0),))
         with pytest.raises(ValueError):
-            RunSpec(duration=10.0, rate=10.0,
+            RunSpec(id="ego", duration=10.0, rate=10.0,
                     speed_profile=((1.0, 1.0), (1.0, 2.0)))
 
 
 class TestRunStates:
     def test_velocity_matches_heading_and_speed(self):
         track = StadiumTrack()
-        run = RunSpec(duration=60.0, rate=10.0, speed_profile=((0.0, 30.0),),
+        run = RunSpec(id="ego", duration=60.0, rate=10.0, speed_profile=((0.0, 30.0),),
                       start_offset=1050.0)
         s = run_states(track, run, 5.0)  # inside the first curve by then
         speed = math.hypot(s.vx[0], s.vy[0])
@@ -118,13 +117,13 @@ class TestRunStates:
 
     def test_yaw_rate_zero_on_straight(self):
         track = StadiumTrack()
-        run = RunSpec(duration=10.0, rate=10.0, speed_profile=((0.0, 20.0),))
+        run = RunSpec(id="ego", duration=10.0, rate=10.0, speed_profile=((0.0, 20.0),))
         assert run_states(track, run, 1.0).psi_dot[0] == 0.0
 
     def test_simulate_run_timing(self):
         track = StadiumTrack()
-        run = RunSpec(duration=2.0, rate=50.0, speed_profile=((0.0, 10.0),))
-        traj = simulate_run(track, run, vehicle_id="ego")
+        run = RunSpec(id="ego", duration=2.0, rate=50.0, speed_profile=((0.0, 10.0),))
+        traj = simulate_run(track, run)
         assert len(traj) == 101
         assert traj.support == (0.0, 2.0)
         assert traj.vehicle_id == "ego"
@@ -133,7 +132,7 @@ class TestRunStates:
     def test_position_consistent_with_velocity(self):
         """Central difference of the sampled path reproduces vx, vy."""
         track = StadiumTrack()
-        run = RunSpec(duration=30.0, rate=100.0, speed_profile=((0.0, 30.0),),
+        run = RunSpec(id="ego", duration=30.0, rate=100.0, speed_profile=((0.0, 30.0),),
                       start_offset=1000.0)
         traj = simulate_run(track, run)
         t, x, vx = traj.t, traj.x, traj.vx
@@ -146,8 +145,8 @@ class TestCorrupt:
 
     def clean(self):
         track = StadiumTrack()
-        run = RunSpec(duration=5.0, rate=20.0, speed_profile=((0.0, 20.0),))
-        return simulate_run(track, run, vehicle_id="ego")
+        run = RunSpec(id="ego", duration=5.0, rate=20.0, speed_profile=((0.0, 20.0),))
+        return simulate_run(track, run)
 
     def test_no_noise_no_clock_is_identity(self):
         clean = self.clean()
@@ -209,10 +208,9 @@ class TestScenario:
         assert run_scenario(scenario) == run_scenario(scenario)
 
     def test_duplicate_ids_rejected(self):
-        run = RunSpec(duration=1.0, rate=10.0, speed_profile=((0.0, 1.0),))
+        run = RunSpec(id="ego", duration=1.0, rate=10.0, speed_profile=((0.0, 1.0),))
         with pytest.raises(ValueError):
-            Scenario(track=StadiumTrack(),
-                     vehicles=(VehicleRun("a", run), VehicleRun("a", run)))
+            Scenario(track=StadiumTrack(), vehicles=(run, run))
 
 
 class TestScenarioConfig:
@@ -230,23 +228,23 @@ class TestScenarioConfig:
     }
 
     def test_parse_full_config(self):
-        scenario = scenario_from_mapping(self.GOOD)
+        scenario = from_mapping(Scenario, self.GOOD, "scenario")
         assert scenario.seed == 5
         assert scenario.track.straight_len == 500.0
         assert scenario.track.curve_radius == synth.DEFAULT_CURVE_RADIUS
         assert scenario.noise.sigma_psi == 0.00175
         assert scenario.vehicles[1].clock == ClockModel(offset=0.002)
-        assert scenario.vehicles[1].run.start_offset == 25.0
+        assert scenario.vehicles[1].start_offset == 25.0
 
     def test_missing_vehicles(self):
         with pytest.raises(ParseError):
-            scenario_from_mapping({"seed": 1})
+            from_mapping(Scenario, {"seed": 1}, "scenario")
 
     def test_missing_vehicle_field(self):
         bad = {"vehicles": [{"id": "ego", "rate": 10.0,
                              "speed_profile": [[0.0, 1.0]]}]}
         with pytest.raises(ParseError) as err:
-            scenario_from_mapping(bad)
+            from_mapping(Scenario, bad, "scenario")
         assert "duration" in str(err.value)
 
     @pytest.mark.parametrize("key, patch", [
@@ -256,25 +254,25 @@ class TestScenarioConfig:
     ])
     def test_unknown_key_rejected(self, key, patch):
         with pytest.raises(ParseError) as err:
-            scenario_from_mapping(dict(self.GOOD, **patch))
+            from_mapping(Scenario, dict(self.GOOD, **patch), "scenario")
         assert repr(key) in str(err.value)
 
     def test_bad_speed_profile_wrapped(self):
         bad = {"vehicles": [{"id": "ego", "duration": 1.0, "rate": 10.0,
                              "speed_profile": [[0.0, -5.0]]}]}
         with pytest.raises(ParseError):
-            scenario_from_mapping(bad)
+            from_mapping(Scenario, bad, "scenario")
 
     def test_load_scenario_file(self, tmp_path):
         import json
 
         path = tmp_path / "s.json"
         path.write_text(json.dumps(self.GOOD))
-        scenario = synth.load_scenario(path)
+        scenario = load_config(Scenario, path)
         assert len(scenario.vehicles) == 2
 
     def test_load_invalid_json(self, tmp_path):
         path = tmp_path / "s.json"
         path.write_text("{")
         with pytest.raises(ParseError):
-            synth.load_scenario(path)
+            load_config(Scenario, path)

@@ -138,6 +138,12 @@ class TestGeodeticParsing:
         traj = parse_trajectory_log(io.StringIO(text), frame="geodetic", forced_zone=30)
         assert traj.zone == 30
 
+    def test_bad_forced_zone_names_no_line(self):
+        text = GEO_HEADER + "0.0,48.80,2.13,,0.0,0.0,0.0,\n"
+        with pytest.raises(ParseError, match="^zone must be in 1..60, got 99$") as err:
+            parse_trajectory_log(io.StringIO(text), frame="geodetic", forced_zone=99)
+        assert err.value.line is None
+
     def test_geodetic_round_trip_to_projection_accuracy(self):
         text = GEO_HEADER + (
             "0.0,48.80,2.13,100.0,5.0,1.0,45.0,0.01\n"
