@@ -3,6 +3,10 @@ check, fixed-width float formatting for serialized output, the JSON config
 loader, the file opener and CSV table reader shared by every log format,
 and the CSV writer of trajectory logs.
 
+The table reader hands the data lines to numpy's C reader; a file it could
+misread, or with a bad cell, goes through csv and a cell-by-cell check
+that names the first bad line. It holds the file's text and the table.
+
 Every JSON config, the scenario included, is read by one rule,
 from_mapping: a config object's keys are the fields of the dataclass it
 builds, fields with defaults may be left out, unknown keys are refused,
@@ -15,9 +19,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import MISSING, fields, is_dataclass
-from itertools import islice
+from itertools import chain
 from pathlib import Path
 from types import UnionType
 from typing import (
@@ -196,46 +200,13 @@ def _cell(row: Sequence[str], pos: int, name: str, optional: bool, line: int) ->
     return value
 
 
-def _column(cells: Sequence[str], optional: bool) -> np.ndarray | None:
-    """One column of cells as floats, converted as a whole by the same float()
-    that _cell uses; an empty optional cell reads as NaN. None when some cell
-    needs _cell's own check: a blank required cell, a whitespace-only
-    optional cell, text or a non-finite number."""
-    empty = cells.count("") if optional else 0
-    try:
-        values = np.fromiter(
-            map(float, [c or "nan" for c in cells] if empty else cells), float, len(cells)
-        )
-    except ValueError:
-        return None
-    # Every empty cell became NaN, so any further non-finite value is bad.
-    if np.count_nonzero(~np.isfinite(values)) != empty:
-        return None
-    return values
-
-
-# Rows converted together: bounds the cell text held at once, so a long
-# log takes no more memory than converting row by row.
-BLOCK_ROWS = 1024
-
-
-def _block(
-    rows: Sequence[Sequence[str]], lines: Sequence[int], cells: list[tuple[int, str, bool]]
-) -> np.ndarray:
-    """The checked cells of some rows as an (n, len(cells)) float array.
-
-    Whole columns are converted at once; only when that fails are the rows
-    scanned in order, cell by cell, to find and report the first bad cell.
-    """
-    if min(map(len, rows)) > max(pos for pos, _, _ in cells):
-        text = list(zip(*rows))
-        values = [_column(text[pos], opt) for pos, _, opt in cells]
-        if all(v is not None for v in values):
-            return np.column_stack(values)
-    table = np.empty((len(rows), len(cells)))
-    for i, (row, line) in enumerate(zip(rows, lines)):
-        table[i] = [_cell(row, pos, name, opt, line) for pos, name, opt in cells]
-    return table
+def _optional_cell(text: str) -> float:
+    """_cell's rule for an optional cell, as a loadtxt converter."""
+    text = text.strip()
+    value = float(text) if text else math.nan
+    if text and not math.isfinite(value):
+        raise ValueError(text)
+    return value
 
 
 def read_csv_table(
@@ -246,38 +217,41 @@ def read_csv_table(
     Returns an (n, len(columns)) float array, one row per non-blank data
     row, and the file line number of each row. Every cell must be a finite
     number; a cell of an optional column may be empty and reads as NaN.
-    Errors name the line of the first bad cell, or of a row csv cannot
-    read, such as one with a cell over csv's field size limit.
+    csv reads the header, numpy's C reader the rest; a quote, NUL, empty
+    or over-long line (loadtxt skips empty ones), a bad cell or no required
+    column (it keeps blank rows) hands the file to csv and _cell, which
+    name the first bad line. Memory is the file's text plus the table.
     """
-    reader = csv.reader(stream)
+    file_lines = stream.readlines()
+    reader = csv.reader(file_lines)
     try:
-        return _read_table(reader, columns, optional)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty file", line=1)
+        positions = {name.strip(): i for i, name in enumerate(header)}
+        for name in columns:
+            if name not in positions:
+                raise MissingColumn(f"missing column {name!r} in header {header}", line=1)
+        cells = [(positions[name], name, name in optional) for name in columns]
+        required = [not opt for _, _, opt in cells]
+        body = file_lines[reader.line_num:]
+        text = "".join(body)
+        if (any(required) and body and not text.isspace() and '"' not in text
+                and "\0" not in text and max(map(len, body)) <= csv.field_size_limit()):
+            with suppress(ValueError):
+                table = np.loadtxt(
+                    body, delimiter=",", comments=None, usecols=[pos for pos, _, _ in cells],
+                    ndmin=2, converters={pos: _optional_cell for pos, _, opt in cells if opt})
+                if len(table) == len(body) and np.isfinite(table[:, required]).all():
+                    return table, list(range(2, len(table) + 2))
+        # Cell by cell, each non-blank row led by its line number.
+        rows = ((line, row) for line, row in enumerate(reader, start=2) if "".join(row).strip())
+        table = np.fromiter(chain.from_iterable(
+            (line, *(_cell(row, *cell, line) for cell in cells)) for line, row in rows
+        ), float).reshape(-1, len(cells) + 1)
+        return table[:, 1:], table[:, 0].astype(int).tolist()
     except csv.Error as err:
         raise ParseError(f"malformed CSV: {err}", reader.line_num) from None
-
-
-def _read_table(
-    reader: Iterator[list[str]], columns: Sequence[str], optional: Collection[str]
-) -> tuple[np.ndarray, list[int]]:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty file", line=1)
-    positions = {name.strip(): i for i, name in enumerate(header)}
-    for name in columns:
-        if name not in positions:
-            raise MissingColumn(f"missing column {name!r} in header {header}", line=1)
-    cells = [(positions[name], name, name in optional) for name in columns]
-    numbered = (
-        (line, row) for line, row in enumerate(reader, start=2) if "".join(row).strip()
-    )
-    blocks = [np.empty((0, len(cells)))]
-    lines: list[int] = []
-    while block := list(islice(numbered, BLOCK_ROWS)):
-        block_lines, rows = zip(*block)
-        blocks.append(_block(rows, block_lines, cells))
-        lines.extend(block_lines)
-    return np.concatenate(blocks), lines
 
 
 def write_csv_table(

@@ -97,11 +97,12 @@ class RunSpec:
     """One vehicle's run on the track, and the clock error of its log.
 
     id names the vehicle and its log files, so it must be a file stem:
-    non-empty, with no '/' or '\\'. speed_profile is a tuple of
-    (time, speed) knots; speed is interpolated linearly between knots and
-    held constant outside them, so plateaus with linear ramps are expressed
-    directly and travelled distance integrates exactly. start_offset is
-    the arc position at t = 0. clock, when given, retimes the recorded log.
+    non-empty, with no '/', '\\' or NUL. A run has at most 2**59 samples.
+    speed_profile is a tuple of (time, speed) knots; speed is interpolated
+    linearly between knots and held constant outside them, so plateaus
+    with linear ramps are expressed directly and travelled distance
+    integrates exactly. start_offset is the arc position at t = 0. clock,
+    when given, retimes the recorded log.
     """
 
     id: str
@@ -112,12 +113,20 @@ class RunSpec:
     clock: ClockModel | None = None
 
     def __post_init__(self) -> None:
-        if not self.id or "/" in self.id or "\\" in self.id:
+        if not self.id or any(c in self.id for c in "/\\\0"):
             raise ValueError(
-                f"id must be a file stem (non-empty, no '/' or '\\'), got {self.id!r}"
+                f"id must be a file stem (non-empty, no '/', '\\' or NUL), got {self.id!r}"
             )
         positive("duration", self.duration)
         positive("rate", self.rate)
+        # sample_times makes floor(duration * rate) + 1 floats. numpy refuses
+        # arrays near 2**63 bytes with a ValueError; 2**59 floats (4 EiB)
+        # is already beyond any memory, so a longer run is a config error.
+        if self.duration * self.rate + 1e-9 >= 2**59:
+            raise ValueError(
+                f"duration * rate gives {self.duration * self.rate:g} samples, "
+                f"more than 2**59"
+            )
         if not math.isfinite(self.start_offset):
             raise ValueError("start_offset must be finite")
         profile = self.speed_profile

@@ -95,6 +95,30 @@ class TestSimulate:
         assert "bad.json.vehicles[0]: id must be a file stem" in capsys.readouterr().err
         assert not list(workspace.rglob("*.csv"))
 
+    def test_nul_in_a_later_id_writes_nothing(self, workspace, capsys):
+        bad = workspace / "bad.json"
+        bad.write_text(json.dumps(dict(SCENARIO, vehicles=[
+            dict(SCENARIO["vehicles"][0], id="a"), dict(SCENARIO["vehicles"][1], id="b\u0000"),
+        ])))
+        out = workspace / "sim"
+        out.mkdir()
+        rc = main(["simulate", "--config", str(bad), "--out-dir", str(out)])
+        assert rc == EXIT_USAGE
+        assert "bad.json.vehicles[1]: id must be a file stem" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
+    def test_run_beyond_any_array_is_usage_error(self, workspace, capsys):
+        huge = workspace / "huge.json"
+        huge.write_text(json.dumps(dict(SCENARIO, vehicles=[
+            SCENARIO["vehicles"][0], dict(SCENARIO["vehicles"][1], duration=1e20, rate=100.0),
+        ])))
+        rc = main(["simulate", "--config", str(huge), "--out-dir", str(workspace / "sim")])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(
+            "huge.json.vehicles[1]: duration * rate gives 1e+22 samples, more than 2**59\n"
+        )
+        assert not (workspace / "sim").exists()
+
     def test_allocation_failure_exits_1(self, workspace, capsys):
         """10^17 samples need 711 PiB, beyond any 57-bit address space, so
         the allocation fails without touching memory."""

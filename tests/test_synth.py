@@ -103,6 +103,14 @@ class TestRunSpec:
             RunSpec(id="ego", duration=10.0, rate=10.0,
                     speed_profile=((1.0, 1.0), (1.0, 2.0)))
 
+    def test_sample_count_bound(self):
+        """floor(duration * rate) + 1 samples: 2**59 is the most a run has."""
+        RunSpec(id="ego", duration=float(2**59 - 1024), rate=1.0, speed_profile=((0.0, 1.0),))
+        with pytest.raises(ValueError, match=r"^duration \* rate gives 5\.76461e\+17 samples"):
+            RunSpec(id="ego", duration=float(2**59), rate=1.0, speed_profile=((0.0, 1.0),))
+        with pytest.raises(ValueError, match="more than 2"):
+            RunSpec(id="ego", duration=1e300, rate=1e300, speed_profile=((0.0, 1.0),))
+
 
 class TestRunStates:
     def test_velocity_matches_heading_and_speed(self):
