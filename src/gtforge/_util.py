@@ -1,7 +1,8 @@
 """Small shared helpers: deterministic RNG streams, the positive-and-finite
 check, fixed-width float formatting for serialized output, the JSON config
 loader, the file opener and CSV table reader shared by every log format,
-and the CSV writer of trajectory logs.
+the rule that timestamps increase strictly, and the CSV writer of
+trajectory logs.
 
 The table reader hands the data lines to numpy's C reader; a file it could
 misread, or with a bad cell, goes through csv and a cell-by-cell check
@@ -31,7 +32,7 @@ from typing import (
 
 import numpy as np
 
-from .errors import MissingColumn, ParseError
+from .errors import ParseError
 
 T = TypeVar("T")
 
@@ -181,6 +182,12 @@ def opened(target: str | Path | IO[str], mode: str = "r") -> Iterator[IO[str]]:
         yield target
 
 
+def first_non_increase(t: np.ndarray) -> int | None:
+    """Index of the first t that does not exceed the one before it, or None."""
+    steps = np.flatnonzero(np.diff(t) <= 0.0)
+    return int(steps[0]) + 1 if steps.size else None
+
+
 def _cell(row: Sequence[str], pos: int, name: str, optional: bool, line: int) -> float:
     """One checked cell; NaN for an empty optional cell."""
     try:
@@ -231,7 +238,7 @@ def read_csv_table(
         positions = {name.strip(): i for i, name in enumerate(header)}
         for name in columns:
             if name not in positions:
-                raise MissingColumn(f"missing column {name!r} in header {header}", line=1)
+                raise ParseError(f"missing column {name!r} in header {header}", line=1)
         cells = [(positions[name], name, name in optional) for name in columns]
         required = [not opt for _, _, opt in cells]
         body = file_lines[reader.line_num:]

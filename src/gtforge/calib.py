@@ -12,8 +12,9 @@ unit circle and a translation-only re-solve.
 Motions are held as (n - 1, 3) arrays of (dtheta, dx, dy) rows and the
 least-squares system is built from whole columns. Pose stream CSVs carry
 columns t,x,y,theta (seconds, metres, radians) and are read by the same
-checked CSV reader as trajectory logs, so a bad cell is reported as
-line N.
+checked CSV reader as trajectory logs, so a bad cell or a timestamp that
+does not increase raises ParseError naming line N. Streams too short or
+too little turning to solve raise GtForgeError.
 """
 
 from __future__ import annotations
@@ -21,18 +22,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 
-from ._util import opened, read_csv_table
+from ._util import first_non_increase, opened, read_csv_table
 from .egokin import wrap_angle
-from .errors import (
-    DegenerateMotion,
-    LengthMismatch,
-    NonMonotonicTimestamps,
-    TooFewPoses,
-)
+from .errors import GtForgeError, ParseError
 
 POSE_COLUMNS = ("t", "x", "y", "theta")
 
@@ -55,23 +51,20 @@ class RigidTransform2D:
         object.__setattr__(self, "theta", wrap_angle(self.theta))
 
 
-def relative_motions(poses: Sequence | np.ndarray) -> np.ndarray:
+def relative_motions(poses: np.ndarray) -> np.ndarray:
     """Successive relative motions of a pose stream.
 
-    poses: array-like of rows (x, y, theta) or (t, x, y, theta); a leading
-    time column is ignored. Needs at least two poses. Row i of the
-    (n - 1, 3) result is pose i -> i + 1 in frame i: rotate by dtheta, move
-    by (dx, dy).
+    poses: (n, 4) rows (t, x, y, theta), as parse_pose_stream returns them;
+    the time column is not read. Needs at least two poses (GtForgeError
+    otherwise). Row i of the (n - 1, 3) result is pose i -> i + 1 in frame
+    i: rotate by dtheta, move by (dx, dy).
     """
     arr = np.asarray(poses, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] not in (3, 4):
-        raise ValueError(
-            f"poses must be rows of (x, y, theta) or (t, x, y, theta), "
-            f"got shape {arr.shape}"
-        )
+    if arr.ndim != 2 or arr.shape[1] != 4:
+        raise ValueError(f"poses must be rows of (t, x, y, theta), got shape {arr.shape}")
     if arr.shape[0] < 2:
-        raise TooFewPoses(f"need at least 2 poses, got {arr.shape[0]}")
-    x, y, theta = arr[:, -3:].T
+        raise GtForgeError(f"need at least 2 poses, got {arr.shape[0]}")
+    _, x, y, theta = arr.T
     c = np.cos(theta[:-1])
     s = np.sin(theta[:-1])
     ux = np.diff(x)
@@ -96,7 +89,8 @@ def solve_hand_eye(a: np.ndarray, b: np.ndarray) -> HandEyeResult:
     increment, (R(dtheta_a_i) - I) t - M(u_b_i) [cos, sin]^T = -u_a_i with
     M(u) = [[u_x, -u_y], [u_y, u_x]], solves by least squares, renormalizes
     (cos, sin) and re-solves the translation with the rotation fixed.
-    Raises DegenerateMotion when the summed |rotation| of stream a is below
+    Raises GtForgeError when the streams differ in length, hold fewer than
+    two increments, or when the summed |rotation| of stream a is below
     0.1 rad (the translation is then unobservable).
     """
     a = np.asarray(a, dtype=float)
@@ -107,18 +101,18 @@ def solve_hand_eye(a: np.ndarray, b: np.ndarray) -> HandEyeResult:
                 f"motions must be rows of (dtheta, dx, dy), got shape {arr.shape}"
             )
     if len(a) != len(b):
-        raise LengthMismatch(
+        raise GtForgeError(
             f"paired motion streams differ in length: {len(a)} vs {len(b)}"
         )
     k = len(a)
     if k < 2:
-        raise TooFewPoses(f"need at least 2 motion increments, got {k}")
+        raise GtForgeError(f"need at least 2 motion increments, got {k}")
     dtheta_a, ax, ay = a.T
     dtheta_b, bx, by = b.T
     # Left to right, as np.sum's pairwise order would move the last bits.
     total_rotation = float(sum(map(abs, dtheta_a.tolist())))
     if total_rotation < MIN_TOTAL_ROTATION:
-        raise DegenerateMotion(
+        raise GtForgeError(
             f"total |rotation| {total_rotation:.4f} rad is below "
             f"{MIN_TOTAL_ROTATION}; translation unobservable"
         )
@@ -133,7 +127,7 @@ def solve_hand_eye(a: np.ndarray, b: np.ndarray) -> HandEyeResult:
     solution, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
     norm = math.hypot(solution[2], solution[3])
     if norm == 0.0:
-        raise DegenerateMotion("rotation estimate collapsed to zero")
+        raise GtForgeError("rotation estimate collapsed to zero")
     theta = math.atan2(solution[3], solution[2])
 
     # Fix the rotation on the unit circle, re-solve the translation alone.
@@ -158,12 +152,17 @@ def solve_hand_eye(a: np.ndarray, b: np.ndarray) -> HandEyeResult:
 
 
 def parse_pose_stream(source: str | Path | IO[str]) -> np.ndarray:
-    """Pose CSV (t,x,y,theta) as an (N, 4) array, timestamps ascending."""
+    """Pose CSV (t,x,y,theta) as an (N, 4) array, timestamps ascending.
+
+    A bad cell or a t that does not increase raises ParseError naming its
+    line; fewer than two poses raise GtForgeError.
+    """
     with opened(source) as stream:
-        poses, _ = read_csv_table(stream, POSE_COLUMNS)
+        poses, lines = read_csv_table(stream, POSE_COLUMNS)
     if len(poses) < 2:
-        raise TooFewPoses(f"need at least 2 poses, got {len(poses)}")
-    if np.any(np.diff(poses[:, 0]) <= 0.0):
-        raise NonMonotonicTimestamps("pose timestamps must increase strictly")
+        raise GtForgeError(f"need at least 2 poses, got {len(poses)}")
+    i = first_non_increase(poses[:, 0])
+    if i is not None:
+        raise ParseError("pose timestamps must increase strictly", lines[i])
     return poses
 

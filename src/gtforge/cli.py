@@ -2,9 +2,10 @@
 
 Subcommands: simulate, generate, bounds, validate (certify.run_validation,
 also bound here as run_validation), calibrate, export-plot.
-Exit codes: 0 on success, 1 when a computation or validation fails (failed
-certification inequality, degenerate calibration motion, stamps outside
-the data, ...), 2 for usage errors and malformed input files.
+Exit codes: 0 on success; 2 for usage errors and bad input (ParseError,
+CoordinateError, ValueError, OSError); 1 when validation or a computation
+fails (a failed certification inequality; any other GtForgeError, such as
+degenerate calibration motion or stamps outside the data; MemoryError).
 """
 
 from __future__ import annotations
@@ -23,30 +24,13 @@ from . import __version__, gtgen, synth, uncert
 from ._util import fmt_float, from_mapping, load_config, load_json_object
 from .calib import parse_pose_stream, relative_motions, solve_hand_eye
 from .certify import run_validation
-from .errors import (
-    CoordinateError,
-    GtForgeError,
-    NonMonotonicTimestamps,
-    OutOfSupport,
-    ParseError,
-    ZoneMismatch,
-)
+from .errors import CoordinateError, GtForgeError, ParseError
 from .trajlog import (
     ClockModel,
     Trajectory,
     apply_clock_model,
     parse_trajectory_log,
     write_trajectory_log,
-)
-
-# Problems with the input itself exit 2; every other GtForgeError is
-# insufficient or inconsistent data discovered during computation and exits 1.
-_INPUT_ERRORS = (
-    ParseError,
-    CoordinateError,
-    NonMonotonicTimestamps,
-    ZoneMismatch,
-    ValueError,
 )
 
 EXIT_OK = 0
@@ -120,7 +104,7 @@ def _overlap_window(trajectories: Sequence[Trajectory]) -> tuple[float, float]:
     t0 = max(traj.support[0] for traj in trajectories)
     t1 = min(traj.support[1] for traj in trajectories)
     if t1 < t0:
-        raise OutOfSupport(f"trajectory supports do not overlap: [{t0:g}, {t1:g}]")
+        raise GtForgeError(f"trajectory supports do not overlap: [{t0:g}, {t1:g}]")
     return t0, t1
 
 
@@ -327,9 +311,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # Problems with the input itself exit 2; every other GtForgeError is data
+    # the computation cannot use, and exits 1 as a failed allocation does.
     try:
         return args.fn(args)
-    except (*_INPUT_ERRORS, OSError) as err:
+    except (ParseError, CoordinateError, ValueError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE
     except (GtForgeError, MemoryError) as err:

@@ -4,6 +4,8 @@ Both vehicles live in one projected Cartesian plane (east x, north y, yaw
 psi CCW from East). The ego frame has its x axis along the ego yaw; because
 that frame rotates at the ego yaw rate, relative velocity picks up the
 familiar transport terms +psi_dot*dy / -psi_dot*dx before rotation.
+Without an ego yaw rate those terms are unknown and relative_state raises
+GtForgeError.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import NamedTuple, overload
 
 import numpy as np
 
-from .errors import MissingYawRate
+from .errors import GtForgeError
 
 _TWO_PI = 2.0 * math.pi
 
@@ -65,11 +67,11 @@ def relative_state(ego, target) -> RelativeState:
     ego and target carry x, y, vx, vy, psi (and ego psi_dot) as floats or
     as equal-length arrays: States or a Trajectory. The position is
     R(-psi_ego) applied to the offset; the velocity adds the transport
-    terms, so it needs the ego yaw rate and raises MissingYawRate when that
+    terms, so it needs the ego yaw rate and raises GtForgeError when that
     is NaN.
     """
     if np.isnan(ego.psi_dot).any():
-        raise MissingYawRate(
+        raise GtForgeError(
             "ego state has no yaw rate; relative velocity in a rotating frame "
             "is undefined without it"
         )

@@ -1,7 +1,11 @@
 """Exception types shared across the toolkit.
 
-Every error raised on bad input or unusable data derives from GtForgeError so
-callers (and the CLI) can distinguish domain failures from programming errors.
+GtForgeError is data the computation cannot use (too few samples, stamps
+outside the logs, degenerate calibration motion, ...); the CLI exits 1 on
+it. ParseError (a malformed input file, with its line when known) and
+CoordinateError (a coordinate the projection cannot take, with the index
+of the first bad point) are faults in the input itself; the CLI exits 2 on
+them, as on ValueError and OSError.
 """
 
 from __future__ import annotations
@@ -12,20 +16,12 @@ class GtForgeError(Exception):
 
 
 class CoordinateError(GtForgeError):
-    """A coordinate the projection cannot take. For an array of points,
-    index is the position of the first bad one."""
+    """A coordinate the projection cannot take: out of range, non-finite
+    or too far from the zone's central meridian."""
 
     def __init__(self, message: str, index: int | None = None):
         self.index = index
         super().__init__(message)
-
-
-class InvalidCoordinate(CoordinateError):
-    """Latitude/longitude outside the valid range, or non-finite."""
-
-
-class OutOfZone(CoordinateError):
-    """Point too far from the requested UTM zone's central meridian."""
 
 
 class ParseError(GtForgeError):
@@ -36,39 +32,3 @@ class ParseError(GtForgeError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-class MissingColumn(ParseError):
-    """Input file header lacks a required column."""
-
-
-class NonMonotonicTimestamps(GtForgeError):
-    """Trajectory timestamps are not strictly increasing."""
-
-
-class TooFewSamples(GtForgeError):
-    """Not enough samples to build a cubic interpolant."""
-
-
-class OutOfSupport(GtForgeError):
-    """Evaluation time outside the interpolant's support interval."""
-
-
-class MissingYawRate(GtForgeError):
-    """Ego yaw rate required but absent from the state."""
-
-
-class ZoneMismatch(GtForgeError):
-    """Trajectories were projected into different UTM zones."""
-
-
-class TooFewPoses(GtForgeError):
-    """Pose stream too short to form motion increments."""
-
-
-class LengthMismatch(GtForgeError):
-    """Paired pose streams have different lengths."""
-
-
-class DegenerateMotion(GtForgeError):
-    """Not enough rotational excitation to make hand-eye solvable."""

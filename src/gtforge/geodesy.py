@@ -10,6 +10,10 @@ Python's math function applied element by element, and the arithmetic keeps
 the order of the point-by-point formulas, so a point projects to the same
 bits alone or in an array. numpy's own tan, sinh, cosh, arcsinh, arctanh,
 hypot and arctan2 may differ from math by an ulp.
+
+A coordinate either direction cannot take (out of range, non-finite, or
+too far from the zone's central meridian) raises CoordinateError, which
+carries the index of the first bad point.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .errors import CoordinateError, InvalidCoordinate, OutOfZone
+from .errors import CoordinateError
 
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike
@@ -81,34 +85,33 @@ def _each(fn: Callable[..., float], *args: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, *(a.tolist() for a in args)), float, len(args[0]))
 
 
-def _raise_first(
-    checks: Sequence[tuple[np.ndarray, type[CoordinateError], Callable[[int], str]]]
-) -> None:
-    """Raise for the first point any check flags, taking the checks in order
-    for that point, as if each point were checked on its own in turn.
+def _raise_first(checks: Sequence[tuple[np.ndarray, Callable[[int], str]]]) -> None:
+    """Raise CoordinateError for the first point any check flags, taking the
+    checks in order for that point, as if each point were checked on its own
+    in turn.
 
-    Each check is (flags per point, error type, message for point i).
+    Each check is (flags per point, message for point i).
     """
-    bad = np.logical_or.reduce([flags for flags, _, _ in checks])
+    bad = np.logical_or.reduce([flags for flags, _ in checks])
     if bad.any():
         i = int(np.argmax(bad))
-        for flags, error, message in checks:
+        for flags, message in checks:
             if flags[i]:
-                raise error(message(i), index=i)
+                raise CoordinateError(message(i), index=i)
 
 
 def zone_from_longitude(lon: float) -> int:
     """Standard 6-degree UTM zone containing the given longitude."""
     if not math.isfinite(lon):
-        raise InvalidCoordinate(f"lon must be finite, got {lon!r}")
+        raise CoordinateError(f"lon must be finite, got {lon!r}")
     if not -180.0 <= lon < 180.0:
-        raise InvalidCoordinate(f"lon must be in [-180, 180), got {lon}")
+        raise CoordinateError(f"lon must be in [-180, 180), got {lon}")
     return int((lon + 180.0) // 6.0) + 1
 
 
 def central_meridian_deg(zone: int) -> float:
     if not 1 <= zone <= 60:
-        raise InvalidCoordinate(f"zone must be in 1..60, got {zone}")
+        raise CoordinateError(f"zone must be in 1..60, got {zone}")
     return (zone - 1) * 6.0 - 180.0 + 3.0
 
 
@@ -131,9 +134,9 @@ def wgs84_to_utm(
     boundary live in one consistent plane, limited to 7 degrees from the
     central meridian. The first point's hemisphere also sets the false
     northing of every point, so a session that crosses the equator keeps a
-    continuous northing. A bad forced_zone raises InvalidCoordinate before
-    any point is looked at; a bad point raises InvalidCoordinate or
-    OutOfZone naming its index.
+    continuous northing. A bad forced_zone raises CoordinateError before
+    any point is looked at; a bad point, out of range or too far from the
+    central meridian, raises CoordinateError naming its index.
     """
     lat = np.atleast_1d(np.asarray(lat, dtype=float))
     lon = np.atleast_1d(np.asarray(lon, dtype=float))
@@ -141,7 +144,7 @@ def wgs84_to_utm(
     if zone is None:
         try:
             zone = zone_from_longitude(lon.item(0))
-        except InvalidCoordinate as err:
+        except CoordinateError as err:
             err.index = 0
             raise
     in_range = (-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon < 180.0)
@@ -166,18 +169,14 @@ def wgs84_to_utm(
     easting[ok] = FALSE_EASTING + SCALE_FACTOR * _RADIUS * eta
     northing[ok] = SCALE_FACTOR * _RADIUS * xi
     _raise_first([
-        (~np.isfinite(lat), InvalidCoordinate,
-         lambda i: f"lat must be finite, got {lat.item(i)!r}"),
-        (~np.isfinite(lon), InvalidCoordinate,
-         lambda i: f"lon must be finite, got {lon.item(i)!r}"),
-        (~((-90.0 <= lat) & (lat <= 90.0)), InvalidCoordinate,
+        (~np.isfinite(lat), lambda i: f"lat must be finite, got {lat.item(i)!r}"),
+        (~np.isfinite(lon), lambda i: f"lon must be finite, got {lon.item(i)!r}"),
+        (~((-90.0 <= lat) & (lat <= 90.0)),
          lambda i: f"lat must be in [-90, 90], got {lat.item(i)}"),
-        (~in_range, InvalidCoordinate,
-         lambda i: f"lon must be in [-180, 180), got {lon.item(i)}"),
-        (~ok, OutOfZone,
-         lambda i: f"lon {lon.item(i)} is {abs(dlon.item(i)):.3f} deg from zone "
+        (~in_range, lambda i: f"lon must be in [-180, 180), got {lon.item(i)}"),
+        (~ok, lambda i: f"lon {lon.item(i)} is {abs(dlon.item(i)):.3f} deg from zone "
          f"{zone}'s central meridian (limit {MAX_CM_DISTANCE_DEG})"),
-        (~((0.0 < easting) & (easting < 1_000_000.0)), InvalidCoordinate,
+        (~((0.0 < easting) & (easting < 1_000_000.0)),
          lambda i: f"easting must be in (0, 1e6), got {easting.item(i)}"),
     ])
     hemisphere = "north" if lat.item(0) >= 0.0 else "south"
@@ -192,21 +191,18 @@ def utm_to_wgs84(
     """Invert the projection: (lat, lon) in degrees of points in one zone.
 
     Round-trips with wgs84_to_utm to ~1e-9 degrees. A bad zone or
-    hemisphere raises InvalidCoordinate, and so does a bad point, naming its
+    hemisphere raises CoordinateError, and so does a bad point, naming its
     index.
     """
-    if not 1 <= zone <= 60:
-        raise InvalidCoordinate(f"zone must be in 1..60, got {zone}")
+    central_meridian = central_meridian_deg(zone)
     if hemisphere not in ("north", "south"):
-        raise InvalidCoordinate(f"hemisphere must be 'north' or 'south', got {hemisphere!r}")
+        raise CoordinateError(f"hemisphere must be 'north' or 'south', got {hemisphere!r}")
     easting = np.atleast_1d(np.asarray(easting, dtype=float))
     northing = np.atleast_1d(np.asarray(northing, dtype=float))
     _raise_first([
-        (~np.isfinite(easting), InvalidCoordinate,
-         lambda i: f"easting must be finite, got {easting.item(i)!r}"),
-        (~np.isfinite(northing), InvalidCoordinate,
-         lambda i: f"northing must be finite, got {northing.item(i)!r}"),
-        (~((0.0 < easting) & (easting < 1_000_000.0)), InvalidCoordinate,
+        (~np.isfinite(easting), lambda i: f"easting must be finite, got {easting.item(i)!r}"),
+        (~np.isfinite(northing), lambda i: f"northing must be finite, got {northing.item(i)!r}"),
+        (~((0.0 < easting) & (easting < 1_000_000.0)),
          lambda i: f"easting must be in (0, 1e6), got {easting.item(i)}"),
     ])
     y = northing - FALSE_NORTHING_SOUTH if hemisphere == "south" else northing
@@ -244,6 +240,6 @@ def utm_to_wgs84(
             break
 
     lat = _each(math.atan, tau) * _RAD2DEG
-    lon = central_meridian_deg(zone) + lam * _RAD2DEG
+    lon = central_meridian + lam * _RAD2DEG
     lon = (lon + 180.0) % 360.0 - 180.0
     return lat, lon

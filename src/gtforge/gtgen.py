@@ -11,6 +11,11 @@ Records are held as a RecordSet: one array per column, one row per
 one record per line, keys in fixed order (t, target_id, x, y, vx, vy, psi,
 bbox, pos_bound, vel_bound, yaw_var), floats with 9 significant digits.
 Identical inputs produce bit-identical files.
+
+Logs in different UTM zones or hemispheres, and other inconsistent
+arguments, raise ValueError; a malformed stamp or records file raises
+ParseError naming its line; a log too short to interpolate, stamps outside
+the logs and a missing ego yaw rate raise GtForgeError.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 
 from ._util import fmt_float, opened, positive
 from .egokin import RelativeState, relative_state
-from .errors import MissingYawRate, ParseError, ZoneMismatch
+from .errors import GtForgeError, ParseError
 from .resample import build_interpolant
 from .trajlog import ClockModel, Trajectory, apply_clock_model
 from .uncert import (
@@ -159,12 +164,12 @@ def _geometry_for(
 def _check_zones(trajectories: Sequence[Trajectory]) -> None:
     zones = {t.zone for t in trajectories if t.zone is not None}
     if len(zones) > 1:
-        raise ZoneMismatch(
+        raise ValueError(
             f"trajectories live in different UTM zones: {sorted(zones)}"
         )
     hemis = {t.hemisphere for t in trajectories if t.hemisphere is not None}
     if len(hemis) > 1:
-        raise ZoneMismatch(
+        raise ValueError(
             f"trajectories live in different hemispheres: {sorted(hemis)}"
         )
 
@@ -182,10 +187,11 @@ def generate_records(
     """Produce ground-truth records for every (stamp, target) pair.
 
     Clock corrections are applied per vehicle id before interpolation.
-    Every stamp must lie in every trajectory's support (OutOfSupport names
-    the offenders otherwise). Bounds are dataset-level constants computed
-    once from noise + envelope; passing only one of the two is an error.
-    They need a logged ego yaw rate; MissingYawRate names an ego without one.
+    Every stamp must lie in every trajectory's support (a GtForgeError
+    names the offenders otherwise). Bounds are dataset-level constants
+    computed once from noise + envelope; passing only one of the two is a
+    ValueError. They need a logged ego yaw rate; a GtForgeError names an ego
+    without one.
     Records come back sorted by (t, target_id).
     """
     if not targets:
@@ -200,7 +206,7 @@ def generate_records(
     if envelope is not None and noise is None:
         raise ValueError("a scenario envelope needs a noise model to form bounds")
     if noise is not None and not ego.has_yaw_rate:
-        raise MissingYawRate(f"ego {ego.vehicle_id!r} has no yaw rate; bounds need a logged one")
+        raise GtForgeError(f"ego {ego.vehicle_id!r} has no yaw rate; bounds need a logged one")
     _check_zones([ego, *targets])
     if clocks:
         ego, *targets = [

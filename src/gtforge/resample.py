@@ -8,6 +8,8 @@ accumulated) so crossings of the +/-pi seam stay smooth; evaluations wrap
 the result back. The yaw-rate channel uses the logged psi_dot when every
 sample has one, otherwise the derivative of the yaw spline. Evaluation is
 strictly limited to the logged support; there is no extrapolation.
+Fewer than MIN_SAMPLES samples, or a time outside the support, raise
+GtForgeError.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import spline
 from .egokin import wrap_angle
-from .errors import OutOfSupport, TooFewSamples
+from .errors import GtForgeError
 from .trajlog import States, Trajectory
 
 MIN_SAMPLES = 4
@@ -35,7 +37,7 @@ class TrajectoryInterpolant:
 
     def __init__(self, traj: Trajectory):
         if len(traj) < MIN_SAMPLES:
-            raise TooFewSamples(
+            raise GtForgeError(
                 f"vehicle {traj.vehicle_id!r} has {len(traj)} samples, "
                 f"need at least {MIN_SAMPLES} for a cubic interpolant"
             )
@@ -62,7 +64,7 @@ class TrajectoryInterpolant:
         bad = times[(times < t0) | (times > t1)]
         if bad.size:
             shown = ", ".join(f"{v:g}" for v in bad[:5])
-            raise OutOfSupport(
+            raise GtForgeError(
                 f"vehicle {self.vehicle_id!r}: {bad.size} stamp(s) outside "
                 f"support [{t0:g}, {t1:g}]: {shown}"
             )

@@ -27,9 +27,9 @@ from typing import IO, TYPE_CHECKING
 
 import numpy as np
 
-from ._util import opened, read_csv_table, write_csv_table
+from ._util import first_non_increase, opened, read_csv_table, write_csv_table
 from .egokin import wrap_angle
-from .errors import CoordinateError, NonMonotonicTimestamps, ParseError
+from .errors import CoordinateError, ParseError
 from .geodesy import utm_to_wgs84, wgs84_to_utm
 
 if TYPE_CHECKING:
@@ -86,8 +86,7 @@ class Trajectory:
     (-pi, pi] and t must increase strictly.
     zone/hemisphere record which UTM zone the samples live in when known
     (set by the geodetic parser); purely synthetic trajectories leave them
-    None. Two trajectories are equal when their ids, zones and every
-    channel match bit for bit.
+    None.
     """
 
     vehicle_id: str
@@ -119,22 +118,12 @@ class Trajectory:
         outside = ~(self.psi > -math.pi) | (self.psi > math.pi)
         if outside.any():
             raise ValueError(f"psi must lie in (-pi, pi], got {self.psi[outside][0]}")
-        steps = np.flatnonzero(np.diff(self.t) <= 0.0)
-        if steps.size:
-            i = int(steps[0]) + 1
-            raise NonMonotonicTimestamps(
+        i = first_non_increase(self.t)
+        if i is not None:
+            raise ValueError(
                 f"vehicle {self.vehicle_id!r}: t[{i}]={self.t[i]} does not "
                 f"increase past t[{i - 1}]={self.t[i - 1]}"
             )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Trajectory):
-            return NotImplemented
-        return (self.vehicle_id, self.zone, self.hemisphere) == (
-            other.vehicle_id, other.zone, other.hemisphere
-        ) and all(
-            getattr(self, c).tobytes() == getattr(other, c).tobytes() for c in _CHANNELS
-        )
 
     def __len__(self) -> int:
         return len(self.t)
@@ -177,7 +166,6 @@ def parse_trajectory_log(
     source: str | Path | IO[str],
     frame: str = "utm",
     forced_zone: int | None = None,
-    vehicle_id: str | None = None,
 ) -> Trajectory:
     """Read a trajectory CSV in either schema into the internal UTM model.
 
@@ -186,20 +174,25 @@ def parse_trajectory_log(
     boundary stays in one consistent plane. The first row's hemisphere sets
     the false northing of every row. Heading is converted via
     psi = pi/2 - heading * pi/180 and wrapped. Errors name the line of the
-    first bad cell, or else of the first bad coordinate; a bad forced_zone
-    names no line. The vehicle id defaults to the file stem ("vehicle" for
-    an open stream).
+    first bad cell, else of the first t that does not increase, else of the
+    first bad coordinate; a bad forced_zone names no line. The vehicle id is
+    the file stem ("vehicle" for an open stream).
     """
     if frame not in FRAMES:
         raise ValueError(f"frame must be one of {FRAMES}, got {frame!r}")
-    if vehicle_id is None:
-        vehicle_id = Path(source).stem if isinstance(source, (str, Path)) else "vehicle"
+    vehicle_id = Path(source).stem if isinstance(source, (str, Path)) else "vehicle"
     columns = UTM_COLUMNS if frame == "utm" else GEODETIC_COLUMNS
     with opened(source) as stream:
         table, lines = read_csv_table(stream, columns, _OPTIONAL)
     if not lines:
         raise ParseError("no data rows", line=2)
     t, x, y, alt, vx, vy, angle, psi_dot = table.T
+    i = first_non_increase(t)
+    if i is not None:
+        raise ParseError(
+            f"vehicle {vehicle_id!r}: t={t[i]} does not increase past "
+            f"t={t[i - 1]} on line {lines[i - 1]}", lines[i]
+        )
     if frame == "utm":
         return Trajectory(vehicle_id, t, x, y, vx, vy, wrap_angle(angle), psi_dot, alt)
     try:

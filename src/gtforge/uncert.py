@@ -24,6 +24,9 @@ Every Monte Carlo routine is deterministic: work is split into batches of
 at most MC_BATCH_SIZE draws, each drawing from its own (seed, batch-index)
 stream, and batch statistics are merged in index order, so results are
 reproducible bit for bit.
+
+A bad parameter raises ValueError; the Monte Carlo covariance raises
+GtForgeError for an ego without a yaw rate.
 """
 
 from __future__ import annotations
@@ -412,7 +415,7 @@ def monte_carlo_covariance(
     Gaussian perturbations of both vehicles' channels, pushes every batch
     of draws through egokin.relative_state (the transform that writes the
     records) and returns empirical covariances with standard errors. The
-    ego must carry a yaw rate (MissingYawRate otherwise); the target's yaw
+    ego must carry a yaw rate (GtForgeError otherwise); the target's yaw
     rate never enters the outputs. Yaw dispersion is measured about the
     true relative yaw, so a mean near +-pi does not split the wrapped
     sample across the seam. Deterministic per seed.

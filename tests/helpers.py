@@ -1,9 +1,10 @@
 """Fixture builders shared by the tests.
 
 None of these is on a subcommand's path, so they live here rather than in
-the package: two scenario builders, the pose-stream writer, SE(2)
-composition for building a second pose stream from a first, and the
-inverse of egokin.relative_state that the round-trip test uses as oracle.
+the package: two scenario builders, bitwise trajectory comparison, the
+pose-stream writer, SE(2) composition for building a second pose stream
+from a first, and the inverse of egokin.relative_state that the round-trip
+test uses as oracle.
 """
 
 from __future__ import annotations
@@ -65,6 +66,14 @@ def make_lead_follow(
         vehicles=(ego, lead),
         noise=noise,
         seed=seed,
+    )
+
+
+def same_trajectory(a: Trajectory, b: Trajectory) -> bool:
+    """Same ids, zone and hemisphere, and every channel the same bytes."""
+    return (a.vehicle_id, a.zone, a.hemisphere) == (b.vehicle_id, b.zone, b.hemisphere) and all(
+        getattr(a, c).tobytes() == getattr(b, c).tobytes()
+        for c in ("t", "x", "y", "vx", "vy", "psi", "psi_dot", "alt")
     )
 
 

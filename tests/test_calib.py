@@ -16,13 +16,7 @@ from gtforge.calib import (
     solve_hand_eye,
 )
 from gtforge.egokin import wrap_angle
-from gtforge.errors import (
-    DegenerateMotion,
-    LengthMismatch,
-    NonMonotonicTimestamps,
-    ParseError,
-    TooFewPoses,
-)
+from gtforge.errors import GtForgeError, ParseError
 from helpers import compose, write_pose_stream
 
 
@@ -45,10 +39,6 @@ class TestRelativeMotions:
     def test_increment_count(self):
         assert len(relative_motions(wavy_poses(50))) == 49
 
-    def test_accepts_three_columns(self):
-        poses = wavy_poses(10)[:, 1:]
-        assert len(relative_motions(poses)) == 9
-
     def test_straight_motion_has_zero_rotation(self):
         t = np.arange(10) * 0.1
         poses = np.stack([t, 3.0 * t, np.zeros_like(t), np.zeros_like(t)], axis=1)
@@ -59,9 +49,10 @@ class TestRelativeMotions:
 
     def test_matches_scalar_formula_bitwise(self):
         rng = np.random.default_rng(8)
-        poses = np.cumsum(rng.normal(0.0, 2.0, (500, 3)), axis=0)  # some steps wrap
+        xyth = np.cumsum(rng.normal(0.0, 2.0, (500, 3)), axis=0)  # some steps wrap
+        poses = np.column_stack((np.arange(500) * 0.1, xyth))
         expected = []
-        for (x0, y0, th0), (x1, y1, th1) in zip(poses[:-1].tolist(), poses[1:].tolist()):
+        for (x0, y0, th0), (x1, y1, th1) in zip(xyth[:-1].tolist(), xyth[1:].tolist()):
             c = math.cos(th0)
             s = math.sin(th0)
             ux = x1 - x0
@@ -72,7 +63,7 @@ class TestRelativeMotions:
         assert got.tobytes() == np.array(expected).tobytes()
 
     def test_too_few(self):
-        with pytest.raises(TooFewPoses):
+        with pytest.raises(GtForgeError, match="need at least 2 poses, got 1"):
             relative_motions(wavy_poses(1))
 
 
@@ -146,7 +137,7 @@ class TestHandEye:
         straight = np.stack(
             [t, 5.0 * t, np.zeros_like(t), np.zeros_like(t)], axis=1
         )
-        with pytest.raises(DegenerateMotion):
+        with pytest.raises(GtForgeError, match="translation unobservable"):
             solve_hand_eye(
                 relative_motions(straight),
                 relative_motions(compose(straight, self.X)),
@@ -155,12 +146,12 @@ class TestHandEye:
     def test_length_mismatch(self):
         a = relative_motions(wavy_poses(50))
         b = relative_motions(wavy_poses(40))
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(GtForgeError, match="differ in length: 49 vs 39"):
             solve_hand_eye(a, b)
 
     def test_too_few_increments(self):
         a = relative_motions(wavy_poses(2))
-        with pytest.raises(TooFewPoses):
+        with pytest.raises(GtForgeError, match="need at least 2 motion increments, got 1"):
             solve_hand_eye(a, a)
 
 
@@ -185,5 +176,7 @@ class TestPoseStreamIO:
 
     def test_times_must_increase(self):
         text = "t,x,y,theta\n1,0,0,0\n1,1,0,0\n"
-        with pytest.raises(NonMonotonicTimestamps):
+        with pytest.raises(ParseError) as err:
             parse_pose_stream(io.StringIO(text))
+        assert err.value.line == 3
+        assert str(err.value) == "line 3: pose timestamps must increase strictly"

@@ -233,6 +233,21 @@ class TestGenerate:
         ])
         assert rc == EXIT_USAGE
 
+    def test_repeated_stamp_names_its_line(self, workspace, capsys):
+        sim = simulate(workspace)
+        rows = "".join(f"{t},{t},0,,1,0,0,0\n" for t in (0, 1, 1))
+        (workspace / "dup_log.csv").write_text("t,x,y,alt,vx,vy,psi_rad,psi_dot\n" + rows)
+        rc = main([
+            "generate", "--ego", str(sim / "ego_clean.csv"),
+            "--target", str(workspace / "dup_log.csv"), "--rate", "10",
+            "--geometry", str(workspace / "geometry.json"),
+            "--out", str(workspace / "gt.jsonl"),
+        ])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: line 4: vehicle 'dup_log': t=1.0 does not increase past t=1.0 on line 3\n"
+        )
+
     def test_overlong_cell_is_usage_error(self, workspace, capsys):
         sim = simulate(workspace)
         lines = (sim / "lead_clean.csv").read_text().splitlines(keepends=True)
@@ -474,6 +489,18 @@ class TestCalibrate:
         assert rc == EXIT_USAGE
         assert "line 6: malformed CSV: field larger than field limit" in capsys.readouterr().err
 
+    def test_repeated_stamp_names_its_line(self, workspace, capsys):
+        t = np.arange(20) * 0.1
+        write_pose_stream(np.stack([t, t, t, np.sin(t)], axis=1), workspace / "a.csv")
+        t[2] = t[1]
+        write_pose_stream(np.stack([t, t, t, np.sin(t)], axis=1), workspace / "b.csv")
+        rc = main(["calibrate", "--stream-a", str(workspace / "a.csv"),
+                   "--stream-b", str(workspace / "b.csv")])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: line 4: pose timestamps must increase strictly\n"
+        )
+
 
 class TestExportPlot:
     def test_channel_csv(self, workspace, capsys):
@@ -541,31 +568,40 @@ class TestUsage:
 EXIT_CODES = {
     errors.GtForgeError: EXIT_FAILURE,
     errors.CoordinateError: EXIT_USAGE,
-    errors.InvalidCoordinate: EXIT_USAGE,
-    errors.OutOfZone: EXIT_USAGE,
     errors.ParseError: EXIT_USAGE,
-    errors.MissingColumn: EXIT_USAGE,
-    errors.NonMonotonicTimestamps: EXIT_USAGE,
-    errors.TooFewSamples: EXIT_FAILURE,
-    errors.OutOfSupport: EXIT_FAILURE,
-    errors.MissingYawRate: EXIT_FAILURE,
-    errors.ZoneMismatch: EXIT_USAGE,
-    errors.TooFewPoses: EXIT_FAILURE,
-    errors.LengthMismatch: EXIT_FAILURE,
-    errors.DegenerateMotion: EXIT_FAILURE,
+    ValueError: EXIT_USAGE,
+    OSError: EXIT_USAGE,
+    MemoryError: EXIT_FAILURE,
+}
+
+# Error classes since folded into the kept ones: the type their raise sites
+# use now, and the exit code they had, which must not change.
+FOLDED = {
+    "InvalidCoordinate": (errors.CoordinateError, EXIT_USAGE),
+    "OutOfZone": (errors.CoordinateError, EXIT_USAGE),
+    "MissingColumn": (errors.ParseError, EXIT_USAGE),
+    "NonMonotonicTimestamps": (ValueError, EXIT_USAGE),
+    "ZoneMismatch": (ValueError, EXIT_USAGE),
+    "TooFewSamples": (errors.GtForgeError, EXIT_FAILURE),
+    "OutOfSupport": (errors.GtForgeError, EXIT_FAILURE),
+    "MissingYawRate": (errors.GtForgeError, EXIT_FAILURE),
+    "TooFewPoses": (errors.GtForgeError, EXIT_FAILURE),
+    "LengthMismatch": (errors.GtForgeError, EXIT_FAILURE),
+    "DegenerateMotion": (errors.GtForgeError, EXIT_FAILURE),
 }
 
 
 @pytest.mark.parametrize(
-    "error",
-    [c for c in vars(errors).values()
-     if isinstance(c, type) and issubclass(c, errors.GtForgeError)],
-    ids=lambda c: c.__name__,
+    ("error", "code"),
+    [pytest.param(c, EXIT_CODES[c], id=c.__name__)
+     for c in [*vars(errors).values(), ValueError, OSError, MemoryError]
+     if isinstance(c, type) and issubclass(c, Exception)]
+    + [pytest.param(*case, id=name) for name, case in FOLDED.items()],
 )
-def test_every_error_class_has_its_exit_code(monkeypatch, capsys, error):
+def test_every_error_class_has_its_exit_code(monkeypatch, capsys, error, code):
     def fail(args):
         raise error("boom")
 
     monkeypatch.setattr(cli, "_cmd_bounds", fail)
-    assert main(["bounds", "--noise", "n.json", "--envelope", "e.json"]) == EXIT_CODES[error]
+    assert main(["bounds", "--noise", "n.json", "--envelope", "e.json"]) == code
     assert "error: boom" in capsys.readouterr().err

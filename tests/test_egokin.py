@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtforge.egokin import RelativeState, relative_state, wrap_angle
-from gtforge.errors import MissingYawRate
+from gtforge.errors import GtForgeError
 from gtforge.trajlog import States, trajectory_from_arrays
 from helpers import utm_from_relative
 
@@ -174,7 +174,7 @@ class TestRelativeVelocity:
 
     def test_missing_yaw_rate_raises(self):
         ego = sample(psi_dot=math.nan)
-        with pytest.raises(MissingYawRate):
+        with pytest.raises(GtForgeError, match="ego state has no yaw rate"):
             relative_velocity(ego, sample(x=1.0))
 
     def test_finite_difference_oracle(self):
@@ -283,5 +283,5 @@ class TestArrays:
     def test_missing_yaw_rate_in_any_row_raises(self):
         t = np.arange(3) * 0.1
         ego = trajectory_from_arrays("ego", t, t, t, t, t, t, [0.0, math.nan, 0.0])
-        with pytest.raises(MissingYawRate):
+        with pytest.raises(GtForgeError, match="ego state has no yaw rate"):
             relative_state(ego, ego)

@@ -21,7 +21,7 @@ import pytest
 from scipy.integrate import quad
 
 from gtforge import geodesy
-from gtforge.errors import InvalidCoordinate, OutOfZone
+from gtforge.errors import CoordinateError
 from gtforge.trajlog import parse_trajectory_log, write_trajectory_log
 
 K0 = 0.9996
@@ -213,33 +213,33 @@ class TestZones:
         assert forced[0] > natural[0]
 
     def test_far_outside_forced_zone_rejected(self):
-        with pytest.raises(OutOfZone):
+        with pytest.raises(CoordinateError, match="deg from zone 35's central meridian"):
             project(48.80, 2.13, 35)
 
 
 class TestValidation:
     def test_latitude_range(self):
-        with pytest.raises(InvalidCoordinate):
+        with pytest.raises(CoordinateError, match=r"lat must be in \[-90, 90\], got 91.0"):
             project(91.0, 0.0)
-        with pytest.raises(InvalidCoordinate):
+        with pytest.raises(CoordinateError, match=r"lat must be in \[-90, 90\], got -90.5"):
             project(-90.5, 0.0)
 
     def test_longitude_range(self):
-        with pytest.raises(InvalidCoordinate):
+        with pytest.raises(CoordinateError, match=r"lon must be in \[-180, 180\), got 180.0"):
             project(0.0, 180.0)
-        with pytest.raises(InvalidCoordinate):
+        with pytest.raises(CoordinateError, match=r"lon must be in \[-180, 180\), got -180.1"):
             project(0.0, -180.1)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(InvalidCoordinate):
+        with pytest.raises(CoordinateError, match="lat must be finite, got nan"):
             project(float("nan"), 0.0)
 
     def test_utm_point_validation(self):
-        with pytest.raises(InvalidCoordinate):
+        with pytest.raises(CoordinateError, match=r"easting must be in \(0, 1e6\), got 0.0"):
             unproject(0.0, 0.0, 31)
-        with pytest.raises(InvalidCoordinate):
+        with pytest.raises(CoordinateError, match="zone must be in 1..60, got 61"):
             unproject(500000.0, 0.0, 61)
-        with pytest.raises(InvalidCoordinate):
+        with pytest.raises(CoordinateError, match="hemisphere must be 'north' or 'south'"):
             unproject(500000.0, 0.0, 31, hemisphere="up")
 
 
@@ -343,27 +343,27 @@ class TestArrayKernels:
 
     def test_first_bad_point_reports_its_index_and_first_failing_check(self):
         # Point 1 is both off the lat range and off the zone: lat is checked first.
-        with pytest.raises(InvalidCoordinate, match=r"lat must be in \[-90, 90\], got 95.0") as err:
+        with pytest.raises(CoordinateError, match=r"lat must be in \[-90, 90\], got 95.0") as err:
             geodesy.wgs84_to_utm([48.8, 95.0, 48.8], [2.13, 20.0, 2.13])
         assert err.value.index == 1
         # An off-zone point before an out-of-range one is reported first.
-        with pytest.raises(OutOfZone, match="lon 10.5 is 7.500 deg from zone 31") as err:
+        with pytest.raises(CoordinateError, match="lon 10.5 is 7.500 deg from zone 31") as err:
             geodesy.wgs84_to_utm([48.8, 48.8, 95.0], [2.13, 10.5, 2.13])
         assert err.value.index == 1
-        with pytest.raises(InvalidCoordinate, match="easting must be in") as err:
+        with pytest.raises(CoordinateError, match="easting must be in") as err:
             geodesy.wgs84_to_utm([48.8, 0.0], [2.13, 9.9])
         assert err.value.index == 1
         # A bad forced zone is refused before any point, and names none.
         for lat in ([48.8, 95.0], [95.0, 48.8]):
-            with pytest.raises(InvalidCoordinate, match="zone must be in 1..60, got 0") as err:
+            with pytest.raises(CoordinateError, match="zone must be in 1..60, got 0") as err:
                 geodesy.wgs84_to_utm(lat, [2.13, 2.13], forced_zone=0)
             assert err.value.index is None
-        with pytest.raises(InvalidCoordinate, match="easting must be in") as err:
+        with pytest.raises(CoordinateError, match="easting must be in") as err:
             geodesy.utm_to_wgs84([5e5, 2e6], [0.0, 0.0], 31)
         assert err.value.index == 1
-        with pytest.raises(InvalidCoordinate, match="zone must be in 1..60, got 61"):
+        with pytest.raises(CoordinateError, match="zone must be in 1..60, got 61"):
             geodesy.utm_to_wgs84([5e5, 2e6], [0.0, 0.0], 61)
-        with pytest.raises(InvalidCoordinate, match="hemisphere must be 'north' or 'south'"):
+        with pytest.raises(CoordinateError, match="hemisphere must be 'north' or 'south'"):
             geodesy.utm_to_wgs84([5e5], [0.0], 31, "equator")
 
     @pytest.mark.parametrize("lat, lon, message", [
@@ -375,6 +375,6 @@ class TestArrayKernels:
     def test_first_point_longitude_checked_first_without_forced_zone(self, lat, lon, message):
         # The zone comes from the first point's longitude, so that point's
         # longitude is checked before its latitude.
-        with pytest.raises(InvalidCoordinate, match=message) as err:
+        with pytest.raises(CoordinateError, match=message) as err:
             geodesy.wgs84_to_utm([lat, 48.8], [lon, 2.13])
         assert err.value.index == 0

@@ -13,7 +13,7 @@ import pytest
 
 from gtforge import gtgen, synth
 from gtforge.egokin import RelativeState
-from gtforge.errors import OutOfSupport, ParseError, ZoneMismatch
+from gtforge.errors import GtForgeError, ParseError
 from gtforge.gtgen import (
     RecordSet,
     VehicleGeometry,
@@ -171,7 +171,7 @@ class TestGenerateRecords:
 
     def test_stamp_outside_support(self):
         ego, lead = lead_follow_logs()
-        with pytest.raises(OutOfSupport):
+        with pytest.raises(GtForgeError, match=r"1 stamp\(s\) outside support \[0, 5\]: 5.1"):
             generate_records(ego, [lead], [4.9, 5.1], GEOM)
 
     def test_records_sorted_by_stamp_then_target(self):
@@ -203,7 +203,7 @@ class TestGenerateRecords:
         ego, lead = lead_follow_logs()
         other = replace(lead, vehicle_id="far", zone=33, hemisphere="north")
         tagged_ego = replace(ego, zone=31, hemisphere="north")
-        with pytest.raises(ZoneMismatch):
+        with pytest.raises(ValueError, match=r"different UTM zones: \[31, 33\]"):
             generate_records(tagged_ego, [other], [1.0], GEOM)
 
     def test_bbox_follows_relative_yaw(self):

@@ -7,6 +7,10 @@ every public method, must be referenced by name in src/gtforge or in
 perfbench/*.py outside its own definition (for a method, outside its own
 class). A reference is a name, an attribute, an imported name or a dotted
 target in perfbench/tracing.py's PROBES table.
+
+A second check keeps errors.py to the exception classes code tells apart:
+each class it defines must be named by some except clause in src/gtforge,
+directly or through a module-level tuple that the clause unpacks.
 """
 
 from __future__ import annotations
@@ -84,4 +88,48 @@ def test_every_public_name_has_a_non_test_caller():
     assert unreferenced == [], (
         "public names no subcommand or benchmark probe reaches; move them to "
         f"tests/helpers.py or make them private: {unreferenced}"
+    )
+
+
+def _caught_names(tree: ast.Module) -> set[str]:
+    """Names of the exception types the module's except clauses name,
+    a module-level tuple of types (bare or unpacked) counting as its items."""
+    tuples = {
+        target.id: node.value.elts
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+
+    def names(node: ast.expr) -> set[str]:
+        if isinstance(node, ast.Tuple):
+            return set().union(*map(names, node.elts))
+        if isinstance(node, ast.Starred):
+            return names(node.value)
+        if isinstance(node, ast.Name) and node.id in tuples:
+            return set().union(*map(names, tuples[node.id]))
+        if isinstance(node, ast.Name):
+            return {node.id}
+        if isinstance(node, ast.Attribute):
+            return {node.attr}
+        return set()
+
+    return set().union(*(
+        names(node.type) for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+    ))
+
+
+def test_every_error_class_is_caught_somewhere():
+    caught = set().union(*(
+        _caught_names(ast.parse(path.read_text(), str(path)))
+        for path in PACKAGE.glob("*.py")
+    ))
+    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    defined = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+    uncaught = [name for name in defined if name not in caught]
+    assert uncaught == [], (
+        "error classes no except clause in src/gtforge names; raise the nearest "
+        f"class that one does instead: {uncaught}"
     )

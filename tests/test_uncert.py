@@ -16,7 +16,7 @@ from scipy.integrate import quad
 
 from gtforge import uncert
 from gtforge._util import from_mapping, load_config
-from gtforge.errors import MissingYawRate, ParseError
+from gtforge.errors import GtForgeError, ParseError
 from gtforge.trajlog import States
 from gtforge.uncert import (
     ANALYSIS_ENVELOPE,
@@ -291,7 +291,7 @@ class TestMonteCarloCovariance:
         assert all(n == m for n, m in lengths)
 
     def test_velocity_requires_ego_yaw_rate(self):
-        with pytest.raises(MissingYawRate):
+        with pytest.raises(GtForgeError, match="ego state has no yaw rate"):
             monte_carlo_covariance(
                 self.ego(psi_dot=math.nan), self.target(), self.NM, 10_000, seed=7
             )
