@@ -32,7 +32,7 @@ from typing import (
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import GtForgeError, ParseError
 
 T = TypeVar("T")
 
@@ -174,10 +174,18 @@ def load_config(cls: type[T], path: str | Path) -> T:
 @contextmanager
 def opened(target: str | Path | IO[str], mode: str = "r") -> Iterator[IO[str]]:
     """An open text stream: target itself, or the file at that path opened
-    with newline="" (csv's convention) and closed on exit."""
+    with newline="" (csv's convention) and closed on exit.
+
+    A GtForgeError raised while a path is open names it: its message gains
+    the prefix "{path}: ", and its line or index stays as it was.
+    """
     if isinstance(target, (str, Path)):
-        with Path(target).open(mode, newline="") as stream:
-            yield stream
+        try:
+            with Path(target).open(mode, newline="") as stream:
+                yield stream
+        except GtForgeError as err:
+            err.args = (f"{target}: {err}",)
+            raise
     else:
         yield target
 

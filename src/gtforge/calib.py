@@ -7,14 +7,16 @@ commute, so the rotation parts only require the two motion streams to turn
 by the same angle (reported as a consistency residual); the translation
 and the rotation of X come from one linear least-squares problem over
 (t_x, t_y, cos theta, sin theta), followed by renormalization onto the
-unit circle and a translation-only re-solve.
+unit circle and a translation-only re-solve. The result is one flat
+HandEyeResult: X as (theta, tx, ty), then the fit's diagnostics.
 
 Motions are held as (n - 1, 3) arrays of (dtheta, dx, dy) rows and the
 least-squares system is built from whole columns. Pose stream CSVs carry
 columns t,x,y,theta (seconds, metres, radians) and are read by the same
 checked CSV reader as trajectory logs, so a bad cell or a timestamp that
-does not increase raises ParseError naming line N. Streams too short or
-too little turning to solve raise GtForgeError.
+does not increase raises ParseError naming line N, and a stream of fewer
+than two poses raises GtForgeError; read from a path, either names the
+file. Streams with too little turning to solve raise GtForgeError.
 """
 
 from __future__ import annotations
@@ -36,35 +38,15 @@ POSE_COLUMNS = ("t", "x", "y", "theta")
 MIN_TOTAL_ROTATION = 0.1
 
 
-@dataclass(frozen=True)
-class RigidTransform2D:
-    """SE(2) element: rotation by theta then translation by (tx, ty)."""
-
-    theta: float
-    tx: float
-    ty: float
-
-    def __post_init__(self) -> None:
-        for name in ("theta", "tx", "ty"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        object.__setattr__(self, "theta", wrap_angle(self.theta))
-
-
 def relative_motions(poses: np.ndarray) -> np.ndarray:
     """Successive relative motions of a pose stream.
 
-    poses: (n, 4) rows (t, x, y, theta), as parse_pose_stream returns them;
-    the time column is not read. Needs at least two poses (GtForgeError
-    otherwise). Row i of the (n - 1, 3) result is pose i -> i + 1 in frame
-    i: rotate by dtheta, move by (dx, dy).
+    poses: (n, 4) rows (t, x, y, theta), as parse_pose_stream returns them
+    (so n >= 2); the time column is not read. Row i of the (n - 1, 3)
+    result is pose i -> i + 1 in frame i: rotate by dtheta, move by
+    (dx, dy).
     """
-    arr = np.asarray(poses, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 4:
-        raise ValueError(f"poses must be rows of (t, x, y, theta), got shape {arr.shape}")
-    if arr.shape[0] < 2:
-        raise GtForgeError(f"need at least 2 poses, got {arr.shape[0]}")
-    _, x, y, theta = arr.T
+    _, x, y, theta = np.asarray(poses, dtype=float).T
     c = np.cos(theta[:-1])
     s = np.sin(theta[:-1])
     ux = np.diff(x)
@@ -75,7 +57,12 @@ def relative_motions(poses: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HandEyeResult:
-    transform: RigidTransform2D
+    """The estimated X (rotate by theta in (-pi, pi], then move by
+    (tx, ty)) and the fit's diagnostics, in calibrate's printed order."""
+
+    theta: float
+    tx: float
+    ty: float
     rotation_residual_rms: float
     translation_residual_rms: float
     n_increments: int
@@ -93,13 +80,6 @@ def solve_hand_eye(a: np.ndarray, b: np.ndarray) -> HandEyeResult:
     two increments, or when the summed |rotation| of stream a is below
     0.1 rad (the translation is then unobservable).
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    for arr in (a, b):
-        if arr.ndim != 2 or arr.shape[1] != 3:
-            raise ValueError(
-                f"motions must be rows of (dtheta, dx, dy), got shape {arr.shape}"
-            )
     if len(a) != len(b):
         raise GtForgeError(
             f"paired motion streams differ in length: {len(a)} vs {len(b)}"
@@ -143,7 +123,9 @@ def solve_hand_eye(a: np.ndarray, b: np.ndarray) -> HandEyeResult:
     )
 
     return HandEyeResult(
-        transform=RigidTransform2D(theta, float(translation[0]), float(translation[1])),
+        wrap_angle(theta),
+        float(translation[0]),
+        float(translation[1]),
         rotation_residual_rms=float(np.sqrt(np.mean(rot_res**2))),
         translation_residual_rms=trans_rms,
         n_increments=k,
@@ -159,10 +141,10 @@ def parse_pose_stream(source: str | Path | IO[str]) -> np.ndarray:
     """
     with opened(source) as stream:
         poses, lines = read_csv_table(stream, POSE_COLUMNS)
-    if len(poses) < 2:
-        raise GtForgeError(f"need at least 2 poses, got {len(poses)}")
-    i = first_non_increase(poses[:, 0])
-    if i is not None:
-        raise ParseError("pose timestamps must increase strictly", lines[i])
+        if len(poses) < 2:
+            raise GtForgeError(f"need at least 2 poses, got {len(poses)}")
+        i = first_non_increase(poses[:, 0])
+        if i is not None:
+            raise ParseError("pose timestamps must increase strictly", lines[i])
     return poses
 

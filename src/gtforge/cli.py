@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -194,17 +194,10 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     poses_a = parse_pose_stream(args.stream_a)
     poses_b = parse_pose_stream(args.stream_b)
     result = solve_hand_eye(relative_motions(poses_a), relative_motions(poses_b))
-    _print_json(
-        {
-            "theta": _round9(result.transform.theta),
-            "tx": _round9(result.transform.tx),
-            "ty": _round9(result.transform.ty),
-            "rotation_residual_rms": _round9(result.rotation_residual_rms),
-            "translation_residual_rms": _round9(result.translation_residual_rms),
-            "n_increments": result.n_increments,
-            "total_rotation": _round9(result.total_rotation),
-        }
-    )
+    _print_json({
+        key: value if isinstance(value, int) else _round9(value)
+        for key, value in asdict(result).items()
+    })
     return EXIT_OK
 
 

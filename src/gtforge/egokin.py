@@ -11,7 +11,7 @@ GtForgeError.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, overload
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,31 +20,22 @@ from .errors import GtForgeError
 _TWO_PI = 2.0 * math.pi
 
 
-@overload
-def wrap_angle(angle: float) -> float: ...
-@overload
-def wrap_angle(angle: np.ndarray) -> np.ndarray: ...
-
-
 def wrap_angle(angle):
-    """Wrap an angle (scalar or array) into (-pi, pi].
+    """Wrap an angle (a float or an array) into (-pi, pi].
 
-    Values already inside the interval are returned unchanged, bit for bit;
-    an array always comes back as a new array.
+    One arithmetic path for both: a float (any 0-d input) comes back as a
+    float, an array as a new array. Values already inside the interval
+    are returned unchanged, bit for bit.
     """
-    if np.ndim(angle) == 0:
-        a = float(angle)
-        if -math.pi < a <= math.pi:
-            return a
-        w = (a + math.pi) % _TWO_PI - math.pi
-        return math.pi if w == -math.pi else w
     arr = np.asarray(angle, dtype=float)
     inside = (arr > -math.pi) & (arr <= math.pi)
     if inside.all():
-        return arr.copy()
-    wrapped = np.mod(arr + math.pi, _TWO_PI) - math.pi
-    wrapped = np.where(wrapped == -math.pi, math.pi, wrapped)
-    return np.where(inside, arr, wrapped)
+        out = arr.copy()
+    else:
+        wrapped = np.mod(arr + math.pi, _TWO_PI) - math.pi
+        wrapped = np.where(wrapped == -math.pi, math.pi, wrapped)
+        out = np.where(inside, arr, wrapped)
+    return float(out) if out.ndim == 0 else out
 
 
 class RelativeState(NamedTuple):

@@ -14,8 +14,9 @@ Identical inputs produce bit-identical files.
 
 Logs in different UTM zones or hemispheres, and other inconsistent
 arguments, raise ValueError; a malformed stamp or records file raises
-ParseError naming its line; a log too short to interpolate, stamps outside
-the logs and a missing ego yaw rate raise GtForgeError.
+ParseError naming its line, and the file when read from a path; a log too
+short to interpolate, stamps outside the logs and a missing ego yaw rate
+raise GtForgeError.
 """
 
 from __future__ import annotations
@@ -145,8 +146,8 @@ def read_stamps(source: str | Path | IO[str]) -> np.ndarray:
             if not math.isfinite(value):
                 raise ParseError(f"stamp must be finite, got {text!r}", line_no)
             values.append(value)
-    if not values:
-        raise ParseError("stamp file has no values", line=1)
+        if not values:
+            raise ParseError("stamp file has no values", line=1)
     return np.array(values)
 
 
@@ -162,16 +163,13 @@ def _geometry_for(
 
 
 def _check_zones(trajectories: Sequence[Trajectory]) -> None:
-    zones = {t.zone for t in trajectories if t.zone is not None}
-    if len(zones) > 1:
-        raise ValueError(
-            f"trajectories live in different UTM zones: {sorted(zones)}"
-        )
-    hemis = {t.hemisphere for t in trajectories if t.hemisphere is not None}
-    if len(hemis) > 1:
-        raise ValueError(
-            f"trajectories live in different hemispheres: {sorted(hemis)}"
-        )
+    """ValueError naming every log with its zone (or hemisphere) unless
+    the logs that carry one all share it."""
+    for name, what in (("zone", "UTM zones"), ("hemisphere", "hemispheres")):
+        tags = {t.vehicle_id: getattr(t, name) for t in trajectories}
+        tags = {vid: tag for vid, tag in tags.items() if tag is not None}
+        if len(set(tags.values())) > 1:
+            raise ValueError(f"trajectories live in different {what}: {tags}")
 
 
 def generate_records(
@@ -345,16 +343,16 @@ def read_records_jsonl(source: str | Path | IO[str]) -> RecordSet:
             first = raw
             rows.append(row)
             lines.append(line_no)
-    table = np.array(rows, dtype=float).reshape(-1, 14)
-    psi = table[:, 5]
-    bad = ~np.isfinite(table).all(axis=1) | ~(psi > -math.pi) | (psi > math.pi)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ParseError(
-            "bad record: values must be finite and psi in (-pi, pi], got "
-            f"{table[i, :6].tolist()}",
-            lines[i],
-        )
+        table = np.array(rows, dtype=float).reshape(-1, 14)
+        psi = table[:, 5]
+        bad = ~np.isfinite(table).all(axis=1) | ~(psi > -math.pi) | (psi > math.pi)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ParseError(
+                "bad record: values must be finite and psi in (-pi, pi], got "
+                f"{table[i, :6].tolist()}",
+                lines[i],
+            )
     t, x, y, vx, vy, psi = table[:, :6].T
     return RecordSet(
         t, np.array(ids, dtype=str), x, y, vx, vy, psi,

@@ -42,6 +42,7 @@ class TrajectoryInterpolant:
                 f"need at least {MIN_SAMPLES} for a cubic interpolant"
             )
         self.vehicle_id = traj.vehicle_id
+        self.support = traj.support
         self._t = traj.t
         self.has_logged_yaw_rate = traj.has_yaw_rate
         # Channels: x, y, vx, vy, unwrapped psi, then the logged psi_dot
@@ -54,10 +55,6 @@ class TrajectoryInterpolant:
 
     def _at(self, c: np.ndarray, times: np.ndarray) -> np.ndarray:
         return spline.evaluate(self._t, c, times)
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return float(self._t[0]), float(self._t[-1])
 
     def _check(self, times: np.ndarray) -> None:
         t0, t1 = self.support

@@ -140,40 +140,30 @@ class RunSpec:
             if i and t <= profile[i - 1][0]:
                 raise ValueError("speed_profile times must increase strictly")
 
+    def _knots(self) -> tuple[np.ndarray, np.ndarray]:
+        times, speeds = np.array(self.speed_profile, dtype=float).T
+        return times, speeds
+
     def speed_at(self, t) -> np.ndarray:
-        times = np.array([k[0] for k in self.speed_profile])
-        speeds = np.array([k[1] for k in self.speed_profile])
+        times, speeds = self._knots()
         return np.interp(np.asarray(t, dtype=float), times, speeds)
 
     def distance_at(self, t) -> np.ndarray | float:
         """Exact arc length travelled between time 0 and t (quadrature-free:
         the profile is piecewise linear, so the integral is piecewise
-        quadratic)."""
-        times = np.array([k[0] for k in self.speed_profile])
-        speeds = np.array([k[1] for k in self.speed_profile])
-        knot_area = np.concatenate(
+        quadratic). One formula covers every t: outside the knots the
+        speed is held, and the trapezoid over a constant speed is exact."""
+        times, speeds = self._knots()
+        area = np.concatenate(
             ([0.0], np.cumsum(0.5 * (speeds[1:] + speeds[:-1]) * np.diff(times)))
         )
 
-        def anti(tt: np.ndarray) -> np.ndarray:
-            out = np.empty_like(tt)
-            before = tt <= times[0]
-            out[before] = speeds[0] * (tt[before] - times[0])
-            after = tt >= times[-1]
-            out[after] = knot_area[-1] + speeds[-1] * (tt[after] - times[-1])
-            mid = ~(before | after)
-            if np.any(mid):
-                idx = np.searchsorted(times, tt[mid], side="right") - 1
-                tm = tt[mid]
-                v0 = speeds[idx]
-                v1 = np.interp(tm, times, speeds)
-                out[mid] = knot_area[idx] + 0.5 * (v0 + v1) * (tm - times[idx])
-            return out
+        def anti(tt):
+            i = np.clip(np.searchsorted(times, tt, "right") - 1, 0, len(times) - 1)
+            return area[i] + 0.5 * (speeds[i] + np.interp(tt, times, speeds)) * (tt - times[i])
 
-        scalar = np.ndim(t) == 0
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = anti(t) - anti(np.zeros(1))
-        return float(out[0]) if scalar else out
+        out = anti(np.asarray(t, dtype=float)) - anti(0.0)
+        return float(out) if np.ndim(out) == 0 else out
 
 
 def run_states(track: StadiumTrack, run: RunSpec, times) -> States:

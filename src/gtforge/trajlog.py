@@ -175,8 +175,9 @@ def parse_trajectory_log(
     the false northing of every row. Heading is converted via
     psi = pi/2 - heading * pi/180 and wrapped. Errors name the line of the
     first bad cell, else of the first t that does not increase, else of the
-    first bad coordinate; a bad forced_zone names no line. The vehicle id is
-    the file stem ("vehicle" for an open stream).
+    first bad coordinate; a bad forced_zone names no line. Read from a
+    path, every error names the file too. The vehicle id is the file stem
+    ("vehicle" for an open stream).
     """
     if frame not in FRAMES:
         raise ValueError(f"frame must be one of {FRAMES}, got {frame!r}")
@@ -184,25 +185,25 @@ def parse_trajectory_log(
     columns = UTM_COLUMNS if frame == "utm" else GEODETIC_COLUMNS
     with opened(source) as stream:
         table, lines = read_csv_table(stream, columns, _OPTIONAL)
-    if not lines:
-        raise ParseError("no data rows", line=2)
-    t, x, y, alt, vx, vy, angle, psi_dot = table.T
-    i = first_non_increase(t)
-    if i is not None:
-        raise ParseError(
-            f"vehicle {vehicle_id!r}: t={t[i]} does not increase past "
-            f"t={t[i - 1]} on line {lines[i - 1]}", lines[i]
-        )
-    if frame == "utm":
-        return Trajectory(vehicle_id, t, x, y, vx, vy, wrap_angle(angle), psi_dot, alt)
-    try:
-        x, y, zone, hemisphere = wgs84_to_utm(x, y, forced_zone)
-    except CoordinateError as err:
-        raise ParseError(str(err), None if err.index is None else lines[err.index])
-    # Geodetic heading is degrees clockwise from North.
-    psi = wrap_angle(math.pi / 2.0 - np.radians(angle))
+        if not lines:
+            raise ParseError("no data rows", line=2)
+        t, x, y, alt, vx, vy, angle, psi_dot = table.T
+        i = first_non_increase(t)
+        if i is not None:
+            raise ParseError(
+                f"t={t[i]} does not increase past t={t[i - 1]} on line {lines[i - 1]}", lines[i]
+            )
+        zone = hemisphere = None
+        if frame == "geodetic":
+            try:
+                x, y, zone, hemisphere = wgs84_to_utm(x, y, forced_zone)
+            except CoordinateError as err:
+                raise ParseError(str(err), None if err.index is None else lines[err.index])
+            # Geodetic heading is degrees clockwise from North.
+            angle = math.pi / 2.0 - np.radians(angle)
     return Trajectory(
-        vehicle_id, t, x, y, vx, vy, psi, psi_dot, alt, zone=zone, hemisphere=hemisphere
+        vehicle_id, t, x, y, vx, vy, wrap_angle(angle), psi_dot, alt,
+        zone=zone, hemisphere=hemisphere,
     )
 
 

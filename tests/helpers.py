@@ -2,19 +2,20 @@
 
 None of these is on a subcommand's path, so they live here rather than in
 the package: two scenario builders, bitwise trajectory comparison, the
-pose-stream writer, SE(2) composition for building a second pose stream
-from a first, and the inverse of egokin.relative_state that the round-trip
+pose-stream writer, an SE(2) transform and its composition for building a
+second pose stream from a first, and the inverse of egokin.relative_state that the round-trip
 test uses as oracle.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from gtforge._util import write_csv_table
-from gtforge.calib import POSE_COLUMNS, RigidTransform2D
+from gtforge.calib import POSE_COLUMNS
 from gtforge.egokin import RelativeState, wrap_angle
 from gtforge.synth import RunSpec, Scenario, StadiumTrack
 from gtforge.trajlog import States, Trajectory
@@ -82,7 +83,15 @@ def write_pose_stream(poses: np.ndarray, dest) -> None:
     write_csv_table(dest, POSE_COLUMNS, np.asarray(poses, dtype=float).T)
 
 
-def compose(poses: np.ndarray, x: RigidTransform2D) -> np.ndarray:
+class Transform(NamedTuple):
+    """SE(2) element: rotation by theta then translation by (tx, ty)."""
+
+    theta: float
+    tx: float
+    ty: float
+
+
+def compose(poses: np.ndarray, x: Transform) -> np.ndarray:
     """Stream b = a o X: each (t, x, y, theta) pose of a followed by x.
 
     Pose b_i maps a point p to a_i(X(p)), so b_i's translation is a_i

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from gtforge import cli
-from gtforge.calib import RigidTransform2D, relative_motions, solve_hand_eye
+from gtforge.calib import relative_motions, solve_hand_eye
 from gtforge.egokin import relative_state, wrap_angle
 from gtforge.gtgen import VehicleGeometry, generate_records
 from gtforge.synth import StadiumTrack, run_scenario, run_states
@@ -35,7 +35,7 @@ from gtforge.uncert import (
     velocity_bound,
     yaw_variance,
 )
-from helpers import compose, make_lead_follow, straight_trajectory
+from helpers import Transform, compose, make_lead_follow, straight_trajectory
 
 GEOM = VehicleGeometry(length=4.0, width=2.0)
 
@@ -281,7 +281,7 @@ def test_08_hand_eye_calibration():
 
     t0 = time.monotonic()
     seed_rng = np.random.default_rng(814)
-    x_true = RigidTransform2D(
+    x_true = Transform(
         theta=float(seed_rng.uniform(-math.pi, math.pi)),
         tx=float(seed_rng.uniform(-2, 2)),
         ty=float(seed_rng.uniform(-2, 2)),
@@ -295,9 +295,9 @@ def test_08_hand_eye_calibration():
     clean_b = compose(clean_a, x_true)
     result = solve_hand_eye(relative_motions(clean_a), relative_motions(clean_b))
     clean_err = max(
-        abs(result.transform.theta - x_true.theta),
-        abs(result.transform.tx - x_true.tx),
-        abs(result.transform.ty - x_true.ty),
+        abs(result.theta - x_true.theta),
+        abs(result.tx - x_true.tx),
+        abs(result.ty - x_true.ty),
     )
 
     def noisy_error(n: int, trial: int) -> float:
@@ -309,7 +309,7 @@ def test_08_hand_eye_calibration():
         b[:, 1:3] += rng.normal(0, 0.02, (n, 2))
         b[:, 3] += rng.normal(0, 1.75e-3, n)
         r = solve_hand_eye(relative_motions(a), relative_motions(b))
-        return math.hypot(r.transform.tx - x_true.tx, r.transform.ty - x_true.ty)
+        return math.hypot(r.tx - x_true.tx, r.ty - x_true.ty)
 
     medians = [
         statistics.median(noisy_error(n, k) for k in range(20))

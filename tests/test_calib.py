@@ -10,14 +10,13 @@ import pytest
 
 from gtforge.calib import (
     MIN_TOTAL_ROTATION,
-    RigidTransform2D,
     parse_pose_stream,
     relative_motions,
     solve_hand_eye,
 )
 from gtforge.egokin import wrap_angle
 from gtforge.errors import GtForgeError, ParseError
-from helpers import compose, write_pose_stream
+from helpers import Transform, compose, write_pose_stream
 
 
 def wavy_poses(n: int = 200, dt: float = 0.1, turn: float = 1.5) -> np.ndarray:
@@ -26,13 +25,6 @@ def wavy_poses(n: int = 200, dt: float = 0.1, turn: float = 1.5) -> np.ndarray:
     return np.stack(
         [t, 2.0 * t, np.sin(t), turn * np.sin(0.7 * t)], axis=1
     )
-
-
-class TestRigidTransform:
-    def test_theta_wrapped(self):
-        assert RigidTransform2D(theta=4.0, tx=0.0, ty=0.0).theta == pytest.approx(
-            4.0 - 2 * math.pi
-        )
 
 
 class TestRelativeMotions:
@@ -62,13 +54,9 @@ class TestRelativeMotions:
         assert got.shape == (499, 3)
         assert got.tobytes() == np.array(expected).tobytes()
 
-    def test_too_few(self):
-        with pytest.raises(GtForgeError, match="need at least 2 poses, got 1"):
-            relative_motions(wavy_poses(1))
-
 
 class TestHandEye:
-    X = RigidTransform2D(theta=0.3, tx=1.2, ty=-0.4)
+    X = Transform(theta=0.3, tx=1.2, ty=-0.4)
 
     def test_noiseless_recovery(self):
         poses_a = wavy_poses()
@@ -76,9 +64,9 @@ class TestHandEye:
         result = solve_hand_eye(
             relative_motions(poses_a), relative_motions(poses_b)
         )
-        assert result.transform.theta == pytest.approx(self.X.theta, abs=1e-9)
-        assert result.transform.tx == pytest.approx(self.X.tx, abs=1e-9)
-        assert result.transform.ty == pytest.approx(self.X.ty, abs=1e-9)
+        assert result.theta == pytest.approx(self.X.theta, abs=1e-9)
+        assert result.tx == pytest.approx(self.X.tx, abs=1e-9)
+        assert result.ty == pytest.approx(self.X.ty, abs=1e-9)
         assert result.rotation_residual_rms < 1e-9
         assert result.translation_residual_rms < 1e-9
         assert result.n_increments == 199
@@ -88,7 +76,7 @@ class TestHandEye:
         rng = np.random.default_rng(21)
         poses_a = wavy_poses()
         for _ in range(10):
-            x = RigidTransform2D(
+            x = Transform(
                 float(rng.uniform(-math.pi, math.pi)),
                 float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)),
             )
@@ -96,9 +84,9 @@ class TestHandEye:
                 relative_motions(poses_a),
                 relative_motions(compose(poses_a, x)),
             )
-            assert result.transform.theta == pytest.approx(x.theta, abs=1e-9)
-            assert result.transform.tx == pytest.approx(x.tx, abs=1e-9)
-            assert result.transform.ty == pytest.approx(x.ty, abs=1e-9)
+            assert result.theta == pytest.approx(x.theta, abs=1e-9)
+            assert result.tx == pytest.approx(x.tx, abs=1e-9)
+            assert result.ty == pytest.approx(x.ty, abs=1e-9)
 
     def test_noise_error_decreases_with_data(self):
         """Median estimation error must drop as the stream grows.
@@ -123,7 +111,7 @@ class TestHandEye:
                 relative_motions(poses_a), relative_motions(poses_b)
             )
             return math.hypot(
-                result.transform.tx - self.X.tx, result.transform.ty - self.X.ty
+                result.tx - self.X.tx, result.ty - self.X.ty
             )
 
         medians = []

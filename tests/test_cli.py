@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from gtforge import certify, cli, errors, uncert
-from gtforge.calib import RigidTransform2D
 from gtforge.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
-from helpers import compose, write_pose_stream
+from helpers import Transform, compose, write_pose_stream
 
 NOISE = {"sigma_pos": 0.02, "sigma_vel": 0.02, "sigma_psi": 0.00175,
          "sigma_psi_dot": 0.00175}
@@ -245,7 +244,8 @@ class TestGenerate:
         ])
         assert rc == EXIT_USAGE
         assert capsys.readouterr().err == (
-            "error: line 4: vehicle 'dup_log': t=1.0 does not increase past t=1.0 on line 3\n"
+            f"error: {workspace / 'dup_log.csv'}: line 4: t=1.0 does not increase past t=1.0 "
+            "on line 3\n"
         )
 
     def test_overlong_cell_is_usage_error(self, workspace, capsys):
@@ -456,7 +456,7 @@ class TestValidate:
 
 class TestCalibrate:
     def test_recovers_transform(self, workspace, capsys):
-        x = RigidTransform2D(theta=0.3, tx=1.2, ty=-0.4)
+        x = Transform(theta=0.3, tx=1.2, ty=-0.4)
         t = np.arange(150) * 0.1
         poses = np.stack([t, 2.0 * t, np.sin(t), 1.5 * np.sin(0.7 * t)], axis=1)
         write_pose_stream(poses, workspace / "a.csv")
@@ -498,7 +498,7 @@ class TestCalibrate:
                    "--stream-b", str(workspace / "b.csv")])
         assert rc == EXIT_USAGE
         assert capsys.readouterr().err == (
-            "error: line 4: pose timestamps must increase strictly\n"
+            f"error: {workspace / 'b.csv'}: line 4: pose timestamps must increase strictly\n"
         )
 
 
@@ -550,6 +550,88 @@ class TestExportPlot:
         rc = main(["export-plot", "--gt", "x", "--channel", "altitude",
                    "--out", "y"])
         assert rc == EXIT_USAGE
+
+
+class TestInputErrorsNameTheirFile:
+    """An error found in a file read from a path names that file."""
+
+    def generate_three(self, workspace, edit_line, line_no):
+        """generate over ego, lead and tail; tail's line line_no is edited."""
+        sim = simulate(workspace)
+        lines = (sim / "lead_clean.csv").read_text().splitlines(keepends=True)
+        (workspace / "lead.csv").write_text("".join(lines))
+        lines[line_no - 1] = edit_line(lines)
+        (workspace / "tail.csv").write_text("".join(lines))
+        return main([
+            "generate", "--ego", str(sim / "ego_clean.csv"),
+            "--target", str(workspace / "lead.csv"), "--target", str(workspace / "tail.csv"),
+            "--rate", "10", "--geometry", str(workspace / "geometry.json"),
+            "--out", str(workspace / "gt.jsonl"),
+        ])
+
+    def test_log_cell(self, workspace, capsys):
+        def bad_x(lines):
+            t, _, rest = lines[3].split(",", 2)
+            return f"{t},abc,{rest}"
+
+        assert self.generate_three(workspace, bad_x, 4) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {workspace / 'tail.csv'}: line 4: column 'x' is not a number: 'abc'\n"
+        )
+
+    def test_log_time_order(self, workspace, capsys):
+        def repeat_t(lines):
+            return lines[3].split(",", 1)[0] + "," + lines[4].split(",", 1)[1]
+
+        assert self.generate_three(workspace, repeat_t, 5) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {workspace / 'tail.csv'}: line 5: t=0.1 does not increase past "
+            "t=0.1 on line 4\n"
+        )
+
+    def test_short_pose_stream(self, workspace, capsys):
+        t = np.arange(20) * 0.1
+        poses = np.stack([t, t, t, np.sin(t)], axis=1)
+        write_pose_stream(poses, workspace / "a.csv")
+        write_pose_stream(poses[:1], workspace / "b.csv")
+        rc = main(["calibrate", "--stream-a", str(workspace / "a.csv"),
+                   "--stream-b", str(workspace / "b.csv")])
+        assert rc == EXIT_FAILURE
+        assert capsys.readouterr().err == (
+            f"error: {workspace / 'b.csv'}: need at least 2 poses, got 1\n"
+        )
+
+    @pytest.mark.parametrize("text, message", [
+        ("1.0\nx\n", "line 2: bad stamp 'x'"),
+        ("\n\n", "line 1: stamp file has no values"),
+    ])
+    def test_stamps(self, workspace, capsys, text, message):
+        sim = simulate(workspace)
+        stamps = workspace / "stamps.txt"
+        stamps.write_text(text)
+        rc = main([
+            "generate", "--ego", str(sim / "ego_clean.csv"),
+            "--target", str(sim / "lead_clean.csv"), "--stamps", str(stamps),
+            "--geometry", str(workspace / "geometry.json"),
+            "--out", str(workspace / "gt.jsonl"),
+        ])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {stamps}: {message}\n"
+
+    @pytest.mark.parametrize("psi, message", [
+        ("4.0", "line 2: bad record: values must be finite and psi in (-pi, pi], got "
+                "[1.5, 30.0, 0.0, 0.0, 0.0, 4.0]"),
+        ("x", "line 2: invalid JSON: Expecting value: line 1 column 75 (char 74)"),
+    ])
+    def test_records(self, workspace, capsys, psi, message):
+        row = ('{"t": 1.5, "target_id": "lead", "x": 30, "y": 0, "vx": 0, "vy": 0, '
+               '"psi": %s, "bbox": [[32, 1], [32, -1], [28, -1], [28, 1]]}\n')
+        gt = workspace / "gt.jsonl"
+        gt.write_text(row % "0" + row % psi)
+        rc = main(["export-plot", "--gt", str(gt), "--channel", "x",
+                   "--out", str(workspace / "x.csv")])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {gt}: {message}\n"
 
 
 class TestUsage:

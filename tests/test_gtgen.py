@@ -203,8 +203,17 @@ class TestGenerateRecords:
         ego, lead = lead_follow_logs()
         other = replace(lead, vehicle_id="far", zone=33, hemisphere="north")
         tagged_ego = replace(ego, zone=31, hemisphere="north")
-        with pytest.raises(ValueError, match=r"different UTM zones: \[31, 33\]"):
+        with pytest.raises(ValueError, match=r"different UTM zones: \{'ego': 31, 'far': 33\}"):
             generate_records(tagged_ego, [other], [1.0], GEOM)
+
+    def test_hemisphere_mismatch_names_every_tagged_log(self):
+        ego, lead = lead_follow_logs()
+        south = replace(lead, vehicle_id="south", zone=31, hemisphere="south")
+        tagged_ego = replace(ego, zone=31, hemisphere="north")
+        with pytest.raises(
+            ValueError, match=r"different hemispheres: \{'ego': 'north', 'south': 'south'\}$"
+        ):
+            generate_records(tagged_ego, [south, lead], [1.0], GEOM)
 
     def test_bbox_follows_relative_yaw(self):
         ego, lead = lead_follow_logs(duration=60.0, rate=20.0)

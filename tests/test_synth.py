@@ -85,9 +85,18 @@ class TestRunSpec:
             id="ego", duration=20.0, rate=10.0,
             speed_profile=((0.0, 10.0), (5.0, 30.0), (12.0, 30.0), (18.0, 0.0)),
         )
-        for t in (2.5, 5.0, 9.1, 15.0, 19.5):
+        for t in (2.5, 5.0, 9.1, 15.0, 19.5, 18.0, 25.0):
             want, _ = quad(lambda u: float(run.speed_at(u)), 0.0, t, limit=200)
             assert float(run.distance_at(t)) == pytest.approx(want, abs=1e-7)
+        # First knot after t = 0: the first speed is held before it.
+        late = RunSpec(
+            id="ego", duration=20.0, rate=10.0,
+            speed_profile=((3.0, 12.0), (8.0, 2.0), (11.0, 20.0)),
+        )
+        for t in (0.0, 1.5, 3.0, 6.2, 9.0, 11.0, 16.0):
+            want, _ = quad(lambda u: float(late.speed_at(u)), 0.0, t, limit=200)
+            assert float(late.distance_at(t)) == pytest.approx(want, abs=1e-7)
+        np.testing.assert_allclose(late.distance_at(np.array([1.5, 16.0])), [18.0, 204.0])
 
     def test_profile_held_outside_knots(self):
         run = RunSpec(id="ego", duration=10.0, rate=10.0, speed_profile=((2.0, 10.0),))

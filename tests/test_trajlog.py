@@ -216,7 +216,7 @@ class TestParseErrors:
             parse_trajectory_log(io.StringIO(text))
         assert err.value.line == 3
         assert str(err.value) == (
-            "line 3: vehicle 'vehicle': t=0.0 does not increase past t=0.0 on line 2"
+            "line 3: t=0.0 does not increase past t=0.0 on line 2"
         )
 
     def test_out_of_range_yaw(self):
