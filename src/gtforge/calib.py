@@ -123,9 +123,9 @@ def solve_hand_eye(a: np.ndarray, b: np.ndarray) -> HandEyeResult:
     )
 
     return HandEyeResult(
-        wrap_angle(theta),
-        float(translation[0]),
-        float(translation[1]),
+        theta=wrap_angle(theta),
+        tx=float(translation[0]),
+        ty=float(translation[1]),
         rotation_residual_rms=float(np.sqrt(np.mean(rot_res**2))),
         translation_residual_rms=trans_rms,
         n_increments=k,

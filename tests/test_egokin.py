@@ -84,6 +84,23 @@ class TestWrapAngle:
         assert wrap_angle(a).tobytes() == self.formula(a).tobytes()
         assert wrap_angle(a[[2, 4]]).tobytes() == self.formula(a[[2, 4]]).tobytes()
 
+    def test_float_gives_float_matching_python_mod(self):
+        """A 0-d input comes back as a float, bit-equal to Python's own %."""
+        def reference(a):
+            if -math.pi < a <= math.pi:
+                return a
+            w = (a + math.pi) % (2.0 * math.pi) - math.pi
+            return math.pi if w == -math.pi else w
+
+        rng = np.random.default_rng(5)
+        edges = [math.pi, -math.pi, 3 * math.pi, -3 * math.pi, 0.0, -0.0, 1e300, -1e300,
+                 5e-324, -5e-324, math.nextafter(math.pi, 4.0), math.nextafter(-math.pi, -4.0)]
+        for a in [*edges, *rng.uniform(-1e6, 1e6, 500).tolist()]:
+            for given in (a, np.float64(a), np.array(a)):
+                got = wrap_angle(given)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == np.float64(reference(a)).tobytes()
+
     def test_array_matches_scalar(self):
         a = np.array([0.0, 4.0, -4.0, math.pi, -math.pi])
         got = wrap_angle(a)
