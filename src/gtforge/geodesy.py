@@ -1,25 +1,27 @@
 """WGS-84 to UTM conversion and back, on arrays of points.
 
-Transverse Mercator computed with Krueger-style series to 6th order in the
-third flattening, so truncation error inside a zone is far below a
-millimetre. Standard UTM conventions: scale 0.9996 at the central meridian,
-500 km false easting, 10 000 km false northing in the south.
+Transverse Mercator in Karney's form ("Transverse Mercator with an accuracy
+of a few nanometers", J. Geodesy 85:475, 2011; arXiv:1002.1417): Krueger's
+series to 6th order in the third flattening, so truncation error inside a
+zone is far below a millimetre, summed by Clenshaw's recurrence on the
+complex coordinate zeta = xi + i eta. The derivative of that same sum gives
+each point's meridian convergence gamma and point scale k. Standard UTM
+conventions: scale 0.9996 at the central meridian, 500 km false easting,
+10 000 km false northing in the south.
 
-Each direction is one array kernel. Every transcendental function in it is
-Python's math function applied element by element, and the arithmetic keeps
-the order of the point-by-point formulas, so a point projects to the same
-bits alone or in an array. numpy's own tan, sinh, cosh, arcsinh, arctanh,
-hypot and arctan2 may differ from math by an ulp.
+gamma is in radians and positive where grid north lies clockwise of true
+north (east of the central meridian in the north), so true north has grid
+bearing -gamma. k is grid length over true length on the ellipsoid.
 
-A coordinate either direction cannot take (out of range, non-finite, or
-too far from the zone's central meridian) raises CoordinateError, which
-carries the index of the first bad point.
+Each direction is one numpy array kernel. A coordinate either direction
+cannot take (out of range, non-finite, or too far from the zone's central
+meridian) raises CoordinateError, which carries the index of the first bad
+point; such points never reach the transcendental functions.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -77,12 +79,8 @@ del _n
 _DEG2RAD = math.pi / 180.0
 _RAD2DEG = 180.0 / math.pi
 
-_hypot1 = partial(math.hypot, 1.0)
-
-
-def _each(fn: Callable[..., float], *args: np.ndarray) -> np.ndarray:
-    """fn applied to the elements of equal-length 1-D arrays, one call each."""
-    return np.fromiter(map(fn, *(a.tolist() for a in args)), float, len(args[0]))
+# b1 of Karney's eq. (14): the rectifying radius over the major semi-axis.
+_B1 = _RADIUS / WGS84_A
 
 
 def _raise_first(checks: Sequence[tuple[np.ndarray, Callable[[int], str]]]) -> None:
@@ -118,16 +116,35 @@ def central_meridian_deg(zone: int) -> float:
 def _conformal(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """tan of the conformal latitude from tau = tan(latitude), and
     hypot(1, tau)."""
-    root = _each(_hypot1, tau)
-    sigma = _each(math.sinh, _E * _each(math.atanh, _E * tau / root))
-    return tau * _each(_hypot1, sigma) - sigma * root, root
+    root = np.hypot(1.0, tau)
+    sigma = np.sinh(_E * np.arctanh(_E * tau / root))
+    return tau * np.hypot(1.0, sigma) - sigma * root, root
+
+
+def _krueger(
+    xi: np.ndarray, eta: np.ndarray, coeffs: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """zeta + sum_j c_j sin(2 j zeta) for zeta = xi + i eta, and its
+    derivative 1 + sum_j 2 j c_j cos(2 j zeta), both summed by Clenshaw's
+    recurrence on 2 cos(2 zeta) (Karney 2011, section 5)."""
+    c0, s0 = np.cos(2.0 * xi), np.sin(2.0 * xi)
+    ch0, sh0 = np.cosh(2.0 * eta), np.sinh(2.0 * eta)
+    a = 2.0 * c0 * ch0 - 2j * s0 * sh0
+    y0 = y1 = z0 = z1 = 0.0
+    for j in range(len(coeffs), 0, -1):
+        coeff = coeffs[j - 1]
+        y0, y1 = a * y0 - y1 + coeff, y0
+        z0, z1 = a * z0 - z1 + 2 * j * coeff, z0
+    sum_ = xi + 1j * eta + (s0 * ch0 + 1j * c0 * sh0) * y0
+    return sum_, 1.0 - z1 + 0.5 * a * z0
 
 
 def wgs84_to_utm(
     lat: ArrayLike, lon: ArrayLike, forced_zone: int | None = None
-) -> tuple[np.ndarray, np.ndarray, int, str]:
+) -> tuple[np.ndarray, np.ndarray, int, str, np.ndarray, np.ndarray]:
     """Project geodetic points (degrees; at least one) to UTM: (easting,
-    northing, zone, hemisphere).
+    northing, zone, hemisphere, gamma, k), with each point's meridian
+    convergence gamma in radians and point scale k.
 
     All points share one plane: the zone of the first point unless
     forced_zone is given, which lets a session that straddles a zone
@@ -151,23 +168,22 @@ def wgs84_to_utm(
     dlon = lon - central_meridian_deg(zone)
     ok = in_range & (np.abs(dlon) < MAX_CM_DISTANCE_DEG)
 
-    # Conformal latitude, expressed through its tangent.
+    # Gauss-Schreiber coordinates (xi', eta') through the tangent of the
+    # conformal latitude, with their convergence and scale.
     lam = dlon[ok] * _DEG2RAD
-    taup, _ = _conformal(_each(math.tan, lat[ok] * _DEG2RAD))
-    cos_lam = _each(math.cos, lam)
-    xi_p = _each(math.atan2, taup, cos_lam)
-    eta_p = _each(math.asinh, _each(math.sin, lam) / _each(math.hypot, taup, cos_lam))
+    tau = np.tan(lat[ok] * _DEG2RAD)
+    taup, root = _conformal(tau)
+    cos_lam, sin_lam = np.cos(lam), np.sin(lam)
+    denom = np.hypot(taup, cos_lam)
+    zeta, dzeta = _krueger(np.arctan2(taup, cos_lam), np.arcsinh(sin_lam / denom), _ALPHA)
 
-    xi = xi_p
-    eta = eta_p
-    for j, coeff in enumerate(_ALPHA, start=1):
-        xi = xi + coeff * _each(math.sin, 2 * j * xi_p) * _each(math.cosh, 2 * j * eta_p)
-        eta = eta + coeff * _each(math.cos, 2 * j * xi_p) * _each(math.sinh, 2 * j * eta_p)
-
-    easting = np.full(lat.shape, math.nan)
-    northing = np.full(lat.shape, math.nan)
-    easting[ok] = FALSE_EASTING + SCALE_FACTOR * _RADIUS * eta
-    northing[ok] = SCALE_FACTOR * _RADIUS * xi
+    easting, northing, gamma, k = np.full((4, *lat.shape), math.nan)
+    easting[ok] = FALSE_EASTING + SCALE_FACTOR * _RADIUS * zeta.imag
+    northing[ok] = SCALE_FACTOR * _RADIUS * zeta.real
+    gamma[ok] = (np.arctan2(sin_lam * taup, cos_lam * np.hypot(1.0, taup))
+                 - np.arctan2(dzeta.imag, dzeta.real))
+    k[ok] = (SCALE_FACTOR * _B1 * np.abs(dzeta) * np.sqrt(1.0 - _E2 + _E2 / root**2)
+             * root / denom)
     _raise_first([
         (~np.isfinite(lat), lambda i: f"lat must be finite, got {lat.item(i)!r}"),
         (~np.isfinite(lon), lambda i: f"lon must be finite, got {lon.item(i)!r}"),
@@ -182,13 +198,15 @@ def wgs84_to_utm(
     hemisphere = "north" if lat.item(0) >= 0.0 else "south"
     if hemisphere == "south":
         northing += FALSE_NORTHING_SOUTH
-    return easting, northing, zone, hemisphere
+    return easting, northing, zone, hemisphere, gamma, k
 
 
 def utm_to_wgs84(
     easting: ArrayLike, northing: ArrayLike, zone: int, hemisphere: str = "north"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Invert the projection: (lat, lon) in degrees of points in one zone.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Invert the projection: (lat, lon, gamma, k) of points in one zone,
+    lat and lon in degrees, with each point's meridian convergence gamma in
+    radians and point scale k, as wgs84_to_utm gives them.
 
     Round-trips with wgs84_to_utm to ~1e-9 degrees. A bad zone or
     hemisphere raises CoordinateError, and so does a bad point, naming its
@@ -208,17 +226,14 @@ def utm_to_wgs84(
     y = northing - FALSE_NORTHING_SOUTH if hemisphere == "south" else northing
     xi = y / (SCALE_FACTOR * _RADIUS)
     eta = (easting - FALSE_EASTING) / (SCALE_FACTOR * _RADIUS)
+    zeta_p, dzeta = _krueger(xi, eta, [-coeff for coeff in _BETA])
+    xi_p, eta_p = zeta_p.real, zeta_p.imag
 
-    xi_p = xi
-    eta_p = eta
-    for j, coeff in enumerate(_BETA, start=1):
-        xi_p = xi_p - coeff * _each(math.sin, 2 * j * xi) * _each(math.cosh, 2 * j * eta)
-        eta_p = eta_p - coeff * _each(math.cos, 2 * j * xi) * _each(math.sinh, 2 * j * eta)
-
-    sinh_eta = _each(math.sinh, eta_p)
-    cos_xi = _each(math.cos, xi_p)
-    taup = _each(math.sin, xi_p) / _each(math.hypot, sinh_eta, cos_xi)
-    lam = _each(math.atan2, sinh_eta, cos_xi)
+    sinh_eta = np.sinh(eta_p)
+    cos_xi = np.cos(xi_p)
+    r = np.hypot(sinh_eta, cos_xi)
+    taup = np.sin(xi_p) / r
+    lam = np.arctan2(sinh_eta, cos_xi)
 
     # Newton iteration for tau from its conformal counterpart; each point
     # stops at the first step below its own tolerance.
@@ -232,14 +247,17 @@ def utm_to_wgs84(
         dtau = (
             (taup[todo] - taupa)
             * (1.0 + e2m * t * t)
-            / (e2m * root * _each(_hypot1, taupa))
+            / (e2m * root * np.hypot(1.0, taupa))
         )
         tau[todo] = t + dtau
         todo = todo[~(np.abs(dtau) < tolerance[todo])]
         if not todo.size:
             break
 
-    lat = _each(math.atan, tau) * _RAD2DEG
+    root = np.hypot(1.0, tau)
+    gamma = np.arctan2(dzeta.imag, dzeta.real) + np.arctan2(np.sin(xi_p) * np.tanh(eta_p), cos_xi)
+    k = SCALE_FACTOR * _B1 / np.abs(dzeta) * np.sqrt(e2m + _E2 / root**2) * root * r
+    lat = np.arctan(tau) * _RAD2DEG
     lon = central_meridian + lam * _RAD2DEG
     lon = (lon + 180.0) % 360.0 - 180.0
-    return lat, lon
+    return lat, lon, gamma, k

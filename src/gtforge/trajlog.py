@@ -6,10 +6,14 @@ Two on-disk schemas, both CSV with a header row:
   utm:      t,x,y,alt,vx,vy,psi_rad,psi_dot
 
 Units are SI throughout (seconds, metres, m/s, rad/s). heading_deg is the
-surveying convention, degrees clockwise from North; internally every
-orientation is psi, radians counter-clockwise from East, wrapped to
-(-pi, pi]. yaw_rate/psi_dot is the CCW yaw rate in rad/s in both schemas.
-alt and psi_dot cells may be empty.
+surveying convention, degrees clockwise from true north, and ve, vn are
+true east and north; internally every orientation is psi, radians
+counter-clockwise from grid east, wrapped to (-pi, pi]. A geodetic row
+lands in the grid through its point's meridian convergence gamma and
+point scale k: psi = wrap(pi/2 - radians(heading_deg) + gamma), and
+(vx, vy) is (ve, vn) rotated counter-clockwise by gamma and scaled by k.
+yaw_rate/psi_dot is the CCW yaw rate in rad/s in both schemas. alt and
+psi_dot cells may be empty.
 
 In memory a Trajectory holds one float64 array per channel (t, x, y, vx,
 vy, psi, psi_dot, alt), with NaN for an empty optional cell, and checks
@@ -172,8 +176,11 @@ def parse_trajectory_log(
     Geodetic logs are projected into a single zone: forced_zone if given,
     otherwise the zone of the first row, so a session that brushes a zone
     boundary stays in one consistent plane. The first row's hemisphere sets
-    the false northing of every row. Heading is converted via
-    psi = pi/2 - heading * pi/180 and wrapped. Errors name the line of the
+    the false northing of every row. Each row's heading and (ve, vn), taken
+    from true north, are turned into the grid by its meridian convergence
+    gamma: psi = wrap(pi/2 - radians(heading) + gamma), and (vx, vy) is
+    (ve, vn) rotated counter-clockwise by gamma and scaled by the point
+    scale k, as the projected positions are. Errors name the line of the
     first bad cell, else of the first t that does not increase, else of the
     first bad coordinate; a bad forced_zone names no line. Read from a
     path, every error names the file too. The vehicle id is the file stem
@@ -196,11 +203,14 @@ def parse_trajectory_log(
         zone = hemisphere = None
         if frame == "geodetic":
             try:
-                x, y, zone, hemisphere = wgs84_to_utm(x, y, forced_zone)
+                x, y, zone, hemisphere, gamma, k = wgs84_to_utm(x, y, forced_zone)
             except CoordinateError as err:
                 raise ParseError(str(err), None if err.index is None else lines[err.index])
-            # Geodetic heading is degrees clockwise from North.
-            angle = math.pi / 2.0 - np.radians(angle)
+            # Heading and (ve, vn) are from true north: turn them by gamma
+            # into the grid, and scale the velocity by k as the positions.
+            angle = math.pi / 2.0 - np.radians(angle) + gamma
+            kc, ks = k * np.cos(gamma), k * np.sin(gamma)
+            vx, vy = kc * vx - ks * vy, ks * vx + kc * vy
     return Trajectory(
         vehicle_id, t, x, y, vx, vy, wrap_angle(angle), psi_dot, alt,
         zone=zone, hemisphere=hemisphere,
@@ -214,7 +224,9 @@ def write_trajectory_log(
 
     The UTM schema round-trips bit-exactly through parse_trajectory_log.
     Writing the geodetic schema needs the trajectory's zone/hemisphere and
-    round-trips only to projection accuracy.
+    round-trips only to projection accuracy; it undoes the parser's grid
+    turn: heading = (90 - degrees(psi - gamma)) mod 360, and (ve, vn) is
+    (vx, vy) rotated clockwise by gamma and divided by k.
     """
     if frame not in FRAMES:
         raise ValueError(f"frame must be one of {FRAMES}, got {frame!r}")
@@ -227,9 +239,11 @@ def write_trajectory_log(
                 "geodetic export needs a trajectory with zone/hemisphere metadata"
             )
         header = GEODETIC_COLUMNS
-        lat, lon = utm_to_wgs84(traj.x, traj.y, traj.zone, traj.hemisphere)
-        heading = np.mod(90.0 - np.degrees(traj.psi), 360.0)
-        cells = (traj.t, lat, lon, traj.alt, traj.vx, traj.vy, heading, traj.psi_dot)
+        lat, lon, gamma, k = utm_to_wgs84(traj.x, traj.y, traj.zone, traj.hemisphere)
+        heading = np.mod(90.0 - np.degrees(traj.psi - gamma), 360.0)
+        kc, ks = np.cos(gamma) / k, np.sin(gamma) / k
+        ve, vn = kc * traj.vx + ks * traj.vy, kc * traj.vy - ks * traj.vx
+        cells = (traj.t, lat, lon, traj.alt, ve, vn, heading, traj.psi_dot)
     write_csv_table(dest, header, cells)
 
 

@@ -3,8 +3,9 @@
 None of these is on a subcommand's path, so they live here rather than in
 the package: two scenario builders, bitwise trajectory comparison, the
 pose-stream writer, an SE(2) transform and its composition for building a
-second pose stream from a first, and the inverse of egokin.relative_state that the round-trip
-test uses as oracle.
+second pose stream from a first, the inverse of egokin.relative_state that the round-trip
+test uses as oracle, and the meridian convergence and point scale read off
+a short northward step of the projection.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from gtforge._util import write_csv_table
+from gtforge import geodesy
 from gtforge.calib import POSE_COLUMNS
 from gtforge.egokin import RelativeState, wrap_angle
 from gtforge.synth import RunSpec, Scenario, StadiumTrack
@@ -128,3 +130,24 @@ def utm_from_relative(ego, rel: RelativeState) -> States:
         psi=wrap_angle(rel.psi + ego.psi),
         psi_dot=math.nan,
     )
+
+
+def meridian_radius(lat_deg):
+    """Radius of curvature of the WGS-84 meridian at latitude lat_deg."""
+    e2 = geodesy.WGS84_F * (2.0 - geodesy.WGS84_F)
+    return geodesy.WGS84_A * (1.0 - e2) / (1.0 - e2 * np.sin(np.radians(lat_deg)) ** 2) ** 1.5
+
+
+def grid_north_by_step(lat, lon, zone: int, step_deg: float = 1e-6):
+    """(gamma, k) at each point from the projected positions of a
+    +/-step_deg step along its meridian, not from the kernel's own gamma
+    and k: the step's grid bearing is -gamma, and its grid length over its
+    true length M * dphi is the point scale k."""
+    lat = np.asarray(lat, dtype=float)
+    lon = np.asarray(lon, dtype=float)
+    south, north = lat - step_deg, lat + step_deg
+    e0, n0 = geodesy.wgs84_to_utm(south, lon, zone)[:2]
+    e1, n1 = geodesy.wgs84_to_utm(north, lon, zone)[:2]
+    de, dn = e1 - e0, n1 - n0
+    arc = meridian_radius(lat) * np.radians(north - south)
+    return -np.arctan2(de, dn), np.hypot(de, dn) / arc

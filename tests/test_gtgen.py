@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gtforge import gtgen, synth
+from gtforge import geodesy, gtgen, synth
 from gtforge.egokin import RelativeState
 from gtforge.errors import GtForgeError, ParseError
 from gtforge.gtgen import (
@@ -25,7 +25,7 @@ from gtforge.gtgen import (
     write_records_jsonl,
 )
 from gtforge.synth import run_scenario
-from gtforge.trajlog import ClockModel
+from gtforge.trajlog import ClockModel, parse_trajectory_log, write_trajectory_log
 from gtforge.uncert import ANALYSIS_ENVELOPE, ANALYSIS_NOISE, CovBound2
 from helpers import make_lead_follow
 
@@ -214,6 +214,32 @@ class TestGenerateRecords:
             ValueError, match=r"different hemispheres: \{'ego': 'north', 'south': 'south'\}$"
         ):
             generate_records(tagged_ego, [south, lead], [1.0], GEOM)
+
+    def test_zone_edge_geodetic_round_trip_matches_utm_records(self, tmp_path):
+        """A session within 0.02 degrees of zone 32's east edge at 48 N,
+        exported to the geodetic schema and read back, gives the records of
+        its UTM logs to 1e-6 (m, m/s, rad)."""
+        ego, lead = lead_follow_logs(duration=10.0)
+        moved = [replace(log, x=log.x + 723_100.0, y=log.y + 5_320_000.0, zone=32,
+                         hemisphere="north") for log in (ego, lead)]
+        _, lon, _, _ = geodesy.utm_to_wgs84(moved[1].x, moved[1].y, 32)
+        assert 11.98 < lon.min() and lon.max() < 12.0
+        stamps = np.arange(1, 40) * 0.25
+        records = {}
+        for frame in ("utm", "geodetic"):
+            for log in moved:
+                write_trajectory_log(log, tmp_path / f"{log.vehicle_id}_{frame}.csv", frame)
+            ego_log, lead_log = (
+                parse_trajectory_log(tmp_path / f"{vid}_{frame}.csv", frame)
+                for vid in ("ego", "lead")
+            )
+            records[frame] = generate_records(
+                replace(ego_log, vehicle_id="ego"), [replace(lead_log, vehicle_id="lead")],
+                stamps, GEOM,
+            )
+        for name in ("x", "y", "vx", "vy", "psi", "bbox"):
+            got, expect = getattr(records["geodetic"], name), getattr(records["utm"], name)
+            assert np.abs(got - expect).max() < 1e-6, name
 
     def test_bbox_follows_relative_yaw(self):
         ego, lead = lead_follow_logs(duration=60.0, rate=20.0)

@@ -8,9 +8,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from gtforge import geodesy
 from gtforge.errors import ParseError
+from gtforge.resample import build_interpolant
 from gtforge.trajlog import (
     ClockModel,
     Trajectory,
@@ -19,7 +21,7 @@ from gtforge.trajlog import (
     trajectory_from_arrays,
     write_trajectory_log,
 )
-from helpers import same_trajectory
+from helpers import grid_north_by_step, meridian_radius, same_trajectory
 
 UTM_HEADER = "t,x,y,alt,vx,vy,psi_rad,psi_dot\n"
 GEO_HEADER = "t,lat,lon,alt,ve,vn,heading_deg,yaw_rate\n"
@@ -88,7 +90,7 @@ class TestGeodeticParsing:
     def test_projection_matches_geodesy(self):
         text = GEO_HEADER + "0.0,48.80,2.13,130.5,5.0,1.0,90.0,0.0\n"
         traj = parse_trajectory_log(io.StringIO(text), frame="geodetic")
-        easting, northing, _, _ = geodesy.wgs84_to_utm([48.80], [2.13])
+        easting, northing = geodesy.wgs84_to_utm([48.80], [2.13])[:2]
         assert traj.x[0] == pytest.approx(easting[0], abs=1e-9)
         assert traj.y[0] == pytest.approx(northing[0], abs=1e-9)
         assert traj.alt[0] == 130.5
@@ -96,22 +98,53 @@ class TestGeodeticParsing:
         assert traj.hemisphere == "north"
 
     def test_heading_to_yaw(self):
-        """Heading is degrees CW from North; yaw is radians CCW from East."""
+        """Heading is degrees CW from true north; yaw is radians CCW from
+        grid east. At 48.80 N 2.13 E, west of zone 31's central meridian,
+        true north has grid bearing -gamma with gamma about -0.65 degrees,
+        read here off a projected northward step."""
         rows = "\n".join(
             f"{i / 10.0},48.80,2.13,,0.0,0.0,{heading},0.0"
             for i, heading in enumerate((0.0, 90.0, 180.0, 270.0))
         )
         traj = parse_trajectory_log(io.StringIO(GEO_HEADER + rows + "\n"), frame="geodetic")
+        (gamma,), _ = grid_north_by_step([48.80], [2.13], 31)
+        assert math.degrees(gamma) == pytest.approx(-0.65, abs=0.01)
         psi = traj.psi
-        assert psi[0] == pytest.approx(math.pi / 2)
-        assert psi[1] == pytest.approx(0.0)
-        assert psi[2] == pytest.approx(-math.pi / 2)
-        assert psi[3] == pytest.approx(math.pi)
+        assert psi[0] == pytest.approx(math.pi / 2 + gamma, abs=1e-9)
+        assert psi[1] == pytest.approx(gamma, abs=1e-9)
+        assert psi[2] == pytest.approx(-math.pi / 2 + gamma, abs=1e-9)
+        assert psi[3] == pytest.approx(math.pi + gamma, abs=1e-9)  # wrapped from -pi + gamma
 
     def test_east_north_velocity_mapping(self):
+        """(ve, vn) are true east and north: rotated by gamma into the grid
+        and scaled by the point scale k, both from a projected step."""
         text = GEO_HEADER + "0.0,48.80,2.13,,5.0,-2.0,90.0,\n"
         traj = parse_trajectory_log(io.StringIO(text), frame="geodetic")
-        assert (traj.vx[0], traj.vy[0]) == (5.0, -2.0)
+        (gamma,), (k,) = grid_north_by_step([48.80], [2.13], 31)
+        c, s = math.cos(gamma), math.sin(gamma)
+        assert traj.vx[0] == pytest.approx(k * (5.0 * c + 2.0 * s), abs=1e-7)
+        assert traj.vy[0] == pytest.approx(k * (5.0 * s - 2.0 * c), abs=1e-7)
+
+    def test_true_course_lands_on_the_projected_track(self):
+        """A car driving due north along a meridian 3 degrees east of zone
+        32's central meridian at 48 N, heading 0 and (ve, vn) = (0, 20):
+        its yaw must be the grid bearing of its own projected track, and its
+        velocity the derivative of its projected positions (gamma is about
+        2.23 degrees there and k about 1.000215)."""
+        t = np.arange(201) / 10.0
+        lat0 = 48.0
+        # Latitude along the meridian for 20 m/s of true arc.
+        sol = solve_ivp(lambda _, phi: 20.0 / meridian_radius(phi) * 180.0 / math.pi,
+                        (0.0, t[-1]), [lat0], t_eval=t, rtol=1e-13, atol=1e-15)
+        lat = sol.y[0]
+        rows = "".join(f"{ti!r},{a!r},11.999,,0.0,20.0,0.0,0.0\n" for ti, a in zip(t.tolist(), lat.tolist()))
+        traj = parse_trajectory_log(io.StringIO(GEO_HEADER + rows), frame="geodetic")
+        assert traj.zone == 32
+        bearing = np.arctan2(traj.y[2:] - traj.y[:-2], traj.x[2:] - traj.x[:-2])
+        assert np.abs(traj.psi[1:-1] - bearing).max() < 1e-6
+        assert math.degrees(traj.psi[0] - math.pi / 2) == pytest.approx(2.23, abs=0.01)
+        rms = build_interpolant(traj).velocity_consistency_rms()
+        assert max(rms) < 1e-3, rms
 
     def test_zone_fixed_by_first_row(self):
         """A log brushing a zone boundary stays in the first row's plane."""
