@@ -72,21 +72,34 @@ def _factor(t: np.ndarray) -> _Factors:
 
 
 def _solve(factors: _Factors, b: list[float]) -> list[float]:
-    """The solution for right-hand side b (overwritten) of the system
-    _factor eliminated: dgtsv's forward replay, then its back substitution.
-    The loops index as the Fortran does and make no call per row."""
+    """The solution for right-hand side b (which may be overwritten) of
+    the system _factor eliminated: dgtsv's forward replay, then its back
+    substitution, each operation as the Fortran orders it. Without row
+    interchanges both sweeps run over zips and store nothing by index."""
     fact, swap, dl, d, du = factors
     n = len(d)
-    for i in range(n - 1):
-        if swap[i]:
-            b[i], b[i + 1] = b[i + 1], b[i] - fact[i] * b[i + 1]
-        else:
-            b[i + 1] = b[i + 1] - fact[i] * b[i]
-    b[n - 1] = b[n - 1] / d[n - 1]
-    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
-    for i in range(n - 3, -1, -1):
-        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
-    return b
+    if not any(swap):
+        prev = b[0]
+        y = [prev]
+        for f, v in zip(fact, b[1:]):
+            prev = v - f * prev
+            y.append(prev)
+    else:
+        y = b
+        for i in range(n - 1):
+            if swap[i]:
+                y[i], y[i + 1] = y[i + 1], y[i] - fact[i] * y[i + 1]
+            else:
+                y[i + 1] = y[i + 1] - fact[i] * y[i]
+    x2 = y[n - 1] / d[n - 1]
+    x1 = (y[n - 2] - du[n - 2] * x2) / d[n - 2]
+    x = [x2, x1]
+    m = n - 2
+    for v, u, w, p in zip(reversed(y[:m]), reversed(du[:m]), reversed(dl[:m]), reversed(d[:m])):
+        x1, x2 = (v - u * x1 - w * x2) / p, x1
+        x.append(x1)
+    x.reverse()
+    return x
 
 
 def coefficients(t: np.ndarray, ys: np.ndarray) -> np.ndarray:
