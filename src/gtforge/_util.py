@@ -92,6 +92,8 @@ def load_json_object(path: str | Path) -> Mapping:
             data = json.load(stream)
     except (json.JSONDecodeError, RecursionError) as err:
         raise ParseError(f"{path}: invalid JSON: {err}")
+    except UnicodeDecodeError as err:
+        raise _undecodable(path, err) from None
     return json_object(data, str(path))
 
 
@@ -186,8 +188,29 @@ def opened(target: str | Path | IO[str], mode: str = "r") -> Iterator[IO[str]]:
         except GtForgeError as err:
             err.args = (f"{target}: {err}",)
             raise
+        except UnicodeDecodeError as err:
+            raise _undecodable(target, err) from None
     else:
         yield target
+
+
+def _undecodable(path: str | Path, err: UnicodeDecodeError) -> ParseError:
+    """ParseError "{path}: line N: ..." for a file that err could not
+    decode. err's offset counts from the start of the reader's chunk, so
+    the file is read again to find the first bad byte and its line."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode(err.encoding)
+    except UnicodeDecodeError as whole:
+        offset = whole.start
+        error = ParseError(
+            f"not {err.encoding} text: byte 0x{data[offset]:02x} at offset {offset}",
+            data.count(b"\n", 0, offset) + 1,
+        )
+    else:  # the file changed since it was read
+        error = ParseError(f"not {err.encoding} text: {err.reason}")
+    error.args = (f"{path}: {error}",)
+    return error
 
 
 def first_non_increase(t: np.ndarray) -> int | None:
@@ -224,6 +247,42 @@ def _optional_cell(text: str) -> float:
     return value
 
 
+def _c_table(body: list[str], cells: Sequence[tuple[int, str, bool]]) -> np.ndarray | None:
+    """The table of the data lines body by numpy's C reader, or None (or
+    ValueError) where the cell reader must decide.
+
+    One pass reads the first character of each optional cell. A column
+    whose cells are all empty is NaN and is not read; one with no empty or
+    whitespace-led cell is read as a required column is; only a column
+    with both takes _optional_cell per cell.
+    """
+    def load(usecols: list[int], **kwargs) -> np.ndarray:
+        return np.loadtxt(body, delimiter=",", comments=None, usecols=usecols, ndmin=2, **kwargs)
+
+    opt = [pos for pos, _, optional in cells if optional]
+    empty: set[int] = set()
+    filled: set[int] = set()
+    if opt:
+        first = load(opt, dtype="U1")
+        blank = first == ""
+        led = blank | np.char.isspace(first)
+        empty = {pos for pos, all_blank in zip(opt, blank.all(axis=0)) if all_blank}
+        filled = {pos for pos, any_led in zip(opt, led.any(axis=0)) if not any_led}
+    read = [pos for pos, _, _ in cells if pos not in empty]
+    table = load(read, converters={pos: _optional_cell for pos in opt
+                                   if pos not in empty and pos not in filled})
+    if len(table) != len(body):
+        return None
+    checked = [pos not in opt or pos in filled for pos in read]
+    if not np.isfinite(table[:, checked]).all():
+        return None
+    if not empty:
+        return table
+    out = np.full((len(table), len(cells)), math.nan)
+    out[:, [pos not in empty for pos, _, _ in cells]] = table
+    return out
+
+
 def read_csv_table(
     stream: IO[str], columns: Sequence[str], optional: Collection[str] = ()
 ) -> tuple[np.ndarray, list[int]]:
@@ -254,10 +313,8 @@ def read_csv_table(
         if (any(required) and body and not text.isspace() and '"' not in text
                 and "\0" not in text and max(map(len, body)) <= csv.field_size_limit()):
             with suppress(ValueError):
-                table = np.loadtxt(
-                    body, delimiter=",", comments=None, usecols=[pos for pos, _, _ in cells],
-                    ndmin=2, converters={pos: _optional_cell for pos, _, opt in cells if opt})
-                if len(table) == len(body) and np.isfinite(table[:, required]).all():
+                table = _c_table(body, cells)
+                if table is not None:
                     return table, list(range(2, len(table) + 2))
         # Cell by cell, each non-blank row led by its line number.
         rows = ((line, row) for line, row in enumerate(reader, start=2) if "".join(row).strip())

@@ -634,6 +634,69 @@ class TestInputErrorsNameTheirFile:
         assert capsys.readouterr().err == f"error: {gt}: {message}\n"
 
 
+class TestNotUtf8:
+    """A byte that is not UTF-8 names the file, its line and its offset in
+    the file, also past the reader's first chunk."""
+
+    @staticmethod
+    def spoil(path, line_no):
+        """Put a 0xff byte at the start of line line_no; (line, offset)."""
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[line_no - 1] = b"\xff" + lines[line_no - 1]
+        data = b"".join(lines)
+        path.write_bytes(data)
+        return line_no, data.index(b"\xff")
+
+    @staticmethod
+    def expect(capsys, path, where):
+        line, offset = where
+        assert capsys.readouterr().err == (
+            f"error: {path}: line {line}: not utf-8 text: byte 0xff at offset {offset}\n"
+        )
+
+    def generate(self, workspace, sim, *extra):
+        return main([
+            "generate", "--ego", str(sim / "ego_clean.csv"),
+            "--target", str(sim / "lead_clean.csv"),
+            "--geometry", str(workspace / "geometry.json"),
+            "--out", str(workspace / "gt.jsonl"), *(extra or ("--rate", "10")),
+        ])
+
+    def test_log(self, workspace, capsys):
+        sim = simulate(workspace)
+        where = self.spoil(sim / "lead_clean.csv", 100)
+        assert self.generate(workspace, sim) == EXIT_USAGE
+        self.expect(capsys, sim / "lead_clean.csv", where)
+
+    def test_pose_stream(self, workspace, capsys):
+        t = np.arange(4000) * 0.1
+        poses = np.stack([t, t, np.sin(t), np.sin(t)], axis=1)
+        write_pose_stream(poses, workspace / "a.csv")
+        write_pose_stream(poses, workspace / "b.csv")
+        where = self.spoil(workspace / "a.csv", 3002)
+        assert where[1] > 65536  # well past the text reader's first chunk
+        rc = main(["calibrate", "--stream-a", str(workspace / "a.csv"),
+                   "--stream-b", str(workspace / "b.csv")])
+        assert rc == EXIT_USAGE
+        self.expect(capsys, workspace / "a.csv", where)
+
+    def test_stamps(self, workspace, capsys):
+        sim = simulate(workspace)
+        stamps = workspace / "stamps.txt"
+        stamps.write_text("1.0\n2.0\n3.0\n")
+        where = self.spoil(stamps, 2)
+        assert self.generate(workspace, sim, "--stamps", str(stamps)) == EXIT_USAGE
+        self.expect(capsys, stamps, where)
+
+    def test_json_config(self, workspace, capsys):
+        sim = simulate(workspace)
+        geometry = workspace / "geometry.json"
+        geometry.write_text('{\n"length": 4.0,\n"width": 2.0}\n')
+        where = self.spoil(geometry, 3)
+        assert self.generate(workspace, sim) == EXIT_USAGE
+        self.expect(capsys, geometry, where)
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         assert main([]) == EXIT_USAGE
