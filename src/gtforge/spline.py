@@ -80,10 +80,7 @@ def _solve(factors: _Factors, b: list[float]) -> list[float]:
     n = len(d)
     if not any(swap):
         prev = b[0]
-        y = [prev]
-        for f, v in zip(fact, b[1:]):
-            prev = v - f * prev
-            y.append(prev)
+        y = [prev, *[prev := v - f * prev for f, v in zip(fact, b[1:])]]
     else:
         y = b
         for i in range(n - 1):
