@@ -74,8 +74,9 @@ def _factor(t: np.ndarray) -> _Factors:
 def _solve(factors: _Factors, b: list[float]) -> list[float]:
     """The solution for right-hand side b (which may be overwritten) of
     the system _factor eliminated: dgtsv's forward replay, then its back
-    substitution, each operation as the Fortran orders it. Without row
-    interchanges both sweeps run over zips and store nothing by index."""
+    substitution, each operation as the Fortran orders it. The back
+    substitution, and without row interchanges the forward replay too,
+    run over zips and store nothing by index."""
     fact, swap, dl, d, du = factors
     n = len(d)
     if not any(swap):
