@@ -126,7 +126,7 @@ def _krueger(
 ) -> tuple[np.ndarray, np.ndarray]:
     """zeta + sum_j c_j sin(2 j zeta) for zeta = xi + i eta, and its
     derivative 1 + sum_j 2 j c_j cos(2 j zeta), both summed by Clenshaw's
-    recurrence on 2 cos(2 zeta) (Karney 2011, section 5)."""
+    recurrence on 2 cos(2 zeta) as in Karney 2011."""
     c0, s0 = np.cos(2.0 * xi), np.sin(2.0 * xi)
     ch0, sh0 = np.cosh(2.0 * eta), np.sinh(2.0 * eta)
     a = 2.0 * c0 * ch0 - 2j * s0 * sh0
@@ -135,8 +135,8 @@ def _krueger(
         coeff = coeffs[j - 1]
         y0, y1 = a * y0 - y1 + coeff, y0
         z0, z1 = a * z0 - z1 + 2 * j * coeff, z0
-    sum_ = xi + 1j * eta + (s0 * ch0 + 1j * c0 * sh0) * y0
-    return sum_, 1.0 - z1 + 0.5 * a * z0
+    series = xi + 1j * eta + (s0 * ch0 + 1j * c0 * sh0) * y0
+    return series, 1.0 - z1 + 0.5 * a * z0
 
 
 def wgs84_to_utm(
@@ -230,9 +230,9 @@ def utm_to_wgs84(
     xi_p, eta_p = zeta_p.real, zeta_p.imag
 
     sinh_eta = np.sinh(eta_p)
-    cos_xi = np.cos(xi_p)
+    sin_xi, cos_xi = np.sin(xi_p), np.cos(xi_p)
     r = np.hypot(sinh_eta, cos_xi)
-    taup = np.sin(xi_p) / r
+    taup = sin_xi / r
     lam = np.arctan2(sinh_eta, cos_xi)
 
     # Newton iteration for tau from its conformal counterpart; each point
@@ -255,7 +255,7 @@ def utm_to_wgs84(
             break
 
     root = np.hypot(1.0, tau)
-    gamma = np.arctan2(dzeta.imag, dzeta.real) + np.arctan2(np.sin(xi_p) * np.tanh(eta_p), cos_xi)
+    gamma = np.arctan2(dzeta.imag, dzeta.real) + np.arctan2(sin_xi * np.tanh(eta_p), cos_xi)
     k = SCALE_FACTOR * _B1 / np.abs(dzeta) * np.sqrt(e2m + _E2 / root**2) * root * r
     lat = np.arctan(tau) * _RAD2DEG
     lon = central_meridian + lam * _RAD2DEG
