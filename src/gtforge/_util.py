@@ -252,9 +252,10 @@ def _c_table(body: list[str], cells: Sequence[tuple[int, str, bool]]) -> np.ndar
     ValueError) where the cell reader must decide.
 
     One pass reads the first character of each optional cell. A column
-    whose cells are all empty is NaN and is not read; one with no empty or
-    whitespace-led cell is read as a required column is; only a column
-    with both takes _optional_cell per cell.
+    whose cells are all empty is NaN and is not read; one with no empty
+    cell and none led by a space or control character is read as a
+    required column is; only a column with both takes _optional_cell per
+    cell.
     """
     def load(usecols: list[int], **kwargs) -> np.ndarray:
         return np.loadtxt(body, delimiter=",", comments=None, usecols=usecols, ndmin=2, **kwargs)
@@ -264,10 +265,8 @@ def _c_table(body: list[str], cells: Sequence[tuple[int, str, bool]]) -> np.ndar
     filled: set[int] = set()
     if opt:
         first = load(opt, dtype="U1")
-        blank = first == ""
-        led = blank | np.char.isspace(first)
-        empty = {pos for pos, all_blank in zip(opt, blank.all(axis=0)) if all_blank}
-        filled = {pos for pos, any_led in zip(opt, led.any(axis=0)) if not any_led}
+        empty = {pos for pos, blank in zip(opt, (first == "").all(axis=0)) if blank}
+        filled = {pos for pos, led in zip(opt, (first <= " ").any(axis=0)) if not led}
     read = [pos for pos, _, _ in cells if pos not in empty]
     table = load(read, converters={pos: _optional_cell for pos in opt
                                    if pos not in empty and pos not in filled})

@@ -330,19 +330,20 @@ class TestArrayKernels:
     """Every zone, both hemispheres, against the series in 40 digits."""
 
     def test_forward_within_a_few_ulps_of_the_series(self):
-        """Each coordinate within 3 ulps of the exact series value. The ulp
+        """Each coordinate within 4 ulps of the exact series value. The ulp
         is that of the coordinate or, if larger, of the coordinate before
         its false easting or northing, which the kernel rounds too. Over
         these points the kernel's worst is 1.71 ulps (easting) and 2.74
-        (northing); the per-element math kernel it replaced had 2.01 and
-        3.32."""
+        (northing), and over 3000 such points 3.25 and 3.34; the
+        per-element math kernel it replaced had 2.01 and 3.32 here, and
+        4.76 and 4.44 over the 3000."""
         worst_e = worst_n = 0.0
         for lat, lon, zone in zip(*forward_points(300, seed=41)):
             easting, northing, _, _, _, _ = geodesy.wgs84_to_utm([lat], [lon], int(zone))
             e, n, x, y = mp_forward(float(lat), float(lon), int(zone))
             worst_e = max(worst_e, ulps(easting[0], e, max(abs(easting[0]), abs(x))))
             worst_n = max(worst_n, ulps(northing[0], n, max(abs(northing[0]), abs(y))))
-        assert worst_e <= 3.0 and worst_n <= 3.0, (worst_e, worst_n)
+        assert worst_e <= 4.0 and worst_n <= 4.0, (worst_e, worst_n)
 
     def test_inverse_no_worse_than_the_kernel_it_replaced(self):
         """lat in ulps of itself, lon in ulps of 180 degrees, the scale at
