@@ -197,7 +197,8 @@ def opened(target: str | Path | IO[str], mode: str = "r") -> Iterator[IO[str]]:
 def _undecodable(path: str | Path, err: UnicodeDecodeError) -> ParseError:
     """ParseError "{path}: line N: ..." for a file that err could not
     decode. err's offset counts from the start of the reader's chunk, so
-    the file is read again to find the first bad byte and its line."""
+    the file is read again to find the first bad byte and its line, with
+    "\r", "\n" and "\r\n" each ending a line as in the readers."""
     data = Path(path).read_bytes()
     try:
         data.decode(err.encoding)
@@ -205,7 +206,7 @@ def _undecodable(path: str | Path, err: UnicodeDecodeError) -> ParseError:
         offset = whole.start
         error = ParseError(
             f"not {err.encoding} text: byte 0x{data[offset]:02x} at offset {offset}",
-            data.count(b"\n", 0, offset) + 1,
+            len((data[:offset] + b"_").splitlines()),
         )
     else:  # the file changed since it was read
         error = ParseError(f"not {err.encoding} text: {err.reason}")

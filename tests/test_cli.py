@@ -680,6 +680,17 @@ class TestNotUtf8:
         assert rc == EXIT_USAGE
         self.expect(capsys, workspace / "a.csv", where)
 
+    @pytest.mark.parametrize("end", ["\r", "\r\n"])
+    def test_line_ends(self, workspace, capsys, end):
+        rows = "".join(f"{i},{i},0,0{end}" for i in range(6))
+        (workspace / "a.csv").write_text(f"t,x,y,theta{end}{rows}", newline="")
+        (workspace / "b.csv").write_text(f"t,x,y,theta{end}{rows}", newline="")
+        where = self.spoil(workspace / "a.csv", 4)
+        rc = main(["calibrate", "--stream-a", str(workspace / "a.csv"),
+                   "--stream-b", str(workspace / "b.csv")])
+        assert rc == EXIT_USAGE
+        self.expect(capsys, workspace / "a.csv", where)
+
     def test_stamps(self, workspace, capsys):
         sim = simulate(workspace)
         stamps = workspace / "stamps.txt"
