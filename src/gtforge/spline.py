@@ -110,7 +110,7 @@ def coefficients(t: np.ndarray, ys: np.ndarray) -> np.ndarray:
     b[:, 0] = 3 * (ys[:, 1] - ys[:, 0])
     b[:, -1] = 3 * (ys[:, -1] - ys[:, -2])
     factors = _factor(t)
-    s = np.array([_solve(factors, row) for row in b.tolist()])
+    s = np.array([_solve(factors, row.tolist()) for row in b])
     d = (s[:, :-1] + s[:, 1:] - 2 * slope) / dx
     return np.stack((d / dx, (slope - s[:, :-1]) / dx - d, s[:, :-1], ys[:, :-1]))
 
