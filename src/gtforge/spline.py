@@ -72,32 +72,21 @@ def _factor(t: np.ndarray) -> _Factors:
 
 
 def _solve(factors: _Factors, b: list[float]) -> list[float]:
-    """The solution for right-hand side b (which may be overwritten) of
-    the system _factor eliminated: dgtsv's forward replay, then its back
-    substitution, each operation as the Fortran orders it. The back
-    substitution, and without row interchanges the forward replay too,
-    run over zips and store nothing by index."""
+    """The solution for right-hand side b (overwritten) of the system
+    _factor eliminated: dgtsv's forward replay, then its back substitution.
+    The loops index as the Fortran does and make no call per row."""
     fact, swap, dl, d, du = factors
     n = len(d)
-    if not any(swap):
-        prev = b[0]
-        y = [prev, *[prev := v - f * prev for f, v in zip(fact, b[1:])]]
-    else:
-        y = b
-        for i in range(n - 1):
-            if swap[i]:
-                y[i], y[i + 1] = y[i + 1], y[i] - fact[i] * y[i + 1]
-            else:
-                y[i + 1] = y[i + 1] - fact[i] * y[i]
-    x2 = y[n - 1] / d[n - 1]
-    x1 = (y[n - 2] - du[n - 2] * x2) / d[n - 2]
-    x = [x2, x1]
-    m = n - 2
-    for v, u, w, p in zip(reversed(y[:m]), reversed(du[:m]), reversed(dl[:m]), reversed(d[:m])):
-        x1, x2 = (v - u * x1 - w * x2) / p, x1
-        x.append(x1)
-    x.reverse()
-    return x
+    for i in range(n - 1):
+        if swap[i]:
+            b[i], b[i + 1] = b[i + 1], b[i] - fact[i] * b[i + 1]
+        else:
+            b[i + 1] = b[i + 1] - fact[i] * b[i]
+    b[n - 1] = b[n - 1] / d[n - 1]
+    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return b
 
 
 def coefficients(t: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -110,7 +99,7 @@ def coefficients(t: np.ndarray, ys: np.ndarray) -> np.ndarray:
     b[:, 0] = 3 * (ys[:, 1] - ys[:, 0])
     b[:, -1] = 3 * (ys[:, -1] - ys[:, -2])
     factors = _factor(t)
-    s = np.array([_solve(factors, row.tolist()) for row in b])
+    s = np.array([_solve(factors, row) for row in b.tolist()])
     d = (s[:, :-1] + s[:, 1:] - 2 * slope) / dx
     return np.stack((d / dx, (slope - s[:, :-1]) / dx - d, s[:, :-1], ys[:, :-1]))
 
