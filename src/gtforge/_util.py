@@ -248,41 +248,6 @@ def _optional_cell(text: str) -> float:
     return value
 
 
-def _c_table(body: list[str], cells: Sequence[tuple[int, str, bool]]) -> np.ndarray | None:
-    """The table of the data lines body by numpy's C reader, or None (or
-    ValueError) where the cell reader must decide.
-
-    One pass reads the first character of each optional cell. A column
-    whose cells are all empty is NaN and is not read; one with no empty
-    cell and none led by a space or control character is read as a
-    required column is; only a column with both takes _optional_cell per
-    cell.
-    """
-    def load(usecols: list[int], **kwargs) -> np.ndarray:
-        return np.loadtxt(body, delimiter=",", comments=None, usecols=usecols, ndmin=2, **kwargs)
-
-    opt = [pos for pos, _, optional in cells if optional]
-    empty: set[int] = set()
-    filled: set[int] = set()
-    if opt:
-        first = load(opt, dtype="U1")
-        empty = {pos for pos, blank in zip(opt, (first == "").all(axis=0)) if blank}
-        filled = {pos for pos, led in zip(opt, (first <= " ").any(axis=0)) if not led}
-    read = [pos for pos, _, _ in cells if pos not in empty]
-    table = load(read, converters={pos: _optional_cell for pos in opt
-                                   if pos not in empty and pos not in filled})
-    if len(table) != len(body):
-        return None
-    checked = [pos not in opt or pos in filled for pos in read]
-    if not np.isfinite(table[:, checked]).all():
-        return None
-    if not empty:
-        return table
-    out = np.full((len(table), len(cells)), math.nan)
-    out[:, [pos not in empty for pos, _, _ in cells]] = table
-    return out
-
-
 def read_csv_table(
     stream: IO[str], columns: Sequence[str], optional: Collection[str] = ()
 ) -> tuple[np.ndarray, list[int]]:
@@ -313,8 +278,10 @@ def read_csv_table(
         if (any(required) and body and not text.isspace() and '"' not in text
                 and "\0" not in text and max(map(len, body)) <= csv.field_size_limit()):
             with suppress(ValueError):
-                table = _c_table(body, cells)
-                if table is not None:
+                table = np.loadtxt(
+                    body, delimiter=",", comments=None, usecols=[pos for pos, _, _ in cells],
+                    ndmin=2, converters={pos: _optional_cell for pos, _, opt in cells if opt})
+                if len(table) == len(body) and np.isfinite(table[:, required]).all():
                     return table, list(range(2, len(table) + 2))
         # Cell by cell, each non-blank row led by its line number.
         rows = ((line, row) for line, row in enumerate(reader, start=2) if "".join(row).strip())

@@ -175,27 +175,16 @@ class TestAgainstCellReader:
         rows = [*rows[:i], row, *rows[i + 1:]]
         assert_same(text_of(header, [",".join(r) for r in rows], ending))
 
-
     @pytest.mark.parametrize("alt", [
         ["", "", ""], ["1", "2.5", "-3"], ["", "2.5", ""], ["1", " ", "3"], [" 1", "2", "3"],
         ["1", "nan", "3"], ["inf", "2", "3"], ["", "-inf", ""], ["", " nan", ""],
     ], ids=["all-empty", "all-filled", "mixed", "whitespace-only", "whitespace-led",
             "nan", "inf", "-inf-in-mixed", "padded-nan-in-mixed"])
     def test_optional_column_kinds(self, alt):
-        """The C reader looks at an optional column once and reads it as
-        NaN, as a required column or cell by cell; each gives the cell
-        reader's result or error."""
+        """All-empty, all-filled and mixed optional columns, blank and padded
+        cells, and non-finite ones: the C reader gives the cell reader's
+        result or error."""
         assert_same("t,x,alt\n" + "".join(f"{i},{2 * i},{a}\n" for i, a in enumerate(alt)))
-
-    @pytest.mark.parametrize("alt, per_cell", [
-        (["", "", ""], False), (["1", "2.5", "-3"], False), (["", "2.5", ""], True),
-    ])
-    def test_only_a_mixed_optional_column_converts_per_cell(self, alt, per_cell):
-        text = "t,x,alt\n" + "".join(f"{i},{2 * i},{a}\n" for i, a in enumerate(alt))
-        with patch.object(_util, "_cell", side_effect=AssertionError("cell reader ran")), \
-                patch.object(_util, "_optional_cell", wraps=_util._optional_cell) as convert:
-            read_csv_table(io.StringIO(text), COLUMNS, OPTIONAL)
-        assert convert.called == per_cell
 
 
 class TestColumnar:
