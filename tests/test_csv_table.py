@@ -175,17 +175,6 @@ class TestAgainstCellReader:
         rows = [*rows[:i], row, *rows[i + 1:]]
         assert_same(text_of(header, [",".join(r) for r in rows], ending))
 
-    @pytest.mark.parametrize("alt", [
-        ["", "", ""], ["1", "2.5", "-3"], ["", "2.5", ""], ["1", " ", "3"], [" 1", "2", "3"],
-        ["1", "nan", "3"], ["inf", "2", "3"], ["", "-inf", ""], ["", " nan", ""],
-    ], ids=["all-empty", "all-filled", "mixed", "whitespace-only", "whitespace-led",
-            "nan", "inf", "-inf-in-mixed", "padded-nan-in-mixed"])
-    def test_optional_column_kinds(self, alt):
-        """All-empty, all-filled and mixed optional columns, blank and padded
-        cells, and non-finite ones: the C reader gives the cell reader's
-        result or error."""
-        assert_same("t,x,alt\n" + "".join(f"{i},{2 * i},{a}\n" for i, a in enumerate(alt)))
-
 
 class TestColumnar:
     def test_bad_cell_after_good_columns_names_first_bad_row(self):
