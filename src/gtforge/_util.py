@@ -1,8 +1,8 @@
 """Small shared helpers: deterministic RNG streams, the positive-and-finite
 check, fixed-width float formatting for serialized output, the JSON config
-loader, the file opener and CSV table reader shared by every log format,
-the rule that timestamps increase strictly, and the CSV writer of
-trajectory logs.
+loader, the file opener, whose errors name the file, and the CSV table
+reader shared by every log format, the rule that timestamps increase
+strictly, and the CSV writer of trajectory logs.
 
 The table reader hands the data lines to numpy's C reader; a file it could
 misread, or with a bad cell, goes through csv and a cell-by-cell check
@@ -174,24 +174,21 @@ def load_config(cls: type[T], path: str | Path) -> T:
 
 
 @contextmanager
-def opened(target: str | Path | IO[str], mode: str = "r") -> Iterator[IO[str]]:
-    """An open text stream: target itself, or the file at that path opened
-    with newline="" (csv's convention) and closed on exit.
+def opened(path: str | Path, mode: str = "r") -> Iterator[IO[str]]:
+    """The file at path, opened as text with newline="" (csv's convention)
+    and closed on exit.
 
-    A GtForgeError raised while a path is open names it: its message gains
-    the prefix "{path}: ", and its line or index stays as it was.
+    A GtForgeError raised while it is open names the file: its message
+    gains the prefix "{path}: ", and its line or index stays as it was.
     """
-    if isinstance(target, (str, Path)):
-        try:
-            with Path(target).open(mode, newline="") as stream:
-                yield stream
-        except GtForgeError as err:
-            err.args = (f"{target}: {err}",)
-            raise
-        except UnicodeDecodeError as err:
-            raise _undecodable(target, err) from None
-    else:
-        yield target
+    try:
+        with Path(path).open(mode, newline="") as stream:
+            yield stream
+    except GtForgeError as err:
+        err.args = (f"{path}: {err}",)
+        raise
+    except UnicodeDecodeError as err:
+        raise _undecodable(path, err) from None
 
 
 def _undecodable(path: str | Path, err: UnicodeDecodeError) -> ParseError:
@@ -294,7 +291,7 @@ def read_csv_table(
 
 
 def write_csv_table(
-    dest: str | Path | IO[str], header: Sequence[str], columns: Sequence[np.ndarray]
+    dest: str | Path, header: Sequence[str], columns: Sequence[np.ndarray]
 ) -> None:
     """A header row, then one row per index of the equal-length columns.
 

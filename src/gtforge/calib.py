@@ -14,9 +14,9 @@ Motions are held as (n - 1, 3) arrays of (dtheta, dx, dy) rows and the
 least-squares system is built from whole columns. Pose stream CSVs carry
 columns t,x,y,theta (seconds, metres, radians) and are read by the same
 checked CSV reader as trajectory logs, so a bad cell or a timestamp that
-does not increase raises ParseError naming line N, and a stream of fewer
-than two poses raises GtForgeError; read from a path, either names the
-file. Streams with too little turning to solve raise GtForgeError.
+does not increase raises ParseError naming the file and line N, and a
+stream of fewer than two poses raises GtForgeError naming the file.
+Streams with too little turning to solve raise GtForgeError.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO
 
 import numpy as np
 
@@ -133,11 +132,11 @@ def solve_hand_eye(a: np.ndarray, b: np.ndarray) -> HandEyeResult:
     )
 
 
-def parse_pose_stream(source: str | Path | IO[str]) -> np.ndarray:
+def parse_pose_stream(source: str | Path) -> np.ndarray:
     """Pose CSV (t,x,y,theta) as an (N, 4) array, timestamps ascending.
 
     A bad cell or a t that does not increase raises ParseError naming its
-    line; fewer than two poses raise GtForgeError.
+    line; fewer than two poses raise GtForgeError. Either names the file.
     """
     with opened(source) as stream:
         poses, lines = read_csv_table(stream, POSE_COLUMNS)

@@ -161,10 +161,7 @@ def _check_trig_mix(samples: int, seed: int) -> dict:
         omega = uncert.GaussianMoments(
             float(rng.uniform(-math.pi, math.pi)), float(rng.uniform(0.05, 0.5))
         )
-        # The plain-exponent form is the proven inequality; certify that one.
-        bound = uncert.bounded_trig_mix_var(
-            m_x, m_y, s_x, s_y, omega, convention=uncert.PRINTED
-        )
+        bound = uncert.bounded_trig_mix_var(m_x, m_y, s_x, s_y, omega)
         var, se = uncert.mixed_trig_variance_mc(
             m_x, m_y, s_x, s_y, omega, samples, seed + 11000 + i
         )

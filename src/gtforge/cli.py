@@ -78,7 +78,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _load_geometry(
     path: str, target_ids: list[str]
 ) -> gtgen.VehicleGeometry | dict[str, gtgen.VehicleGeometry]:
-    """One geometry for every target, or a mapping from target id to one."""
+    """One geometry for every target, or a mapping from each target id to one."""
     data = load_json_object(path)
     if not data.keys().isdisjoint(f.name for f in fields(gtgen.VehicleGeometry)):
         return from_mapping(gtgen.VehicleGeometry, data, path)
@@ -87,6 +87,9 @@ def _load_geometry(
         raise ParseError(
             f"{path}: geometry id(s) {unknown} match no target; target ids are {target_ids}"
         )
+    missing = sorted(set(target_ids) - set(data))
+    if missing:
+        raise ParseError(f"{path}: no geometry given for target(s) {missing}")
     return {
         key: from_mapping(gtgen.VehicleGeometry, value, f"{path}[{key!r}]")
         for key, value in data.items()

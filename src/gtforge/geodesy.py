@@ -82,6 +82,9 @@ _RAD2DEG = 180.0 / math.pi
 # b1 of Karney's eq. (14): the rectifying radius over the major semi-axis.
 _B1 = _RADIUS / WGS84_A
 
+# Northing of the poles from the equator (xi = pi/2): about 9 997 964.94 m.
+_POLE_NORTHING = SCALE_FACTOR * _RADIUS * math.pi / 2.0
+
 
 def _raise_first(checks: Sequence[tuple[np.ndarray, Callable[[int], str]]]) -> None:
     """Raise CoordinateError for the first point any check flags, taking the
@@ -210,20 +213,24 @@ def utm_to_wgs84(
 
     Round-trips with wgs84_to_utm to ~1e-9 degrees. A bad zone or
     hemisphere raises CoordinateError, and so does a bad point, naming its
-    index.
+    index, such as a northing more than 9 997 964.94 m from the false
+    northing, past a pole (a session that crossed the equator stays inside).
     """
     central_meridian = central_meridian_deg(zone)
     if hemisphere not in ("north", "south"):
         raise CoordinateError(f"hemisphere must be 'north' or 'south', got {hemisphere!r}")
     easting = np.atleast_1d(np.asarray(easting, dtype=float))
     northing = np.atleast_1d(np.asarray(northing, dtype=float))
+    false_northing = FALSE_NORTHING_SOUTH if hemisphere == "south" else 0.0
+    y = northing - false_northing
     _raise_first([
         (~np.isfinite(easting), lambda i: f"easting must be finite, got {easting.item(i)!r}"),
         (~np.isfinite(northing), lambda i: f"northing must be finite, got {northing.item(i)!r}"),
         (~((0.0 < easting) & (easting < 1_000_000.0)),
          lambda i: f"easting must be in (0, 1e6), got {easting.item(i)}"),
+        (~(np.abs(y) <= _POLE_NORTHING), lambda i: f"northing {northing.item(i)} is past a "
+         f"pole, more than {_POLE_NORTHING:.2f} m from false northing {false_northing:g}"),
     ])
-    y = northing - FALSE_NORTHING_SOUTH if hemisphere == "south" else northing
     xi = y / (SCALE_FACTOR * _RADIUS)
     eta = (easting - FALSE_EASTING) / (SCALE_FACTOR * _RADIUS)
     zeta_p, dzeta = _krueger(xi, eta, [-coeff for coeff in _BETA])

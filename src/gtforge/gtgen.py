@@ -14,9 +14,8 @@ Identical inputs produce bit-identical files.
 
 Logs in different UTM zones or hemispheres, and other inconsistent
 arguments, raise ValueError; a malformed stamp or records file raises
-ParseError naming its line, and the file when read from a path; a log too
-short to interpolate, stamps outside the logs and a missing ego yaw rate
-raise GtForgeError.
+ParseError naming the file and its line; a log too short to interpolate,
+stamps outside the logs and a missing ego yaw rate raise GtForgeError.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -121,17 +120,21 @@ def bbox_footprint(rel: RelativeState, geom: VehicleGeometry) -> np.ndarray:
 def make_stamps(rate: float, t0: float, t1: float) -> np.ndarray:
     """Evenly spaced stamps at the given rate starting at t0, within [t0, t1].
 
-    A last stamp that rounding puts past t1 is clamped to t1.
+    A last stamp that rounding puts past t1 is clamped to t1. More than
+    2**59 stamps, synth.RunSpec's limit, are refused before any is made.
     """
     if not (math.isfinite(rate) and rate > 0.0):
         raise ValueError(f"rate must be positive, got {rate}")
     if t1 < t0:
         raise ValueError(f"empty window: [{t0}, {t1}]")
-    count = int(math.floor((t1 - t0) * rate + 1e-9))
+    span = (t1 - t0) * rate + 1e-9
+    if span >= 2**59:
+        raise ValueError(f"rate {rate:g} Hz over [{t0:g}, {t1:g}] gives more than 2**59 stamps")
+    count = int(math.floor(span))
     return np.minimum(t0 + np.arange(count + 1) / rate, t1)
 
 
-def read_stamps(source: str | Path | IO[str]) -> np.ndarray:
+def read_stamps(source: str | Path) -> np.ndarray:
     """Stamp file: one float per line, blank lines ignored."""
     values = []
     with opened(source) as stream:
@@ -284,7 +287,7 @@ def record_to_json(records: RecordSet) -> Iterator[str]:
     return (row_format % row for row in rows)
 
 
-def write_records_jsonl(records: RecordSet, dest: str | Path | IO[str]) -> None:
+def write_records_jsonl(records: RecordSet, dest: str | Path) -> None:
     with opened(dest, "w") as stream:
         stream.writelines(record_to_json(records))
 
@@ -293,7 +296,7 @@ def write_records_jsonl(records: RecordSet, dest: str | Path | IO[str]) -> None:
 _NUMBER = {int, float}
 
 
-def read_records_jsonl(source: str | Path | IO[str]) -> RecordSet:
+def read_records_jsonl(source: str | Path) -> RecordSet:
     """Parse records written by write_records_jsonl; errors name the line.
 
     Values must be JSON numbers and target_id a JSON string. The bounds are

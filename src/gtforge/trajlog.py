@@ -17,9 +17,10 @@ psi_dot cells may be empty.
 
 In memory a Trajectory holds one float64 array per channel (t, x, y, vx,
 vy, psi, psi_dot, alt), with NaN for an empty optional cell, and checks
-whole arrays at construction. The parser still checks every cell and
-reports the first bad one with its line number. Writing a UTM log and
-parsing it back reproduces the trajectory bit-exactly.
+whole arrays at construction. The parser reads a log from its path,
+still checks every cell and reports the first bad one with its file and
+line number. Writing a UTM log and parsing it back reproduces the
+trajectory bit-exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -167,7 +168,7 @@ def apply_clock_model(traj: Trajectory, clock: ClockModel) -> Trajectory:
 
 
 def parse_trajectory_log(
-    source: str | Path | IO[str],
+    source: str | Path,
     frame: str = "utm",
     forced_zone: int | None = None,
 ) -> Trajectory:
@@ -182,13 +183,11 @@ def parse_trajectory_log(
     (ve, vn) rotated counter-clockwise by gamma and scaled by the point
     scale k, as the projected positions are. Errors name the line of the
     first bad cell, else of the first t that does not increase, else of the
-    first bad coordinate; a bad forced_zone names no line. Read from a
-    path, every error names the file too. The vehicle id is the file stem
-    ("vehicle" for an open stream).
+    first bad coordinate; a bad forced_zone names no line. Every error
+    names the file. The vehicle id is the file stem.
     """
     if frame not in FRAMES:
         raise ValueError(f"frame must be one of {FRAMES}, got {frame!r}")
-    vehicle_id = Path(source).stem if isinstance(source, (str, Path)) else "vehicle"
     columns = UTM_COLUMNS if frame == "utm" else GEODETIC_COLUMNS
     with opened(source) as stream:
         table, lines = read_csv_table(stream, columns, _OPTIONAL)
@@ -212,14 +211,12 @@ def parse_trajectory_log(
             kc, ks = k * np.cos(gamma), k * np.sin(gamma)
             vx, vy = kc * vx - ks * vy, ks * vx + kc * vy
     return Trajectory(
-        vehicle_id, t, x, y, vx, vy, wrap_angle(angle), psi_dot, alt,
+        Path(source).stem, t, x, y, vx, vy, wrap_angle(angle), psi_dot, alt,
         zone=zone, hemisphere=hemisphere,
     )
 
 
-def write_trajectory_log(
-    traj: Trajectory, dest: str | Path | IO[str], frame: str = "utm"
-) -> None:
+def write_trajectory_log(traj: Trajectory, dest: str | Path, frame: str = "utm") -> None:
     """Write a trajectory CSV.
 
     The UTM schema round-trips bit-exactly through parse_trajectory_log.

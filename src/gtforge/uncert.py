@@ -12,13 +12,13 @@ configs: _util.load_config reads a flat object whose keys are their
 fields (SI units), and dataclasses.asdict writes one back.
 
 Two exponent conventions exist for the e^{-sigma_psi^2} decay factors in
-the bound formulas. "half_exponent" (the default) halves the exponent in
-the diagonal position/velocity entries and reproduces the headline bound
-figures this bound family is known by; "printed" keeps the plain exponent
-and yields slightly looser diagonals. Both dominate the exact covariance
-for small heading noise; the half variant is a reporting convention, not a
-tighter theorem, so certification checks against random configurations use
-the printed form.
+the position and velocity bounds. "half_exponent" (the default) halves the
+exponent in the diagonal entries and reproduces the headline bound figures
+this bound family is known by; "printed" keeps the plain exponent and
+yields slightly looser diagonals. Both dominate the exact covariance for
+small heading noise; the half variant is a reporting convention, not a
+tighter theorem, so the trig-mix bound, which certification checks against
+random configurations, has only the printed form.
 
 Every Monte Carlo routine is deterministic: work is split into batches of
 at most MC_BATCH_SIZE draws, each drawing from its own (seed, batch-index)
@@ -207,20 +207,16 @@ def bounded_trig_mix_var(
     s_x: float,
     s_y: float,
     omega: GaussianMoments,
-    convention: str = DEFAULT_CONVENTION,
 ) -> float:
     """Upper bound on Var(cos(W) X + sin(W) Y) for independent X, Y, W.
 
-    s_x^2 + s_y^2 + (1 - e^{-sigma^2}) (|m_x| + |m_y|)^2, the exponent
-    scaled by the convention. The printed form is a theorem for Gaussian W
-    and any independent X, Y; the half variant is guaranteed only for small
-    angle spread.
+    s_x^2 + s_y^2 + (1 - e^{-sigma^2}) (|m_x| + |m_y|)^2, the printed form,
+    which is a theorem for Gaussian W and any independent X, Y.
     """
     _nonnegative("s_x", s_x)
     _nonnegative("s_y", s_y)
-    scale = _exponent_scale(convention)
     s2 = omega.std**2
-    return s_x**2 + s_y**2 + (1.0 - math.exp(-s2 * scale)) * (abs(m_x) + abs(m_y)) ** 2
+    return s_x**2 + s_y**2 + (1.0 - math.exp(-s2)) * (abs(m_x) + abs(m_y)) ** 2
 
 
 def velocity_bound(

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import math
 
 import numpy as np
@@ -144,27 +143,25 @@ class TestHandEye:
 
 
 class TestPoseStreamIO:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         poses = wavy_poses(30)
-        buf = io.StringIO()
-        write_pose_stream(poses, buf)
-        back = parse_pose_stream(io.StringIO(buf.getvalue()))
-        np.testing.assert_array_equal(back, poses)
+        write_pose_stream(poses, tmp_path / "poses.csv")
+        np.testing.assert_array_equal(parse_pose_stream(tmp_path / "poses.csv"), poses)
 
-    def test_header_required(self):
+    def test_header_required(self, text_file):
         with pytest.raises(ParseError):
-            parse_pose_stream(io.StringIO("0,1,2\n"))
+            parse_pose_stream(text_file("0,1,2\n"))
 
-    def test_bad_cell_line_number(self):
-        text = "t,x,y,theta\n0,1,2,0.1\n1,x,2,0.1\n"
+    def test_bad_cell_line_number(self, text_file):
+        path = text_file("t,x,y,theta\n0,1,2,0.1\n1,x,2,0.1\n")
         with pytest.raises(ParseError) as err:
-            parse_pose_stream(io.StringIO(text))
+            parse_pose_stream(path)
         assert err.value.line == 3
-        assert str(err.value) == "line 3: column 'x' is not a number: 'x'"
+        assert str(err.value) == f"{path}: line 3: column 'x' is not a number: 'x'"
 
-    def test_times_must_increase(self):
-        text = "t,x,y,theta\n1,0,0,0\n1,1,0,0\n"
+    def test_times_must_increase(self, text_file):
+        path = text_file("t,x,y,theta\n1,0,0,0\n1,1,0,0\n")
         with pytest.raises(ParseError) as err:
-            parse_pose_stream(io.StringIO(text))
+            parse_pose_stream(path)
         assert err.value.line == 3
-        assert str(err.value) == "line 3: pose timestamps must increase strictly"
+        assert str(err.value) == f"{path}: line 3: pose timestamps must increase strictly"

@@ -312,6 +312,16 @@ class TestGenerate:
         assert rc == EXIT_USAGE
         assert "'lenght'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rate", ["1e300", "1e308"])
+    def test_rate_past_2_59_stamps_names_the_rate(self, workspace, capsys, rate):
+        """Refused before any stamp is made: 6 s of logs at this rate."""
+        rc, out = self.generate(workspace, "--rate", rate)
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: rate {float(rate):g} Hz over [0, 6] gives more than 2**59 stamps\n"
+        )
+        assert not out.exists()
+
     def test_geometry_id_matching_no_target_is_usage_error(self, workspace, capsys):
         (workspace / "geometry.json").write_text(json.dumps({
             "lead_clean": {"length": 4.0, "width": 2.0},
@@ -552,42 +562,82 @@ class TestExportPlot:
         assert rc == EXIT_USAGE
 
 
+UTM_HEADER = "t,x,y,alt,vx,vy,psi_rad,psi_dot\n"
+RECORD = ('{"t": 1.5, "target_id": "lead", "x": 30, "y": 0, "vx": 0, "vy": 0, '
+          '"psi": %s, "bbox": [[32, 1], [32, -1], [28, -1], [28, 1]]}\n')
+GENERATE = ["generate", "--ego", "{sim}/ego_clean.csv", "--target", "{sim}/lead_clean.csv",
+            "--geometry", "{ws}/geometry.json", "--out", "{ws}/gt.jsonl"]
+
+
 class TestInputErrorsNameTheirFile:
-    """An error found in a file read from a path names that file."""
+    """An error found in an input file names that file."""
 
-    def generate_three(self, workspace, edit_line, line_no):
-        """generate over ego, lead and tail; tail's line line_no is edited."""
+    # (file name, its malformed text, the arguments that read it, with
+    # {bad} its path, {ws} the workspace and {sim} the simulated logs, and
+    # the message that follows "error: <path>: ")
+    @pytest.mark.parametrize("name, text, argv, message", [
+        pytest.param(
+            "tail.csv", UTM_HEADER + "0,0,0,,10,0,0,0\n0.1,1,0,,10,0,0,0\n0.2,abc,0,,10,0,0,0\n",
+            [*GENERATE, "--target", "{bad}", "--rate", "10"],
+            "line 4: column 'x' is not a number: 'abc'", id="utm-log-cell"),
+        pytest.param(
+            "tail.csv", UTM_HEADER + "0,0,0,,10,0,0,0\n0.1,1,0,,10,0,0,0\n0.1,2,0,,10,0,0,0\n",
+            [*GENERATE, "--target", "{bad}", "--rate", "10"],
+            "line 4: t=0.1 does not increase past t=0.1 on line 3", id="utm-log-time-order"),
+        pytest.param(
+            "ego_geo.csv", "t,lat,lon,alt,ve,vn,heading_deg,yaw_rate\n"
+            "0,48.8,2.13,,0,1,0,0\n0.1,95.0,2.13,,0,1,0,0\n",
+            ["generate", "--frame", "geodetic", "--ego", "{bad}", "--target",
+             "{sim}/lead_clean.csv", "--geometry", "{ws}/geometry.json", "--out", "{ws}/gt.jsonl",
+             "--rate", "10"],
+            "line 3: lat must be in [-90, 90], got 95.0", id="geodetic-log"),
+        pytest.param("stamps.txt", "1.0\nx\n", [*GENERATE, "--stamps", "{bad}"],
+                     "line 2: bad stamp 'x'", id="stamps-bad"),
+        pytest.param("stamps.txt", "\n\n", [*GENERATE, "--stamps", "{bad}"],
+                     "line 1: stamp file has no values", id="stamps-empty"),
+        pytest.param(
+            "gt.jsonl", RECORD % "0" + RECORD % "4.0",
+            ["export-plot", "--gt", "{bad}", "--channel", "x", "--out", "{ws}/x.csv"],
+            "line 2: bad record: values must be finite and psi in (-pi, pi], got "
+            "[1.5, 30.0, 0.0, 0.0, 0.0, 4.0]", id="records-psi"),
+        pytest.param(
+            "gt.jsonl", RECORD % "0" + RECORD % "x",
+            ["export-plot", "--gt", "{bad}", "--channel", "x", "--out", "{ws}/x.csv"],
+            "line 2: invalid JSON: Expecting value: line 1 column 75 (char 74)",
+            id="records-json"),
+        pytest.param(
+            "poses.csv", "t,x,y,theta\n0,0,0,0\n0.1,1,0,q\n",
+            ["calibrate", "--stream-a", "{bad}", "--stream-b", "{bad}"],
+            "line 3: column 'theta' is not a number: 'q'", id="pose-stream"),
+        pytest.param("geometry.json", "{}", [*GENERATE, "--rate", "10"],
+                     "no geometry given for target(s) ['lead_clean']", id="geometry-empty"),
+        pytest.param(
+            "geometry.json", '{"lead_clean": {"length": 4.0, "width": 2.0}}',
+            [*GENERATE, "--target", "{sim}/lead_noisy.csv", "--rate", "10"],
+            "no geometry given for target(s) ['lead_noisy']", id="geometry-partial"),
+        pytest.param(
+            "noise_bad.json", '{"sigma_pos": 0.02}',
+            [*GENERATE, "--rate", "10", "--noise", "{bad}", "--envelope", "{ws}/envelope.json"],
+            "missing required field(s) ['sigma_psi', 'sigma_vel']", id="noise"),
+        pytest.param(
+            "envelope_bad.json", "{oops}",
+            [*GENERATE, "--rate", "10", "--noise", "{ws}/noise.json", "--envelope", "{bad}"],
+            "invalid JSON: Expecting property name enclosed in double quotes: "
+            "line 1 column 2 (char 1)", id="envelope"),
+        pytest.param(
+            "clock.json", '{"lead": {"offset": 0.5}}',
+            [*GENERATE, "--rate", "10", "--clock", "{bad}"],
+            "clock id(s) ['lead'] match no log; log ids are ['ego_clean', 'lead_clean']",
+            id="clock"),
+    ])
+    def test_malformed_input_exits_2_naming_it(
+        self, workspace, capsys, name, text, argv, message
+    ):
         sim = simulate(workspace)
-        lines = (sim / "lead_clean.csv").read_text().splitlines(keepends=True)
-        (workspace / "lead.csv").write_text("".join(lines))
-        lines[line_no - 1] = edit_line(lines)
-        (workspace / "tail.csv").write_text("".join(lines))
-        return main([
-            "generate", "--ego", str(sim / "ego_clean.csv"),
-            "--target", str(workspace / "lead.csv"), "--target", str(workspace / "tail.csv"),
-            "--rate", "10", "--geometry", str(workspace / "geometry.json"),
-            "--out", str(workspace / "gt.jsonl"),
-        ])
-
-    def test_log_cell(self, workspace, capsys):
-        def bad_x(lines):
-            t, _, rest = lines[3].split(",", 2)
-            return f"{t},abc,{rest}"
-
-        assert self.generate_three(workspace, bad_x, 4) == EXIT_USAGE
-        assert capsys.readouterr().err == (
-            f"error: {workspace / 'tail.csv'}: line 4: column 'x' is not a number: 'abc'\n"
-        )
-
-    def test_log_time_order(self, workspace, capsys):
-        def repeat_t(lines):
-            return lines[3].split(",", 1)[0] + "," + lines[4].split(",", 1)[1]
-
-        assert self.generate_three(workspace, repeat_t, 5) == EXIT_USAGE
-        assert capsys.readouterr().err == (
-            f"error: {workspace / 'tail.csv'}: line 5: t=0.1 does not increase past "
-            "t=0.1 on line 4\n"
-        )
+        bad = workspace / name
+        bad.write_text(text)
+        assert main([arg.format(bad=bad, ws=workspace, sim=sim) for arg in argv]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
     def test_short_pose_stream(self, workspace, capsys):
         t = np.arange(20) * 0.1
@@ -600,38 +650,6 @@ class TestInputErrorsNameTheirFile:
         assert capsys.readouterr().err == (
             f"error: {workspace / 'b.csv'}: need at least 2 poses, got 1\n"
         )
-
-    @pytest.mark.parametrize("text, message", [
-        ("1.0\nx\n", "line 2: bad stamp 'x'"),
-        ("\n\n", "line 1: stamp file has no values"),
-    ])
-    def test_stamps(self, workspace, capsys, text, message):
-        sim = simulate(workspace)
-        stamps = workspace / "stamps.txt"
-        stamps.write_text(text)
-        rc = main([
-            "generate", "--ego", str(sim / "ego_clean.csv"),
-            "--target", str(sim / "lead_clean.csv"), "--stamps", str(stamps),
-            "--geometry", str(workspace / "geometry.json"),
-            "--out", str(workspace / "gt.jsonl"),
-        ])
-        assert rc == EXIT_USAGE
-        assert capsys.readouterr().err == f"error: {stamps}: {message}\n"
-
-    @pytest.mark.parametrize("psi, message", [
-        ("4.0", "line 2: bad record: values must be finite and psi in (-pi, pi], got "
-                "[1.5, 30.0, 0.0, 0.0, 0.0, 4.0]"),
-        ("x", "line 2: invalid JSON: Expecting value: line 1 column 75 (char 74)"),
-    ])
-    def test_records(self, workspace, capsys, psi, message):
-        row = ('{"t": 1.5, "target_id": "lead", "x": 30, "y": 0, "vx": 0, "vy": 0, '
-               '"psi": %s, "bbox": [[32, 1], [32, -1], [28, -1], [28, 1]]}\n')
-        gt = workspace / "gt.jsonl"
-        gt.write_text(row % "0" + row % psi)
-        rc = main(["export-plot", "--gt", str(gt), "--channel", "x",
-                   "--out", str(workspace / "x.csv")])
-        assert rc == EXIT_USAGE
-        assert capsys.readouterr().err == f"error: {gt}: {message}\n"
 
 
 class TestNotUtf8:

@@ -14,7 +14,6 @@ to finite differences of the projected positions themselves.
 
 from __future__ import annotations
 
-import io
 import math
 
 import mpmath
@@ -176,13 +175,12 @@ class TestInverseProjection:
                 )
         assert worst < 1e-9
 
-    def test_round_trip_preserves_altitude(self):
+    def test_round_trip_preserves_altitude(self, text_file, tmp_path):
         """The projection leaves altitude to the log's own alt channel."""
         text = "t,lat,lon,alt,ve,vn,heading_deg,yaw_rate\n0.0,48.80,2.13,130.5,0,0,0,\n"
-        traj = parse_trajectory_log(io.StringIO(text), frame="geodetic")
-        buf = io.StringIO()
-        write_trajectory_log(traj, buf, frame="geodetic")
-        back = parse_trajectory_log(io.StringIO(buf.getvalue()), frame="geodetic")
+        traj = parse_trajectory_log(text_file(text), frame="geodetic")
+        write_trajectory_log(traj, tmp_path / "back.csv", frame="geodetic")
+        back = parse_trajectory_log(tmp_path / "back.csv", frame="geodetic")
         assert back.alt[0] == 130.5
 
     def test_southern_round_trip(self):
@@ -246,6 +244,34 @@ class TestValidation:
             unproject(500000.0, 0.0, 61)
         with pytest.raises(CoordinateError, match="hemisphere must be 'north' or 'south'"):
             unproject(500000.0, 0.0, 31, hemisphere="up")
+
+    @pytest.mark.parametrize("northing, hemisphere", [
+        (2e7, "north"), (1e7, "north"), (9_997_964.95, "north"), (-9_997_964.95, "north"),
+        (-1.0, "south"), (2e7, "south"),
+    ])
+    def test_northing_past_a_pole_rejected(self, northing, hemisphere):
+        """A northing more than k0 R pi / 2 = 9 997 964.94 m from the false
+        northing has xi past pi/2: the inverse would fold it back over the
+        pole (2e7 in the north gave lat -0.037, 1e7 gave 89.98)."""
+        with pytest.raises(CoordinateError, match=f"^northing {northing} is past a pole") as err:
+            geodesy.utm_to_wgs84([5e5, 5e5], [5e6, northing], 31, hemisphere)
+        assert err.value.index == 1
+
+    @pytest.mark.parametrize("false_northing, hemisphere", [(0.0, "north"), (1e7, "south")])
+    def test_northing_up_to_the_poles_taken(self, false_northing, hemisphere):
+        northing = [false_northing + 9_997_964.94, false_northing - 9_997_964.94]
+        lat, _, _, _ = geodesy.utm_to_wgs84([5e5, 5e5], northing, 31, hemisphere)
+        np.testing.assert_allclose(lat, [90.0, -90.0], rtol=0, atol=1e-4)
+
+    def test_equator_crossing_session_taken_back(self):
+        """A session that starts north and crosses the equator keeps the
+        north's false northing, so its southern points have negative
+        northings; the inverse takes them back, not refuses them."""
+        lat = [0.001, -0.001, -0.5]
+        easting, northing, zone, hemisphere, _, _ = geodesy.wgs84_to_utm(lat, [9.0] * 3)
+        assert hemisphere == "north" and northing[1] < 0.0 < northing[0]
+        back, _, _, _ = geodesy.utm_to_wgs84(easting, northing, zone, hemisphere)
+        np.testing.assert_allclose(back, lat, rtol=0, atol=1e-9)
 
 
 mpmath.mp.dps = 40

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import re
@@ -107,18 +106,29 @@ class TestStamps:
         assert np.all(np.diff(stamps) > 0.0)
         np.testing.assert_array_equal(stamps[:-1], t0 + np.arange(stamps.size - 1) / rate)
 
-    def test_read_stamps(self):
-        got = read_stamps(io.StringIO("0.0\n0.1\n\n0.2\n"))
+    @pytest.mark.parametrize("rate, t0, t1", [
+        (1e300, 0.0, 6.0), (2.0**59, 0.0, 1.0), (1e308, 0.0, 1e3),
+    ])
+    def test_make_stamps_refuses_more_than_2_59(self, rate, t0, t1):
+        """Refused before any allocation, naming the rate and the window."""
+        with pytest.raises(ValueError) as err:
+            make_stamps(rate, t0, t1)
+        assert str(err.value) == (
+            f"rate {rate:g} Hz over [{t0:g}, {t1:g}] gives more than 2**59 stamps"
+        )
+
+    def test_read_stamps(self, text_file):
+        got = read_stamps(text_file("0.0\n0.1\n\n0.2\n", "stamps.txt"))
         np.testing.assert_allclose(got, [0.0, 0.1, 0.2])
 
-    def test_read_stamps_bad_line(self):
+    def test_read_stamps_bad_line(self, text_file):
         with pytest.raises(ParseError) as err:
-            read_stamps(io.StringIO("0.0\nnope\n"))
+            read_stamps(text_file("0.0\nnope\n", "stamps.txt"))
         assert err.value.line == 2
 
-    def test_read_stamps_empty(self):
+    def test_read_stamps_empty(self, text_file):
         with pytest.raises(ParseError):
-            read_stamps(io.StringIO("\n\n"))
+            read_stamps(text_file("\n\n", "stamps.txt"))
 
 
 class TestGenerateRecords:
@@ -136,7 +146,7 @@ class TestGenerateRecords:
         assert records.pos_bound is None and records.vel_bound is None
         assert records.yaw_var is None
 
-    def test_bounds_attached_with_noise(self):
+    def test_bounds_attached_with_noise(self, to_jsonl):
         ego, lead = lead_follow_logs()
         records = generate_records(
             ego, [lead], make_stamps(10.0, 0.0, 1.0), GEOM,
@@ -146,9 +156,7 @@ class TestGenerateRecords:
         assert records.vel_bound.a == pytest.approx(0.06381297021643528)
         assert records.yaw_var == pytest.approx(6.125e-6)
         # dataset-level: identical on every written record
-        buf = io.StringIO()
-        write_records_jsonl(records, buf)
-        lines = [json.loads(line) for line in buf.getvalue().splitlines()]
+        lines = [json.loads(line) for line in to_jsonl(records).splitlines()]
         assert len(lines) == len(records)
         assert all(line["pos_bound"] == lines[0]["pos_bound"] for line in lines)
 
@@ -251,10 +259,16 @@ class TestGenerateRecords:
         assert heading == pytest.approx(records.psi[0], abs=1e-9)
 
 
-def to_jsonl(records: RecordSet) -> str:
-    buf = io.StringIO()
-    write_records_jsonl(records, buf)
-    return buf.getvalue()
+@pytest.fixture
+def to_jsonl(tmp_path):
+    """to_jsonl(records): the text that write_records_jsonl writes."""
+
+    def write(records: RecordSet) -> str:
+        path = tmp_path / "written.jsonl"
+        write_records_jsonl(records, path)
+        return path.read_text()
+
+    return write
 
 
 class TestJsonl:
@@ -276,7 +290,7 @@ class TestJsonl:
             bbox=bbox_footprint(rel, GEOM), **kwargs,
         )
 
-    def test_key_order_and_digits(self):
+    def test_key_order_and_digits(self, to_jsonl):
         line = to_jsonl(self.record())
         assert line.startswith('{"t": 1.25, "target_id": "lead", "x": 30, "y": -0.5')
         assert '"pos_bound": {"a": 0.00845624414' in line
@@ -284,25 +298,26 @@ class TestJsonl:
         assert line.index('"vel_bound"') < line.index('"yaw_var"')
         assert line.endswith("}\n") and line.count("\n") == 1
 
-    def test_bounds_omitted_without_noise(self):
+    def test_bounds_omitted_without_noise(self, to_jsonl):
         line = to_jsonl(self.record(with_bounds=False))
         assert "pos_bound" not in line
         assert "yaw_var" not in line
 
-    def test_round_trip(self):
-        back = read_records_jsonl(io.StringIO(to_jsonl(self.record())))
+    def test_round_trip(self, text_file, to_jsonl):
+        back = read_records_jsonl(text_file(to_jsonl(self.record()), "gt.jsonl"))
         assert len(back) == 1
         assert back.target_id[0] == "lead"
         assert back.x[0] == pytest.approx(30.0)
         assert back.pos_bound.c == pytest.approx(0.00574218310359087, rel=1e-8)
         assert to_jsonl(back) == to_jsonl(self.record())
-        plain = read_records_jsonl(io.StringIO(to_jsonl(self.record(with_bounds=False))))
+        text = to_jsonl(self.record(with_bounds=False))
+        plain = read_records_jsonl(text_file(text, "gt.jsonl"))
         assert plain.pos_bound is None
 
-    def test_mixed_bounds_rejected_with_line(self):
+    def test_mixed_bounds_rejected_with_line(self, text_file, to_jsonl):
         text = to_jsonl(self.record()) + to_jsonl(self.record(with_bounds=False))
         with pytest.raises(ParseError) as err:
-            read_records_jsonl(io.StringIO(text))
+            read_records_jsonl(text_file(text, "gt.jsonl"))
         assert err.value.line == 2
 
     @pytest.mark.parametrize("key, value", [
@@ -311,26 +326,26 @@ class TestJsonl:
         ("yaw_var", '"6.125e-06"'), ("yaw_var", "-1.0"), ("yaw_var", "NaN"),
         ("target_id", "7"),
     ])
-    def test_read_rejects_bad_value_with_line(self, key, value):
+    def test_read_rejects_bad_value_with_line(self, text_file, to_jsonl, key, value):
         good = to_jsonl(self.record())
         bad = good.replace(f'"{key}": ', f'"{key}": {value}, "_": ', 1)
         with pytest.raises(ParseError) as err:
-            read_records_jsonl(io.StringIO(good + bad))
+            read_records_jsonl(text_file(good + bad, "gt.jsonl"))
         assert err.value.line == 2
 
     @pytest.mark.parametrize("pattern, value", [
         (r'(?<="bbox": \[\[)[^,]+', '"30.0"'),
         (r'(?<="pos_bound": \{"a": )[^,]+', "true"),
     ])
-    def test_read_rejects_nested_non_number(self, pattern, value):
+    def test_read_rejects_nested_non_number(self, text_file, to_jsonl, pattern, value):
         good = to_jsonl(self.record())
         bad = re.sub(pattern, value, good, count=1)
         assert bad != good
         with pytest.raises(ParseError, match="must be JSON numbers") as err:
-            read_records_jsonl(io.StringIO("\n" + bad))
+            read_records_jsonl(text_file("\n" + bad, "gt.jsonl"))
         assert err.value.line == 2
 
-    def test_write_refuses_non_finite(self):
+    def test_write_refuses_non_finite(self, to_jsonl):
         records = self.record()
         records.vy[0] = math.nan
         with pytest.raises(ValueError):
@@ -347,16 +362,16 @@ class TestJsonl:
         write_records_jsonl(records, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_read_bad_json_line(self):
+    def test_read_bad_json_line(self, text_file):
         with pytest.raises(ParseError) as err:
-            read_records_jsonl(io.StringIO('{"t": 1}\n{oops\n'))
+            read_records_jsonl(text_file('{"t": 1}\n{oops\n', "gt.jsonl"))
         assert err.value.line in (1, 2)
 
-    def test_read_deeply_nested_line(self):
-        text = io.StringIO()
-        write_records_jsonl(self.record(), text)
-        with pytest.raises(ParseError, match=r"^line 2: invalid JSON: maximum recursion"):
-            read_records_jsonl(io.StringIO(text.getvalue() + "[" * 100_000 + "\n"))
+    def test_read_deeply_nested_line(self, text_file, to_jsonl):
+        path = text_file(to_jsonl(self.record()) + "[" * 100_000 + "\n", "gt.jsonl")
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: line 2: invalid JSON: "
+                                             "maximum recursion"):
+            read_records_jsonl(path)
 
     def test_bounds_all_or_none_enforced(self):
         rel = RelativeState(*(np.array([v]) for v in (1.0, 0.0, 0.0, 0.0, 0.0)))

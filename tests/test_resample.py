@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import math
 
 import numpy as np
@@ -98,14 +97,14 @@ class TestYaw:
         psi_dot = interp.states_at(2.345).psi_dot[0]
         assert psi_dot == pytest.approx(0.15 * math.cos(0.5 * 2.345), abs=1e-4)
 
-    def test_mixed_yaw_rate_presence_falls_back(self):
+    def test_mixed_yaw_rate_presence_falls_back(self, text_file):
         """One missing psi_dot cell disables the logged channel entirely."""
         t = np.arange(10) * 0.1
         text = "t,x,y,alt,vx,vy,psi_rad,psi_dot\n" + "".join(
             f"{tk!r},{tk!r},{tk!r},,1.0,1.0,0.0,{'' if k == 3 else '0.0'}\n"
             for k, tk in enumerate(t.tolist())
         )
-        traj = parse_trajectory_log(io.StringIO(text))
+        traj = parse_trajectory_log(text_file(text))
         interp = build_interpolant(traj)
         assert not interp.has_logged_yaw_rate
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import replace
 
@@ -43,9 +42,9 @@ def make_traj(n: int = 12, seed: int = 0, with_rate: bool = True) -> Trajectory:
 
 
 class TestUtmParsing:
-    def test_basic_parse(self):
+    def test_basic_parse(self, text_file):
         text = UTM_HEADER + "0.0,1.0,2.0,,3.0,4.0,0.5,\n0.1,1.3,2.4,10.0,3.0,4.0,0.5,0.01\n"
-        traj = parse_trajectory_log(io.StringIO(text))
+        traj = parse_trajectory_log(text_file(text))
         assert len(traj) == 2
         assert (traj.x[0], traj.y[0], traj.vx[0], traj.vy[0], traj.psi[0]) == (
             1.0, 2.0, 3.0, 4.0, 0.5
@@ -55,41 +54,37 @@ class TestUtmParsing:
         assert not traj.has_yaw_rate
         assert traj.zone is None
 
-    def test_round_trip_is_bit_exact(self):
+    def test_round_trip_is_bit_exact(self, tmp_path):
         """write -> parse must reproduce every float unchanged."""
         traj = make_traj(n=50, seed=3)
-        buf = io.StringIO()
-        write_trajectory_log(traj, buf)
-        back = parse_trajectory_log(io.StringIO(buf.getvalue()))
-        assert same_trajectory(replace(back, vehicle_id="veh"), traj)
+        write_trajectory_log(traj, tmp_path / "veh.csv")
+        assert same_trajectory(parse_trajectory_log(tmp_path / "veh.csv"), traj)
 
-    def test_round_trip_without_yaw_rate(self):
+    def test_round_trip_without_yaw_rate(self, tmp_path):
         traj = make_traj(n=20, seed=4, with_rate=False)
-        buf = io.StringIO()
-        write_trajectory_log(traj, buf)
-        back = parse_trajectory_log(io.StringIO(buf.getvalue()))
-        assert same_trajectory(replace(back, vehicle_id="veh"), traj)
+        write_trajectory_log(traj, tmp_path / "veh.csv")
+        assert same_trajectory(parse_trajectory_log(tmp_path / "veh.csv"), traj)
 
     def test_vehicle_id_from_path_stem(self, tmp_path):
         path = tmp_path / "ego_noisy.csv"
         write_trajectory_log(make_traj(), path)
         assert parse_trajectory_log(path).vehicle_id == "ego_noisy"
 
-    def test_column_order_irrelevant(self):
+    def test_column_order_irrelevant(self, text_file):
         text = "psi_rad,t,x,y,alt,vx,vy,psi_dot\n0.5,0.0,1.0,2.0,,3.0,4.0,\n"
-        traj = parse_trajectory_log(io.StringIO(text))
+        traj = parse_trajectory_log(text_file(text))
         assert traj.psi[0] == 0.5
         assert traj.t[0] == 0.0
 
-    def test_blank_lines_skipped(self):
+    def test_blank_lines_skipped(self, text_file):
         text = UTM_HEADER + "\n0.0,1.0,2.0,,3.0,4.0,0.5,\n\n"
-        assert len(parse_trajectory_log(io.StringIO(text))) == 1
+        assert len(parse_trajectory_log(text_file(text))) == 1
 
 
 class TestGeodeticParsing:
-    def test_projection_matches_geodesy(self):
+    def test_projection_matches_geodesy(self, text_file):
         text = GEO_HEADER + "0.0,48.80,2.13,130.5,5.0,1.0,90.0,0.0\n"
-        traj = parse_trajectory_log(io.StringIO(text), frame="geodetic")
+        traj = parse_trajectory_log(text_file(text), frame="geodetic")
         easting, northing = geodesy.wgs84_to_utm([48.80], [2.13])[:2]
         assert traj.x[0] == pytest.approx(easting[0], abs=1e-9)
         assert traj.y[0] == pytest.approx(northing[0], abs=1e-9)
@@ -97,7 +92,7 @@ class TestGeodeticParsing:
         assert traj.zone == 31
         assert traj.hemisphere == "north"
 
-    def test_heading_to_yaw(self):
+    def test_heading_to_yaw(self, text_file):
         """Heading is degrees CW from true north; yaw is radians CCW from
         grid east. At 48.80 N 2.13 E, west of zone 31's central meridian,
         true north has grid bearing -gamma with gamma about -0.65 degrees,
@@ -106,7 +101,7 @@ class TestGeodeticParsing:
             f"{i / 10.0},48.80,2.13,,0.0,0.0,{heading},0.0"
             for i, heading in enumerate((0.0, 90.0, 180.0, 270.0))
         )
-        traj = parse_trajectory_log(io.StringIO(GEO_HEADER + rows + "\n"), frame="geodetic")
+        traj = parse_trajectory_log(text_file(GEO_HEADER + rows + "\n"), frame="geodetic")
         (gamma,), _ = grid_north_by_step([48.80], [2.13], 31)
         assert math.degrees(gamma) == pytest.approx(-0.65, abs=0.01)
         psi = traj.psi
@@ -115,17 +110,17 @@ class TestGeodeticParsing:
         assert psi[2] == pytest.approx(-math.pi / 2 + gamma, abs=1e-9)
         assert psi[3] == pytest.approx(math.pi + gamma, abs=1e-9)  # wrapped from -pi + gamma
 
-    def test_east_north_velocity_mapping(self):
+    def test_east_north_velocity_mapping(self, text_file):
         """(ve, vn) are true east and north: rotated by gamma into the grid
         and scaled by the point scale k, both from a projected step."""
         text = GEO_HEADER + "0.0,48.80,2.13,,5.0,-2.0,90.0,\n"
-        traj = parse_trajectory_log(io.StringIO(text), frame="geodetic")
+        traj = parse_trajectory_log(text_file(text), frame="geodetic")
         (gamma,), (k,) = grid_north_by_step([48.80], [2.13], 31)
         c, s = math.cos(gamma), math.sin(gamma)
         assert traj.vx[0] == pytest.approx(k * (5.0 * c + 2.0 * s), abs=1e-7)
         assert traj.vy[0] == pytest.approx(k * (5.0 * s - 2.0 * c), abs=1e-7)
 
-    def test_true_course_lands_on_the_projected_track(self):
+    def test_true_course_lands_on_the_projected_track(self, text_file):
         """A car driving due north along a meridian 3 degrees east of zone
         32's central meridian at 48 N, heading 0 and (ve, vn) = (0, 20):
         its yaw must be the grid bearing of its own projected track, and its
@@ -138,7 +133,7 @@ class TestGeodeticParsing:
                         (0.0, t[-1]), [lat0], t_eval=t, rtol=1e-13, atol=1e-15)
         lat = sol.y[0]
         rows = "".join(f"{ti!r},{a!r},11.999,,0.0,20.0,0.0,0.0\n" for ti, a in zip(t.tolist(), lat.tolist()))
-        traj = parse_trajectory_log(io.StringIO(GEO_HEADER + rows), frame="geodetic")
+        traj = parse_trajectory_log(text_file(GEO_HEADER + rows), frame="geodetic")
         assert traj.zone == 32
         bearing = np.arctan2(traj.y[2:] - traj.y[:-2], traj.x[2:] - traj.x[:-2])
         assert np.abs(traj.psi[1:-1] - bearing).max() < 1e-6
@@ -146,121 +141,123 @@ class TestGeodeticParsing:
         rms = build_interpolant(traj).velocity_consistency_rms()
         assert max(rms) < 1e-3, rms
 
-    def test_zone_fixed_by_first_row(self):
+    def test_zone_fixed_by_first_row(self, text_file):
         """A log brushing a zone boundary stays in the first row's plane."""
         text = GEO_HEADER + (
             "0.0,48.80,5.99,,0.0,0.0,0.0,\n"
             "1.0,48.80,6.01,,0.0,0.0,0.0,\n"
         )
-        traj = parse_trajectory_log(io.StringIO(text), frame="geodetic")
+        traj = parse_trajectory_log(text_file(text), frame="geodetic")
         assert traj.zone == 31
         # Monotone easting across the boundary: both rows in one plane.
         assert traj.x[1] > traj.x[0]
 
-    def test_northing_continuous_across_equator(self):
+    def test_northing_continuous_across_equator(self, text_file):
         """The first row's hemisphere sets one false northing for the log."""
         lats = (0.0003, 0.0002, 0.0001, -0.0001, -0.0002, -0.0003)
         rows = "".join(f"{i / 10.0},{lat},9.0,,0.0,-3.0,180.0,\n" for i, lat in enumerate(lats))
-        traj = parse_trajectory_log(io.StringIO(GEO_HEADER + rows), frame="geodetic")
+        traj = parse_trajectory_log(text_file(GEO_HEADER + rows), frame="geodetic")
         assert traj.zone == 32 and traj.hemisphere == "north"
         steps = np.diff(traj.y)
         assert np.all(steps < 0.0) and np.all(np.abs(steps) < 25.0)
         assert traj.y[3] == pytest.approx(-0.0001 * 110574.4 * 0.9996, rel=1e-3)
 
-    def test_forced_zone(self):
+    def test_forced_zone(self, text_file):
         text = GEO_HEADER + "0.0,48.80,2.13,,0.0,0.0,0.0,\n"
-        traj = parse_trajectory_log(io.StringIO(text), frame="geodetic", forced_zone=30)
+        traj = parse_trajectory_log(text_file(text), frame="geodetic", forced_zone=30)
         assert traj.zone == 30
 
-    def test_bad_forced_zone_names_no_line(self):
+    def test_bad_forced_zone_names_no_line(self, text_file):
         text = GEO_HEADER + "0.0,48.80,2.13,,0.0,0.0,0.0,\n"
-        with pytest.raises(ParseError, match="^zone must be in 1..60, got 99$") as err:
-            parse_trajectory_log(io.StringIO(text), frame="geodetic", forced_zone=99)
+        path = text_file(text)
+        with pytest.raises(ParseError) as err:
+            parse_trajectory_log(path, frame="geodetic", forced_zone=99)
+        assert str(err.value) == f"{path}: zone must be in 1..60, got 99"
         assert err.value.line is None
 
-    def test_geodetic_round_trip_to_projection_accuracy(self):
+    def test_geodetic_round_trip_to_projection_accuracy(self, text_file, tmp_path):
         text = GEO_HEADER + (
             "0.0,48.80,2.13,100.0,5.0,1.0,45.0,0.01\n"
             "0.1,48.8001,2.1301,100.1,5.0,1.0,45.2,0.01\n"
         )
-        traj = parse_trajectory_log(io.StringIO(text), frame="geodetic")
-        buf = io.StringIO()
-        write_trajectory_log(traj, buf, frame="geodetic")
-        back = parse_trajectory_log(io.StringIO(buf.getvalue()), frame="geodetic")
+        traj = parse_trajectory_log(text_file(text), frame="geodetic")
+        write_trajectory_log(traj, tmp_path / "back.csv", frame="geodetic")
+        back = parse_trajectory_log(tmp_path / "back.csv", frame="geodetic")
         np.testing.assert_allclose(back.x, traj.x, rtol=0, atol=1e-6)
         np.testing.assert_allclose(back.y, traj.y, rtol=0, atol=1e-6)
         np.testing.assert_allclose(back.psi, traj.psi, rtol=0, atol=1e-12)
 
 
 class TestParseErrors:
-    def test_missing_column(self):
+    def test_missing_column(self, text_file):
         with pytest.raises(ParseError, match="missing column 'alt'") as err:
-            parse_trajectory_log(io.StringIO("t,x,y\n0,1,2\n"))
+            parse_trajectory_log(text_file("t,x,y\n0,1,2\n"))
         assert err.value.line == 1
         assert "alt" in str(err.value)
 
-    def test_bad_cell_reports_line(self):
+    def test_bad_cell_reports_line(self, text_file):
         text = UTM_HEADER + (
             "0.0,1.0,2.0,,3.0,4.0,0.5,\n"
             "0.1,oops,2.0,,3.0,4.0,0.5,\n"
         )
+        path = text_file(text)
         with pytest.raises(ParseError) as err:
-            parse_trajectory_log(io.StringIO(text))
+            parse_trajectory_log(path)
         assert err.value.line == 3
-        assert str(err.value).startswith("line 3:")
+        assert str(err.value).startswith(f"{path}: line 3:")
 
     @pytest.mark.parametrize("row, message", [
         ("0.1,95.0,2.13,,0.0,0.0,0.0,", "lat must be in [-90, 90]"),
         ("0.1,48.80,10.5,,0.0,0.0,0.0,", "from zone 31"),
     ])
-    def test_bad_geodetic_row_reports_line(self, row, message):
+    def test_bad_geodetic_row_reports_line(self, text_file, row, message):
         text = GEO_HEADER + "0.0,48.80,2.13,,0.0,0.0,0.0,\n" + row + "\n"
+        path = text_file(text)
         with pytest.raises(ParseError) as err:
-            parse_trajectory_log(io.StringIO(text), frame="geodetic")
+            parse_trajectory_log(path, frame="geodetic")
         assert err.value.line == 3
-        assert str(err.value).startswith("line 3:")
+        assert str(err.value).startswith(f"{path}: line 3:")
         assert message in str(err.value)
 
-    def test_empty_required_cell(self):
+    def test_empty_required_cell(self, text_file):
         text = UTM_HEADER + "0.0,,2.0,,3.0,4.0,0.5,\n"
         with pytest.raises(ParseError) as err:
-            parse_trajectory_log(io.StringIO(text))
+            parse_trajectory_log(text_file(text))
         assert "'x'" in str(err.value)
 
-    def test_non_finite_cell(self):
+    def test_non_finite_cell(self, text_file):
         text = UTM_HEADER + "0.0,inf,2.0,,3.0,4.0,0.5,\n"
         with pytest.raises(ParseError):
-            parse_trajectory_log(io.StringIO(text))
+            parse_trajectory_log(text_file(text))
 
-    def test_empty_file(self):
+    def test_empty_file(self, text_file):
         with pytest.raises(ParseError):
-            parse_trajectory_log(io.StringIO(""))
+            parse_trajectory_log(text_file(""))
 
-    def test_header_only(self):
+    def test_header_only(self, text_file):
         with pytest.raises(ParseError):
-            parse_trajectory_log(io.StringIO(UTM_HEADER))
+            parse_trajectory_log(text_file(UTM_HEADER))
 
-    def test_non_monotonic_timestamps(self):
+    def test_non_monotonic_timestamps(self, text_file):
         text = UTM_HEADER + (
             "0.0,1.0,2.0,,3.0,4.0,0.5,\n"
             "0.0,1.1,2.0,,3.0,4.0,0.5,\n"
         )
+        path = text_file(text)
         with pytest.raises(ParseError) as err:
-            parse_trajectory_log(io.StringIO(text))
+            parse_trajectory_log(path)
         assert err.value.line == 3
-        assert str(err.value) == (
-            "line 3: t=0.0 does not increase past t=0.0 on line 2"
-        )
+        assert str(err.value) == f"{path}: line 3: t=0.0 does not increase past t=0.0 on line 2"
 
-    def test_out_of_range_yaw(self):
+    def test_out_of_range_yaw(self, text_file):
         # 7.0 rad wraps fine; the parser wraps before validation.
         text = UTM_HEADER + "0.0,1.0,2.0,,3.0,4.0,7.0,\n"
-        psi = parse_trajectory_log(io.StringIO(text)).psi[0]
+        psi = parse_trajectory_log(text_file(text)).psi[0]
         assert -math.pi < psi <= math.pi
 
-    def test_bad_frame(self):
+    def test_bad_frame(self, text_file):
         with pytest.raises(ValueError):
-            parse_trajectory_log(io.StringIO(UTM_HEADER), frame="ecef")
+            parse_trajectory_log(text_file(UTM_HEADER), frame="ecef")
 
 
 class TestClockModel:

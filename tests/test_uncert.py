@@ -218,7 +218,7 @@ class TestBounds:
 
 class TestTrigMixBound:
     def test_worked_inequality_chain(self):
-        """exact <= half-exponent form <= plain form at one spelled-out point."""
+        """exact < the bound at one spelled-out point."""
         m_x, m_y, s = 3.0, -2.0, 0.05
         omega = GaussianMoments(0.7, 0.1)
         tm = trig_moments(omega)
@@ -228,10 +228,8 @@ class TestTrigMixBound:
             + 2.0 * (tm.cov_cos_sin + tm.e_cos * tm.e_sin) * m_x * m_y
             - (m_x * tm.e_cos + m_y * tm.e_sin) ** 2
         )
-        half = bounded_trig_mix_var(m_x, m_y, s, s, omega, HALF_EXPONENT)
-        printed = bounded_trig_mix_var(m_x, m_y, s, s, omega, PRINTED)
         assert exact == pytest.approx(0.1212, abs=5e-4)
-        assert exact < half < printed
+        assert exact < bounded_trig_mix_var(m_x, m_y, s, s, omega)
 
     def test_printed_bound_holds_against_mc(self):
         rng = np.random.default_rng(12)
@@ -243,7 +241,7 @@ class TestTrigMixBound:
             omega = GaussianMoments(
                 float(rng.uniform(-math.pi, math.pi)), float(rng.uniform(0.05, 0.6))
             )
-            bound = bounded_trig_mix_var(m_x, m_y, s_x, s_y, omega, PRINTED)
+            bound = bounded_trig_mix_var(m_x, m_y, s_x, s_y, omega)
             var, se = uncert.mixed_trig_variance_mc(
                 m_x, m_y, s_x, s_y, omega, 100_000, seed=900 + i
             )
@@ -251,7 +249,7 @@ class TestTrigMixBound:
 
     def test_sigma_zero_reduces_to_variance_sum(self):
         omega = GaussianMoments(0.4, 0.0)
-        got = bounded_trig_mix_var(1.0, 2.0, 0.3, 0.4, omega, PRINTED)
+        got = bounded_trig_mix_var(1.0, 2.0, 0.3, 0.4, omega)
         assert got == pytest.approx(0.3**2 + 0.4**2)
 
 
