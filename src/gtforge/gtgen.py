@@ -288,31 +288,31 @@ def record_to_json(records: RecordSet) -> Iterator[str]:
 
 
 def write_records_jsonl(records: RecordSet, dest: str | Path) -> None:
+    """Write records as JSON Lines; a refused RecordSet leaves dest as it was."""
+    rows = record_to_json(records)  # checks every value before dest is opened
     with opened(dest, "w") as stream:
-        stream.writelines(record_to_json(records))
-
-
-# The types json gives a JSON number; bool is neither, so test the type.
-_NUMBER = {int, float}
+        stream.writelines(rows)
 
 
 def read_records_jsonl(source: str | Path) -> RecordSet:
     """Parse records written by write_records_jsonl; errors name the line.
 
-    Values must be JSON numbers and target_id a JSON string. The bounds are
-    built from the first record, and every other record must repeat them.
+    Values must be JSON numbers, each read as a float, and target_id a JSON
+    string. The bounds are built from the first record, and every other
+    record must repeat them.
     """
     rows: list[list[float]] = []
     ids: list[str] = []
     lines: list[int] = []
     first = bounds = None
+    decode = json.JSONDecoder(parse_int=float).decode  # one decoder, -0 read as -0.0
     with opened(source) as stream:
         for line_no, line in enumerate(stream, start=1):
             text = line.strip()
             if not text:
                 continue
             try:
-                data = json.loads(text)
+                data = decode(text)
             except (json.JSONDecodeError, RecursionError) as err:
                 raise ParseError(f"invalid JSON: {err}", line_no)
             try:
@@ -331,12 +331,9 @@ def read_records_jsonl(source: str | Path) -> RecordSet:
                     raise ValueError("bounds differ from the first record's")
                 if raw:
                     kinds.update(map(type, [*raw[0].values(), *raw[1].values(), raw[2]]))
-                if not kinds <= _NUMBER:
-                    names = sorted(kind.__name__ for kind in kinds - _NUMBER)
+                if kinds != {float}:
+                    names = sorted(kind.__name__ for kind in kinds - {float})
                     raise ValueError(f"values must be JSON numbers, got {names}")
-                # An int past the float range fails here, naming its line.
-                if int in kinds:
-                    row = [float(v) for v in row]
                 target_id = data["target_id"]
                 if not isinstance(target_id, str):
                     raise ValueError(f"target_id must be a JSON string, got {target_id!r}")

@@ -50,45 +50,21 @@ class StadiumTrack:
 
     def frame_at(self, s) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(x, y, heading, curvature) at arc positions s (array-valued)."""
-        s = np.asarray(s, dtype=float)
         ls = self.straight_len
         r = self.curve_radius
-        lap, u = np.divmod(s, self.length)
-
-        x = np.empty_like(u)
-        y = np.empty_like(u)
-        heading = np.empty_like(u)
-        curvature = np.zeros_like(u)
-
+        lap, u = np.divmod(np.asarray(s, dtype=float), self.length)
         b0 = ls                       # end of first straight
         b1 = ls + math.pi * r         # end of first curve
         b2 = 2.0 * ls + math.pi * r   # end of second straight
-
-        m = u < b0
-        x[m] = u[m]
-        y[m] = 0.0
-        heading[m] = 0.0
-
-        m = (u >= b0) & (u < b1)
-        phi = (u[m] - b0) / r
-        x[m] = ls + r * np.sin(phi)
-        y[m] = r - r * np.cos(phi)
-        heading[m] = phi
-        curvature[m] = 1.0 / r
-
-        m = (u >= b1) & (u < b2)
-        d = u[m] - b1
-        x[m] = ls - d
-        y[m] = 2.0 * r
-        heading[m] = math.pi
-
-        m = u >= b2
-        phi = (u[m] - b2) / r
-        x[m] = -r * np.sin(phi)
-        y[m] = r + r * np.cos(phi)
-        heading[m] = math.pi + phi
-        curvature[m] = 1.0 / r
-
+        # Straight, curve, straight, curve; a boundary starts its segment.
+        segment = np.select([u < b0, u < b1, u < b2], [0, 1, 2], 3)
+        d = u - np.choose(segment, [0.0, b0, b1, b2])  # arc into the segment
+        phi = d / r
+        sin, cos = np.sin(phi), np.cos(phi)
+        x = np.choose(segment, [u, ls + r * sin, ls - d, -r * sin])
+        y = np.choose(segment, [0.0, r - r * cos, 2.0 * r, r + r * cos])
+        heading = np.choose(segment, [0.0, phi, math.pi, math.pi + phi])
+        curvature = np.where(segment % 2 == 1, 1.0 / r, 0.0)
         return x, y, heading + math.tau * lap, curvature
 
 
@@ -202,14 +178,12 @@ def corrupt(
     """
     out = traj
     if nm is not None:
-        rng = derived_rng(seed, stream)
-        n = len(traj)
-        ex = rng.normal(0.0, nm.sigma_pos, n)
-        ey = rng.normal(0.0, nm.sigma_pos, n)
-        evx = rng.normal(0.0, nm.sigma_vel, n)
-        evy = rng.normal(0.0, nm.sigma_vel, n)
-        epsi = rng.normal(0.0, nm.sigma_psi, n)
-        erate = rng.normal(0.0, nm.sigma_psi_dot, n)
+        # One row of draws per channel, in stream order; 0.0 + sigma * z is
+        # what Generator.normal(0.0, sigma) returns, bit for bit.
+        sigma = np.array([nm.sigma_pos, nm.sigma_pos, nm.sigma_vel, nm.sigma_vel,
+                          nm.sigma_psi, nm.sigma_psi_dot])[:, None]
+        z = derived_rng(seed, stream).standard_normal((6, len(traj)))
+        ex, ey, evx, evy, epsi, erate = 0.0 + sigma * z
         out = replace(
             traj,
             x=traj.x + ex, y=traj.y + ey, vx=traj.vx + evx, vy=traj.vy + evy,

@@ -23,7 +23,8 @@ random configurations, has only the printed form.
 Every Monte Carlo routine is deterministic: work is split into batches of
 at most MC_BATCH_SIZE draws, each drawing from its own (seed, batch-index)
 stream, and batch statistics are merged in index order, so results are
-reproducible bit for bit.
+reproducible bit for bit. A batch draws all its channels with one generator
+call, one row per channel; the row order is the kernel's stream layout.
 
 A bad parameter raises ValueError; the Monte Carlo covariance raises
 GtForgeError for an ego without a yaw rate.
@@ -373,11 +374,12 @@ def mixed_trig_variance_mc(
     seed: int,
 ) -> tuple[float, float]:
     """Monte Carlo Var(cos(W) X + sin(W) Y) with standard error."""
+    loc = np.array([[omega.mean], [m_x], [m_y]])
+    scale = np.array([[omega.std], [s_x], [s_y]])
 
     def stat(rng: np.random.Generator, m: int) -> np.ndarray:
-        w = rng.normal(omega.mean, omega.std, m)
-        x = rng.normal(m_x, s_x, m)
-        y = rng.normal(m_y, s_y, m)
+        # Rows w, x, y: loc + scale * z is Generator.normal(loc, scale), bit for bit.
+        w, x, y = loc + scale * rng.standard_normal((3, m))
         z = np.cos(w) * x + np.sin(w) * y
         dz = z - z.mean()
         return np.array([dz @ dz / (m - 1)])
@@ -418,27 +420,22 @@ def monte_carlo_covariance(
     """
     true_dpsi = relative_state(ego, target).psi
 
-    def stat(rng: np.random.Generator, m: int) -> np.ndarray:
-        def draw(mean: float, std: float) -> np.ndarray:
-            return mean + rng.normal(0.0, std, m)
+    # Rows: the ego's x, y, vx, vy, psi, psi_dot, then the target's first five.
+    mean = np.array([ego.x, ego.y, ego.vx, ego.vy, ego.psi, ego.psi_dot,
+                     target.x, target.y, target.vx, target.vy, target.psi])[:, None]
+    sigmas = [nm.sigma_pos, nm.sigma_pos, nm.sigma_vel, nm.sigma_vel, nm.sigma_psi]
+    std = np.array([*sigmas, nm.sigma_psi_dot, *sigmas])[:, None]
 
-        # The draw order (ego channels, then target's) is the stream layout.
+    def stat(rng: np.random.Generator, m: int) -> np.ndarray:
+        # mean + (0.0 + std * z) is mean + Generator.normal(0.0, std), bit for bit.
+        draws = mean + (0.0 + std * rng.standard_normal((11, m)))
         t = np.full(m, ego.t)
-        e = States(
-            t, draw(ego.x, nm.sigma_pos), draw(ego.y, nm.sigma_pos),
-            draw(ego.vx, nm.sigma_vel), draw(ego.vy, nm.sigma_vel),
-            draw(ego.psi, nm.sigma_psi), draw(ego.psi_dot, nm.sigma_psi_dot),
-        )
-        tg = States(
-            t, draw(target.x, nm.sigma_pos), draw(target.y, nm.sigma_pos),
-            draw(target.vx, nm.sigma_vel), draw(target.vy, nm.sigma_vel),
-            draw(target.psi, nm.sigma_psi), target.psi_dot,
-        )
+        e = States(t, *draws[:6])
+        tg = States(t, *draws[6:], target.psi_dot)
         rel = relative_state(e, tg)
         pa, pb, pc = _pair_stats(rel.x, rel.y)
         dpsi = wrap_angle(tg.psi - e.psi - true_dpsi)
-        dd = dpsi - dpsi.mean()
-        yv = dd @ dd / (m - 1)
+        yv = _pair_stats(dpsi, dpsi)[0]
         va, vb, vc = _pair_stats(rel.vx, rel.vy)
         return np.array([pa, pb, pc, yv, va, vb, vc])
 

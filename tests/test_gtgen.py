@@ -5,10 +5,12 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gtforge import geodesy, gtgen, synth
 from gtforge.egokin import RelativeState
@@ -351,6 +353,15 @@ class TestJsonl:
         with pytest.raises(ValueError):
             to_jsonl(records)
 
+    def test_refused_write_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "gt.jsonl"
+        path.write_text("previous records\n")
+        records = self.record()
+        records.x[0] = math.nan
+        with pytest.raises(ValueError, match="non-finite x"):
+            write_records_jsonl(records, path)
+        assert path.read_text() == "previous records\n"
+
     def test_deterministic_output(self, tmp_path):
         ego, lead = lead_follow_logs()
         records = generate_records(
@@ -381,6 +392,63 @@ class TestJsonl:
                 bbox=bbox_footprint(rel, GEOM),
                 pos_bound=CovBound2(1.0, 1.0, 0.0),
             )
+
+
+# Any finite float: -0.0, subnormals and values near +-1e308 included.
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def record_sets(draw):
+    n = draw(st.integers(0, 4))
+    columns = st.lists(finite, min_size=n, max_size=n)
+    t, x, y, vx, vy = (np.array(draw(columns), dtype=float) for _ in range(5))
+    psi = np.array(draw(st.lists(
+        st.floats(-math.pi, math.pi, exclude_min=True), min_size=n, max_size=n)), dtype=float)
+    bbox = np.array(draw(st.lists(finite, min_size=8 * n, max_size=8 * n)), dtype=float)
+    bounds = {}
+    if n and draw(st.booleans()):  # only a record can carry the bounds
+        variance = st.floats(0.0, allow_infinity=False)
+        cov = st.builds(CovBound2, variance, variance, finite)
+        bounds = dict(pos_bound=draw(cov), vel_bound=draw(cov), yaw_var=draw(variance))
+    ids = np.array(draw(st.lists(st.text(max_size=5), min_size=n, max_size=n)), dtype=str)
+    return RecordSet(t, ids, x, y, vx, vy, psi, bbox.reshape(n, 4, 2), **bounds)
+
+
+def nine_digits(values) -> bytes:
+    """The bytes of each value as float('%.9g' % v) reads it."""
+    return np.array([float("%.9g" % v) for v in values], dtype=float).tobytes()
+
+
+class TestJsonlRoundTrip:
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(record_sets())
+    def test_rewrite_is_byte_identical_and_reads_nine_digits(self, tmp_path, records):
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        write_records_jsonl(records, first)
+        back = read_records_jsonl(first)
+        write_records_jsonl(back, second)
+        assert second.read_bytes() == first.read_bytes()
+        for name in ("t", "x", "y", "vx", "vy", "psi", "bbox"):
+            got = getattr(back, name)
+            assert got.tobytes() == nine_digits(getattr(records, name).ravel()), name
+        assert back.target_id.tolist() == records.target_id.tolist()
+        if records.pos_bound is not None:
+            for name in ("pos_bound", "vel_bound"):
+                got, sent = astuple(getattr(back, name)), astuple(getattr(records, name))
+                assert np.array(got).tobytes() == nine_digits(sent), name
+            assert np.array([back.yaw_var]).tobytes() == nine_digits([records.yaw_var])
+
+    def test_negative_zero_reads_back_negative(self, tmp_path):
+        rel = RelativeState(*(np.array([-0.0]) for _ in range(5)))
+        records = RecordSet(np.array([-0.0]), np.array(["a"]), *rel,
+                            bbox=np.full((1, 4, 2), -0.0))
+        write_records_jsonl(records, tmp_path / "gt.jsonl")
+        assert '"x": -0, ' in (tmp_path / "gt.jsonl").read_text()
+        back = read_records_jsonl(tmp_path / "gt.jsonl")
+        assert np.signbit([back.t, back.x, back.y, back.vx, back.vy, back.psi]).all()
+        assert np.signbit(back.bbox).all()
 
 
 class TestGeometryValidation:

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from gtforge import synth
-from gtforge._util import from_mapping, load_config
+from gtforge._util import derived_rng, from_mapping, load_config
+from gtforge.egokin import wrap_angle
 from gtforge.errors import ParseError
 from gtforge.synth import (
     RunSpec,
@@ -73,6 +75,63 @@ class TestTrackGeometry:
             heading = track.frame_at(s)[2]
             assert (x1 - x0) / (2 * h) == pytest.approx(math.cos(heading), abs=1e-6)
             assert (y1 - y0) / (2 * h) == pytest.approx(math.sin(heading), abs=1e-6)
+
+
+def frame_by_segment(track: StadiumTrack, s):
+    """frame_at as four masked segments: a reference for its segment rule."""
+    ls, r = track.straight_len, track.curve_radius
+    lap, u = np.divmod(np.atleast_1d(np.asarray(s, dtype=float)), track.length)
+    b0, b1, b2 = ls, ls + math.pi * r, 2.0 * ls + math.pi * r
+    x, y, heading, curvature = (np.zeros_like(u) for _ in range(4))
+    m = u < b0
+    x[m] = u[m]
+    m = (b0 <= u) & (u < b1)
+    phi = (u[m] - b0) / r
+    x[m], y[m] = ls + r * np.sin(phi), r - r * np.cos(phi)
+    heading[m], curvature[m] = phi, 1.0 / r
+    m = (b1 <= u) & (u < b2)
+    x[m], y[m], heading[m] = ls - (u[m] - b1), 2.0 * r, math.pi
+    m = b2 <= u
+    phi = (u[m] - b2) / r
+    x[m], y[m] = -r * np.sin(phi), r + r * np.cos(phi)
+    heading[m], curvature[m] = math.pi + phi, 1.0 / r
+    return x, y, heading + math.tau * lap, curvature
+
+
+class TestTrackSegments:
+    TRACKS = [StadiumTrack(), StadiumTrack(straight_len=300.0, curve_radius=50.0)]
+
+    @staticmethod
+    def arcs(track: StadiumTrack) -> np.ndarray:
+        """Every segment boundary, whole laps either way, -1 m and a later
+        lap's b0, each also one ulp either side, then 200 random arcs."""
+        ls, r, lap = track.straight_len, track.curve_radius, track.length
+        b = np.array([ls, ls + math.pi * r, 2.0 * ls + math.pi * r, lap, -lap, -1.0,
+                      3.0 * lap + ls])
+        spread = np.random.default_rng(0).uniform(-2.0 * lap, 4.0 * lap, 200)
+        return np.concatenate([b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf), spread])
+
+    @pytest.mark.parametrize("track", TRACKS, ids=["default", "300m-50m"])
+    def test_frame_matches_per_segment_reference_bit_for_bit(self, track):
+        s = self.arcs(track)
+        got = np.array(track.frame_at(s))
+        assert got.tobytes() == np.array(frame_by_segment(track, s)).tobytes()
+        # The scalar form takes the same rule.
+        arc = s[1]
+        scalar = np.array([float(v) for v in track.frame_at(float(arc))])
+        assert scalar.tobytes() == np.array(frame_by_segment(track, arc))[:, 0].tobytes()
+
+    @pytest.mark.parametrize("track", TRACKS, ids=["default", "300m-50m"])
+    def test_a_boundary_starts_its_segment(self, track):
+        """b0 is on the first curve, b1 on the second straight, b2 on the
+        second curve: the curvature and heading there say which."""
+        ls, r = track.straight_len, track.curve_radius
+        b0, b1, b2 = ls, ls + math.pi * r, 2.0 * ls + math.pi * r
+        _, _, heading, curvature = track.frame_at(np.array([b0, b1, b2]))
+        assert curvature.tolist() == [1.0 / r, 0.0, 1.0 / r]
+        assert heading.tolist() == [0.0, math.pi, math.pi]
+        before = track.frame_at(np.nextafter([b0, b1, b2], -np.inf))[3]
+        assert before.tolist() == [0.0, 1.0 / r, 0.0]
 
 
 class TestRunSpec:
@@ -183,6 +242,28 @@ class TestCorrupt:
         dx = noisy.x - clean.x
         assert 0.02 < float(np.std(dx)) < 0.10
         assert abs(float(np.mean(dx))) < 0.05
+
+    def test_stream_layout_is_the_per_channel_draws(self):
+        """corrupt's noise is rng.normal(0.0, sigma, n) per channel, in the
+        order x, y, vx, vy, psi, psi_dot from one (seed, stream) generator.
+        A signed zero and a zero sigma pin that 0.0 + sigma * z is added."""
+        clean = self.clean()
+        clean = replace(clean, vx=np.where(np.arange(len(clean)) % 2, -0.0, clean.vx))
+        nm = replace(self.NM, sigma_vel=0.0)
+        rng = derived_rng(11, 4)
+        n = len(clean)
+        ex, ey, evx, evy, epsi, erate = (
+            rng.normal(0.0, sigma, n)
+            for sigma in (nm.sigma_pos, nm.sigma_pos, nm.sigma_vel, nm.sigma_vel,
+                          nm.sigma_psi, nm.sigma_psi_dot)
+        )
+        expected = replace(
+            clean, x=clean.x + ex, y=clean.y + ey, vx=clean.vx + evx, vy=clean.vy + evy,
+            psi=wrap_angle(clean.psi + epsi), psi_dot=clean.psi_dot + erate,
+        )
+        got = corrupt(clean, nm, seed=11, stream=4)
+        assert same_trajectory(got, expected)
+        assert np.signbit(got.vx).tolist() == np.signbit(expected.vx).tolist()
 
     def test_missing_yaw_rate_stays_missing(self):
         t = np.arange(5) * 0.1

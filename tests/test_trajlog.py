@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from gtforge import geodesy
@@ -79,6 +81,35 @@ class TestUtmParsing:
     def test_blank_lines_skipped(self, text_file):
         text = UTM_HEADER + "\n0.0,1.0,2.0,,3.0,4.0,0.5,\n\n"
         assert len(parse_trajectory_log(text_file(text))) == 1
+
+
+# Any finite float, with -0.0, subnormals and values near +-1e308 drawn often.
+finite = st.one_of(
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                     -1.7976931348623157e308, 1e308, -9.9e307]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def utm_logs(draw):
+    """A valid trajectory whose alt and psi_dot cells may each be empty."""
+    n = draw(st.integers(1, 6))
+    # unique compares with ==, so 0.0 and -0.0 never both appear.
+    t = np.sort(draw(st.lists(finite, min_size=n, max_size=n, unique=True)))
+    x, y, vx, vy = (draw(st.lists(finite, min_size=n, max_size=n)) for _ in range(4))
+    psi = draw(st.lists(st.floats(-math.pi, math.pi, exclude_min=True), min_size=n, max_size=n))
+    optional = st.lists(st.one_of(st.just(math.nan), finite), min_size=n, max_size=n)
+    return Trajectory("veh", t, x, y, vx, vy, psi, draw(optional), draw(optional))
+
+
+class TestUtmRoundTripProperty:
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(utm_logs())
+    def test_write_then_parse_is_bit_exact(self, tmp_path, traj):
+        write_trajectory_log(traj, tmp_path / "veh.csv")
+        assert same_trajectory(parse_trajectory_log(tmp_path / "veh.csv"), traj)
 
 
 class TestGeodeticParsing:

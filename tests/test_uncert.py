@@ -8,14 +8,14 @@ Carlo at the 5-standard-error level.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from gtforge import uncert
-from gtforge._util import from_mapping, load_config
+from gtforge._util import derived_rng, from_mapping, load_config
 from gtforge.errors import GtForgeError, ParseError
 from gtforge.trajlog import States
 from gtforge.uncert import (
@@ -247,6 +247,23 @@ class TestTrigMixBound:
             )
             assert var <= bound + 5.0 * se
 
+    def test_stream_layout_is_the_per_channel_draws(self):
+        """Each batch draws w, x, y as rng.normal(loc, scale, m), in that
+        order: estimate and standard error match that stat bit for bit."""
+        omega = GaussianMoments(0.7, 0.3)
+
+        def per_channel(rng, m):
+            w = rng.normal(omega.mean, omega.std, m)
+            x = rng.normal(1.5, 0.2, m)
+            y = rng.normal(-2.0, 0.4, m)
+            z = np.cos(w) * x + np.sin(w) * y
+            dz = z - z.mean()
+            return np.array([dz @ dz / (m - 1)])
+
+        est, se = uncert._batched_stats(30_000, 21, per_channel)
+        got = uncert.mixed_trig_variance_mc(1.5, -2.0, 0.2, 0.4, omega, 30_000, seed=21)
+        assert np.array(got).tobytes() == np.array([est[0], se[0]]).tobytes()
+
     def test_sigma_zero_reduces_to_variance_sum(self):
         omega = GaussianMoments(0.4, 0.0)
         got = bounded_trig_mix_var(1.0, 2.0, 0.3, 0.4, omega)
@@ -287,6 +304,34 @@ class TestMonteCarloCovariance:
         monte_carlo_covariance(self.ego(), self.target(), self.NM, 2000, seed=3)
         assert sum(n for n, _ in lengths) == 2000
         assert all(n == m for n, m in lengths)
+
+    def test_stream_layout_is_the_per_channel_draws(self, monkeypatch):
+        """A batch's eleven channels are mean + rng.normal(0.0, std, m), in
+        the order ego x, y, vx, vy, psi, psi_dot, then target x, y, vx, vy,
+        psi. A -0.0 mean with a zero std pins the sign of zero."""
+        captured = []
+        transform = uncert.relative_state
+
+        def recording(ego, target):
+            if np.ndim(ego.x) == 1:
+                captured.append((ego, target))
+            return transform(ego, target)
+
+        monkeypatch.setattr(uncert, "relative_state", recording)
+        nm = replace(self.NM, sigma_vel=0.0)
+        ego = replace(self.ego(), vx=-0.0)
+        target = replace(self.target(), vy=-0.0)
+        monte_carlo_covariance(ego, target, nm, 2000, seed=13)
+        m = uncert._batch_layout(2000)[0]
+        rng = derived_rng(13, 0)
+        sigmas = (nm.sigma_pos, nm.sigma_pos, nm.sigma_vel, nm.sigma_vel, nm.sigma_psi)
+        means = [ego.x, ego.y, ego.vx, ego.vy, ego.psi, ego.psi_dot,
+                 target.x, target.y, target.vx, target.vy, target.psi]
+        expected = [mean + rng.normal(0.0, std, m)
+                    for mean, std in zip(means, (*sigmas, nm.sigma_psi_dot, *sigmas))]
+        e, tg = captured[0]
+        got = [e.x, e.y, e.vx, e.vy, e.psi, e.psi_dot, tg.x, tg.y, tg.vx, tg.vy, tg.psi]
+        assert [g.tobytes() for g in got] == [x.tobytes() for x in expected]
 
     def test_velocity_requires_ego_yaw_rate(self):
         with pytest.raises(GtForgeError, match="ego state has no yaw rate"):
