@@ -213,7 +213,7 @@ def _undecodable(path: str | Path, err: UnicodeDecodeError) -> ParseError:
 
 def first_non_increase(t: np.ndarray) -> int | None:
     """Index of the first t that does not exceed the one before it, or None."""
-    steps = np.flatnonzero(np.diff(t) <= 0.0)
+    steps = np.flatnonzero(t[1:] <= t[:-1])
     return int(steps[0]) + 1 if steps.size else None
 
 

@@ -3,9 +3,10 @@
 Subcommands: simulate, generate, bounds, validate (certify.run_validation,
 also bound here as run_validation), calibrate, export-plot.
 Exit codes: 0 on success; 2 for usage errors and bad input (ParseError,
-CoordinateError, ValueError, OSError); 1 when validation or a computation
-fails (a failed certification inequality; any other GtForgeError, such as
-degenerate calibration motion or stamps outside the data; MemoryError).
+CoordinateError, ValueError, OSError, and OverflowError from a value too
+large to compute with); 1 when validation or a computation fails (a failed
+certification inequality; any other GtForgeError, such as degenerate
+calibration motion or stamps outside the data; MemoryError).
 """
 
 from __future__ import annotations
@@ -313,6 +314,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.fn(args)
     except (ParseError, CoordinateError, ValueError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
+        return EXIT_USAGE
+    except OverflowError as err:  # a finite config value too large to square
+        sys.stderr.write(f"error: an input value is too large: {err}\n")
         return EXIT_USAGE
     except (GtForgeError, MemoryError) as err:
         sys.stderr.write(f"error: {err}\n")

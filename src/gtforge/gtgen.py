@@ -1,10 +1,10 @@
 """Ground-truth record generation: the end-to-end pipeline step.
 
-Takes one ego log and any number of target logs (same projected plane),
-optional per-vehicle clock corrections, and a stamp list; interpolates all
-logs, forms each target's relative state in the ego frame, attaches the
-vehicle-footprint corners and, when a noise model plus scenario envelope
-are supplied, the dataset-level covariance bounds.
+Takes one ego log and any number of target logs (same projected plane,
+already retimed) and a stamp list; interpolates all logs, forms each
+target's relative state in the ego frame, attaches the vehicle-footprint
+corners and, when a noise model plus scenario envelope are supplied, the
+dataset-level covariance bounds.
 
 Records are held as a RecordSet: one array per column, one row per
 (stamp, target), with the bounds stored once. They serialize to JSON Lines,
@@ -32,7 +32,8 @@ from ._util import fmt_float, opened, positive
 from .egokin import RelativeState, relative_state
 from .errors import GtForgeError, ParseError
 from .resample import build_interpolant
-from .trajlog import ClockModel, Trajectory, apply_clock_model
+from .trajlog import Trajectory
+from .trajlog import apply_clock_model  # noqa: F401 unused; perfbench probes this binding
 from .uncert import (
     DEFAULT_CONVENTION,
     CovBound2,
@@ -180,19 +181,17 @@ def generate_records(
     targets: Sequence[Trajectory],
     stamps,
     geometry: VehicleGeometry | Mapping[str, VehicleGeometry],
-    clocks: Mapping[str, ClockModel] | None = None,
     noise: NoiseModel | None = None,
     envelope: ScenarioEnvelope | None = None,
     convention: str = DEFAULT_CONVENTION,
 ) -> RecordSet:
     """Produce ground-truth records for every (stamp, target) pair.
 
-    Clock corrections are applied per vehicle id before interpolation.
-    Every stamp must lie in every trajectory's support (a GtForgeError
-    names the offenders otherwise). Bounds are dataset-level constants
-    computed once from noise + envelope; passing only one of the two is a
-    ValueError. They need a logged ego yaw rate; a GtForgeError names an ego
-    without one.
+    The logs come already retimed. Every stamp must lie in every
+    trajectory's support (a GtForgeError names the offenders otherwise).
+    Bounds are dataset-level constants computed once from noise + envelope;
+    passing only one of the two is a ValueError. They need a logged ego yaw
+    rate; a GtForgeError names an ego without one.
     Records come back sorted by (t, target_id).
     """
     if not targets:
@@ -209,12 +208,6 @@ def generate_records(
     if noise is not None and not ego.has_yaw_rate:
         raise GtForgeError(f"ego {ego.vehicle_id!r} has no yaw rate; bounds need a logged one")
     _check_zones([ego, *targets])
-    if clocks:
-        ego, *targets = [
-            apply_clock_model(traj, clocks[traj.vehicle_id])
-            if traj.vehicle_id in clocks else traj
-            for traj in (ego, *targets)
-        ]
 
     stamp_arr = np.sort(np.asarray(stamps, dtype=float).ravel())
     if stamp_arr.size == 0:
@@ -345,14 +338,13 @@ def read_records_jsonl(source: str | Path) -> RecordSet:
             lines.append(line_no)
         table = np.array(rows, dtype=float).reshape(-1, 14)
         psi = table[:, 5]
-        bad = ~np.isfinite(table).all(axis=1) | ~(psi > -math.pi) | (psi > math.pi)
+        bad = ~np.isfinite(table)
+        bad[:, 5] = ~(psi > -math.pi) | (psi > math.pi)
         if bad.any():
-            i = int(np.argmax(bad))
-            raise ParseError(
-                "bad record: values must be finite and psi in (-pi, pi], got "
-                f"{table[i, :6].tolist()}",
-                lines[i],
-            )
+            i, j = divmod(int(np.argmax(bad)), 14)  # first bad value, row by row
+            name = f"bbox[{j // 2 - 3}][{j % 2}]" if j > 5 else "t x y vx vy psi".split()[j]
+            rule = "be in (-pi, pi]" if j == 5 else "be finite"
+            raise ParseError(f"bad record: {name} must {rule}, got {table[i, j]}", lines[i])
     t, x, y, vx, vy, psi = table[:, :6].T
     return RecordSet(
         t, np.array(ids, dtype=str), x, y, vx, vy, psi,

@@ -20,6 +20,7 @@ import numpy as np
 
 from ._util import derived_rng, positive
 from .egokin import wrap_angle
+from .gtgen import make_stamps
 from .trajlog import ClockModel, States, Trajectory, apply_clock_model
 from .uncert import NoiseModel
 
@@ -95,9 +96,8 @@ class RunSpec:
             )
         positive("duration", self.duration)
         positive("rate", self.rate)
-        # sample_times makes floor(duration * rate) + 1 floats. numpy refuses
-        # arrays near 2**63 bytes with a ValueError; 2**59 floats (4 EiB)
-        # is already beyond any memory, so a longer run is a config error.
+        # make_stamps refuses the same run, but only when simulate samples it;
+        # checking here refuses it as the config is read, naming the vehicle.
         if self.duration * self.rate + 1e-9 >= 2**59:
             raise ValueError(
                 f"duration * rate gives {self.duration * self.rate:g} samples, "
@@ -153,15 +153,10 @@ def run_states(track: StadiumTrack, run: RunSpec, times) -> States:
     )
 
 
-def sample_times(run: RunSpec) -> np.ndarray:
-    count = int(math.floor(run.duration * run.rate + 1e-9))
-    return np.arange(count + 1) / run.rate
-
-
 def simulate_run(track: StadiumTrack, run: RunSpec) -> Trajectory:
     """Noise-free log of one run, named run.id, sampled at the run's rate
     from t = 0."""
-    s = run_states(track, run, sample_times(run))
+    s = run_states(track, run, make_stamps(run.rate, 0.0, run.duration))
     return Trajectory(run.id, s.t, s.x, s.y, s.vx, s.vy, s.psi, s.psi_dot)
 
 

@@ -381,8 +381,7 @@ def mixed_trig_variance_mc(
         # Rows w, x, y: loc + scale * z is Generator.normal(loc, scale), bit for bit.
         w, x, y = loc + scale * rng.standard_normal((3, m))
         z = np.cos(w) * x + np.sin(w) * y
-        dz = z - z.mean()
-        return np.array([dz @ dz / (m - 1)])
+        return np.array([_pair_stats(z, z)[0]])
 
     est, se = _batched_stats(n, seed, stat)
     return float(est[0]), float(se[0])

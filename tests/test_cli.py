@@ -598,8 +598,11 @@ class TestInputErrorsNameTheirFile:
         pytest.param(
             "gt.jsonl", RECORD % "0" + RECORD % "4.0",
             ["export-plot", "--gt", "{bad}", "--channel", "x", "--out", "{ws}/x.csv"],
-            "line 2: bad record: values must be finite and psi in (-pi, pi], got "
-            "[1.5, 30.0, 0.0, 0.0, 0.0, 4.0]", id="records-psi"),
+            "line 2: bad record: psi must be in (-pi, pi], got 4.0", id="records-psi"),
+        pytest.param(
+            "gt.jsonl", RECORD % "0" + RECORD.replace("[28, 1]]", "[28, NaN]]") % "0",
+            ["export-plot", "--gt", "{bad}", "--channel", "x", "--out", "{ws}/x.csv"],
+            "line 2: bad record: bbox[3][1] must be finite, got nan", id="records-bbox"),
         pytest.param(
             "gt.jsonl", RECORD % "0" + RECORD % "x",
             ["export-plot", "--gt", "{bad}", "--channel", "x", "--out", "{ws}/x.csv"],
@@ -650,6 +653,28 @@ class TestInputErrorsNameTheirFile:
         assert capsys.readouterr().err == (
             f"error: {workspace / 'b.csv'}: need at least 2 poses, got 1\n"
         )
+
+
+class TestHugeConfigValue:
+    """A finite config value too large to square exits 2 with one error line."""
+
+    @pytest.mark.parametrize("config, value, argv", [
+        ("envelope", {"d_max": 1e200}, ["bounds", "--noise", "{ws}/noise.json"]),
+        ("noise", {"sigma_pos": 1e200}, ["bounds", "--envelope", "{ws}/envelope.json"]),
+        ("noise", {"sigma_pos": 1e200}, ["validate", "--samples", "100", "--seed", "1"]),
+        ("envelope", {"d_max": 1e200}, [*GENERATE, "--rate", "10", "--noise", "{ws}/noise.json"]),
+    ], ids=["bounds-d_max", "bounds-sigma_pos", "validate-sigma_pos", "generate-d_max"])
+    def test_exits_2(self, workspace, capsys, config, value, argv):
+        sim = simulate(workspace)
+        capsys.readouterr()
+        huge = workspace / f"huge_{config}.json"
+        huge.write_text(json.dumps({**(NOISE if config == "noise" else ENVELOPE), **value}))
+        argv = [arg.format(ws=workspace, sim=sim) for arg in argv]
+        assert main([*argv, f"--{config}", str(huge)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: an input value is too large: ")
+        assert captured.err.count("\n") == 1 and not captured.out
+        assert not (workspace / "gt.jsonl").exists()
 
 
 class TestNotUtf8:

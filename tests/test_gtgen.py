@@ -26,7 +26,7 @@ from gtforge.gtgen import (
     write_records_jsonl,
 )
 from gtforge.synth import run_scenario
-from gtforge.trajlog import ClockModel, parse_trajectory_log, write_trajectory_log
+from gtforge.trajlog import parse_trajectory_log, write_trajectory_log
 from gtforge.uncert import ANALYSIS_ENVELOPE, ANALYSIS_NOISE, CovBound2
 from helpers import make_lead_follow
 
@@ -166,18 +166,6 @@ class TestGenerateRecords:
         ego, lead = lead_follow_logs()
         with pytest.raises(ValueError):
             generate_records(ego, [lead], [1.0], GEOM, noise=ANALYSIS_NOISE)
-
-    def test_clock_correction_applied(self):
-        """Retiming the target log shifts where it is sampled."""
-        ego, lead = lead_follow_logs()
-        shifted = generate_records(
-            ego, [lead], [2.0], GEOM,
-            clocks={"lead": ClockModel(offset=-0.1)},
-        )
-        plain = generate_records(ego, [lead], [2.0], GEOM)
-        moved = shifted.x[0] - plain.x[0]
-        # lead log shifted 0.1 s later means it is sampled 0.1 s earlier
-        assert moved == pytest.approx(-2.5, abs=1e-6)
 
     def test_stamp_outside_support(self):
         ego, lead = lead_follow_logs()

@@ -13,6 +13,7 @@ from gtforge import synth
 from gtforge._util import derived_rng, from_mapping, load_config
 from gtforge.egokin import wrap_angle
 from gtforge.errors import ParseError
+from gtforge.gtgen import make_stamps
 from gtforge.synth import (
     RunSpec,
     Scenario,
@@ -204,6 +205,15 @@ class TestRunStates:
         assert traj.support == (0.0, 2.0)
         assert traj.vehicle_id == "ego"
         assert traj.has_yaw_rate
+
+    def test_samples_are_the_generate_stamps(self):
+        """simulate samples at gtgen.make_stamps(rate, 0, duration): a last
+        sample that rounding would put past the duration is the duration."""
+        duration = float(np.nextafter(0.3, 0.0))  # 0.3 - 1 ulp: 10 Hz gives 4 samples
+        run = RunSpec(id="ego", duration=duration, rate=10.0, speed_profile=((0.0, 10.0),))
+        traj = simulate_run(StadiumTrack(), run)
+        assert traj.t.tobytes() == make_stamps(10.0, 0.0, duration).tobytes()
+        assert traj.t.tolist() == [0.0, 0.1, 0.2, duration]
 
     def test_position_consistent_with_velocity(self):
         """Central difference of the sampled path reproduces vx, vy."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -279,6 +280,19 @@ class TestParseErrors:
             parse_trajectory_log(path)
         assert err.value.line == 3
         assert str(err.value) == f"{path}: line 3: t=0.0 does not increase past t=0.0 on line 2"
+
+    @pytest.mark.parametrize("t0, t1, ok", [(-1e308, 1e308, True), (1e308, -1e308, False)])
+    def test_time_order_at_the_float_limits(self, text_file, t0, t1, ok):
+        """Neighbouring times are compared, not subtracted: a step past the
+        largest float neither overflows nor warns."""
+        path = text_file(UTM_HEADER + f"{t0!r},1,2,,3,4,0.5,\n{t1!r},1,2,,3,4,0.5,\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if ok:
+                assert parse_trajectory_log(path).t.tolist() == [t0, t1]
+            else:
+                with pytest.raises(ParseError, match="line 3: t=-1e[+]308 does not increase"):
+                    parse_trajectory_log(path)
 
     def test_out_of_range_yaw(self, text_file):
         # 7.0 rad wraps fine; the parser wraps before validation.
