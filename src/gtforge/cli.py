@@ -56,6 +56,18 @@ def _cov_report(cov: uncert.CovBound2) -> dict:
     }
 
 
+def _bound_reports(
+    nm: uncert.NoiseModel, env: uncert.ScenarioEnvelope, convention: str, *paths: str
+) -> list[dict]:
+    """The position and velocity bounds as `bounds` prints them; configs that
+    give no finite bound or rms are an input error that names their files."""
+    try:
+        return [_cov_report(bound(nm, env, convention))
+                for bound in (uncert.position_bound, uncert.velocity_bound)]
+    except (ValueError, OverflowError) as err:
+        raise ValueError(f"{' and '.join(paths)}: values too large for finite bounds: {err}")
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -117,6 +129,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         raise ValueError("--zone applies to geodetic input only (--frame geodetic)")
     if args.zone is not None and not 1 <= args.zone <= 60:
         raise ValueError(f"--zone must be in 1..60, got {args.zone}")
+    noise = load_config(uncert.NoiseModel, args.noise) if args.noise else None
+    envelope = load_config(uncert.ScenarioEnvelope, args.envelope) if args.envelope else None
+    if noise and envelope:
+        _bound_reports(noise, envelope, args.convention, args.noise, args.envelope)
     ego = parse_trajectory_log(args.ego, frame=args.frame, forced_zone=args.zone)
     targets = [
         parse_trajectory_log(path, frame=args.frame, forced_zone=args.zone)
@@ -124,8 +140,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     ]
     geometry = _load_geometry(args.geometry, [traj.vehicle_id for traj in targets])
     clocks = _load_clocks(args.clock) if args.clock else {}
-    noise = load_config(uncert.NoiseModel, args.noise) if args.noise else None
-    envelope = load_config(uncert.ScenarioEnvelope, args.envelope) if args.envelope else None
 
     ids = [traj.vehicle_id for traj in (ego, *targets)]
     unknown = sorted(set(clocks) - set(ids))
@@ -163,10 +177,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     nm = load_config(uncert.NoiseModel, args.noise)
     env = load_config(uncert.ScenarioEnvelope, args.envelope)
+    position, velocity = _bound_reports(nm, env, args.convention, args.noise, args.envelope)
     report = {
         "convention": args.convention,
-        "position": _cov_report(uncert.position_bound(nm, env, args.convention)),
-        "velocity": _cov_report(uncert.velocity_bound(nm, env, args.convention)),
+        "position": position,
+        "velocity": velocity,
         "yaw": {
             "var": _round9(uncert.yaw_variance(nm)),
             "rms": _round9(math.sqrt(uncert.yaw_variance(nm))),
@@ -181,11 +196,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     nm = load_config(uncert.NoiseModel, args.noise)
-    env = (
-        load_config(uncert.ScenarioEnvelope, args.envelope)
-        if args.envelope
-        else uncert.ANALYSIS_ENVELOPE
-    )
+    env = (load_config(uncert.ScenarioEnvelope, args.envelope) if args.envelope
+           else uncert.ANALYSIS_ENVELOPE)
+    _bound_reports(nm, env, args.convention, *filter(None, [args.noise, args.envelope]))
     report = run_validation(nm, env, args.samples, args.seed, args.convention)
     _print_json(report)
     return EXIT_OK if report["passed"] else EXIT_FAILURE

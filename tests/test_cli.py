@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -463,6 +464,44 @@ class TestValidate:
         assert check["passed"] is False
         assert report["passed"] is False
 
+    @pytest.mark.parametrize("check_name", ["exact_position_covariance", "yaw_variance"])
+    def test_zero_se_with_a_gap_fails(self, monkeypatch, check_name):
+        """An estimate off the exact value with a standard error of exactly
+        0 reads z = inf and fails, as on the trig grid."""
+        kernel = uncert.monte_carlo_covariance
+        zero = uncert.CovBound2(0.0, 0.0, 0.0)
+
+        def exact_se(*args):
+            mc = kernel(*args)
+            if check_name == "yaw_variance":
+                return dataclasses.replace(mc, yaw_var_se=0.0)
+            return dataclasses.replace(mc, position_se=zero)
+
+        monkeypatch.setattr(uncert, "monte_carlo_covariance", exact_se)
+        report = cli.run_validation(uncert.ANALYSIS_NOISE, uncert.ANALYSIS_ENVELOPE, 2000, 5)
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks[check_name]["max_abs_z"] == float("inf")
+        assert checks[check_name]["passed"] is False
+        assert report["passed"] is False
+
+    def test_zero_se_without_a_gap_passes(self, monkeypatch):
+        nm, env = uncert.ANALYSIS_NOISE, uncert.ANALYSIS_ENVELOPE
+        kernel = uncert.monte_carlo_covariance
+
+        def exact_run(ego, target, *args):
+            mc = kernel(ego, target, *args)
+            return dataclasses.replace(
+                mc, position=certify._exact_position_covariance(nm, ego, target),
+                position_se=uncert.CovBound2(0.0, 0.0, 0.0),
+                yaw_var=uncert.yaw_variance(nm), yaw_var_se=0.0,
+            )
+
+        monkeypatch.setattr(uncert, "monte_carlo_covariance", exact_run)
+        report = cli.run_validation(nm, env, 2000, 5)
+        checks = {c["name"]: c for c in report["checks"]}
+        for name in ("exact_position_covariance", "yaw_variance"):
+            assert checks[name]["max_abs_z"] == 0.0 and checks[name]["passed"] is True
+
 
 class TestCalibrate:
     def test_recovers_transform(self, workspace, capsys):
@@ -656,25 +695,46 @@ class TestInputErrorsNameTheirFile:
 
 
 class TestHugeConfigValue:
-    """A finite config value too large to square exits 2 with one error line."""
+    """A finite config value that gives no finite bound exits 2 with one error
+    line naming the configs, before any other work: 1e200 overflows as it is
+    squared, 1e154 squares to a finite value but gives an infinite bound, and
+    1e60 gives finite bounds whose rms overflows."""
 
     @pytest.mark.parametrize("config, value, argv", [
         ("envelope", {"d_max": 1e200}, ["bounds", "--noise", "{ws}/noise.json"]),
         ("noise", {"sigma_pos": 1e200}, ["bounds", "--envelope", "{ws}/envelope.json"]),
         ("noise", {"sigma_pos": 1e200}, ["validate", "--samples", "100", "--seed", "1"]),
         ("envelope", {"d_max": 1e200}, [*GENERATE, "--rate", "10", "--noise", "{ws}/noise.json"]),
-    ], ids=["bounds-d_max", "bounds-sigma_pos", "validate-sigma_pos", "generate-d_max"])
+        ("envelope", {"d_max": 1e154}, ["bounds", "--noise", "{ws}/noise.json"]),
+        ("envelope", {"d_max": 1e154},
+         ["validate", "--samples", "100", "--seed", "1", "--noise", "{ws}/noise.json"]),
+        ("envelope", {"d_max": 1e154}, [*GENERATE, "--rate", "10", "--noise", "{ws}/noise.json"]),
+        ("envelope", {"d_max": 1e60}, ["bounds", "--noise", "{ws}/noise.json"]),
+    ], ids=["bounds-d_max", "bounds-sigma_pos", "validate-sigma_pos", "generate-d_max",
+            "bounds-d_max-inf", "validate-d_max-inf", "generate-d_max-inf", "bounds-rms"])
     def test_exits_2(self, workspace, capsys, config, value, argv):
         sim = simulate(workspace)
         capsys.readouterr()
         huge = workspace / f"huge_{config}.json"
         huge.write_text(json.dumps({**(NOISE if config == "noise" else ENVELOPE), **value}))
-        argv = [arg.format(ws=workspace, sim=sim) for arg in argv]
-        assert main([*argv, f"--{config}", str(huge)]) == EXIT_USAGE
+        argv = [arg.format(ws=workspace, sim=sim) for arg in [*argv, f"--{config}", str(huge)]]
+        configs = [argv[argv.index(flag) + 1] for flag in ("--noise", "--envelope")
+                   if flag in argv]
+        assert main(argv) == EXIT_USAGE
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: an input value is too large: ")
+        assert captured.err.startswith(
+            f"error: {' and '.join(configs)}: values too large for finite bounds: "
+        )
         assert captured.err.count("\n") == 1 and not captured.out
         assert not (workspace / "gt.jsonl").exists()
+
+    def test_generate_checks_the_bounds_before_the_logs(self, workspace, capsys):
+        huge = workspace / "huge_envelope.json"
+        huge.write_text(json.dumps({**ENVELOPE, "d_max": 1e154}))
+        argv = [arg.format(ws=workspace, sim=workspace / "none") for arg in GENERATE]
+        assert main([*argv, "--rate", "10", "--noise", str(workspace / "noise.json"),
+                     "--envelope", str(huge)]) == EXIT_USAGE
+        assert "values too large for finite bounds" in capsys.readouterr().err
 
 
 class TestNotUtf8:

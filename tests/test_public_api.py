@@ -25,7 +25,7 @@ PERFBENCH = ROOT / "perfbench"
 
 EXEMPT = {
     # Spline diagnostics with no caller yet: the planned run report
-    # (ROADMAP.md, "Run report and provenance") prints both per vehicle.
+    # (ROADMAP.md item 4) prints both per vehicle.
     "resample.TrajectoryInterpolant.velocity_consistency_rms",
     "resample.TrajectoryInterpolant.yaw_rate_consistency_rms",
 }
