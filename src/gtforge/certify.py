@@ -12,12 +12,14 @@ Each rule is stated once. A z-score is |estimate - exact| / se per entry
 passes at z <= 5. A margin check passes when no margin is negative. Each
 random configuration is one uniform draw of a vector of values from its
 own (seed, stream) generator; the vector's order is the stream layout.
+A closed-form check evaluates its kernel once, over the arrays of all its
+configurations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, astuple
+from dataclasses import asdict
 
 import numpy as np
 
@@ -53,26 +55,28 @@ def _z_check(name: str, worst: float, **counts) -> dict:
             "max_abs_z": _round9(worst)}
 
 
-def _margin_check(name: str, margins: list[float], **counts) -> dict:
-    violations = sum(1 for m in margins if m < 0.0)
+def _margin_check(name: str, margins, **counts) -> dict:
+    margins = np.asarray(margins)
+    violations = int(np.count_nonzero(margins < 0.0))
     return {"name": name, "passed": bool(violations == 0), **counts,
-            "violations": violations, "min_margin": _round9(min(margins))}
+            "violations": violations, "min_margin": _round9(margins.min())}
 
 
 def _check_trig_grid(samples: int, seed: int) -> dict:
-    z, points = [], []
-    for i, mean in enumerate(_TRIG_GRID_MEANS):
-        for j, std in enumerate(_TRIG_GRID_STDS):
-            g = uncert.GaussianMoments(mean, std)
-            mc, se = uncert.trig_moments_mc(g, samples, seed + 1000 * i + j)
-            z.extend(_z(astuple(mc), astuple(uncert.trig_moments(g)), astuple(se)))
-            points += [[mean, std, name] for name in asdict(mc)]
-    k = int(np.argmax(z))  # the first strict maximum in (mean, std, field) order
+    exact = uncert.trig_moments(np.array(_TRIG_GRID_MEANS)[:, None], _TRIG_GRID_STDS)
+    mc, se = np.moveaxis(np.array([
+        [uncert.trig_moments_mc(mean, std, samples, seed + 1000 * i + j)
+         for j, std in enumerate(_TRIG_GRID_STDS)]
+        for i, mean in enumerate(_TRIG_GRID_MEANS)
+    ]), 2, 0)
+    z = _z(mc, np.moveaxis(exact, 0, -1), se)  # indexed (mean, std, field)
+    # The first strict maximum in (mean, std, field) order.
+    i, j, f = np.unravel_index(np.argmax(z), z.shape)
     return {
-        **_z_check("trig_moments_grid", z[k],
-                   grid_points=len(_TRIG_GRID_MEANS) * len(_TRIG_GRID_STDS),
+        **_z_check("trig_moments_grid", z[i, j, f], grid_points=z.shape[0] * z.shape[1],
                    samples_per_point=samples),
-        "worst_point": points[k] if z[k] > 0.0 else None,
+        "worst_point": ([_TRIG_GRID_MEANS[i], _TRIG_GRID_STDS[j], uncert.TRIG_FIELDS[f]]
+                        if z[i, j, f] > 0.0 else None),
     }
 
 
@@ -90,14 +94,12 @@ def _random_state_pair(rng: np.random.Generator, env: uncert.ScenarioEnvelope):
     return ego, target
 
 
-def _exact_position_covariance(
-    nm: uncert.NoiseModel, ego: States, target: States
-) -> uncert.CovBound2:
+def _exact_position_covariance(nm: uncert.NoiseModel, pairs) -> np.ndarray:
+    """The exact position covariance at each (ego, target) pair, in one
+    kernel call: rows a, b, c, one column per pair."""
+    dx, dy, psi = np.array([[t.x - e.x, t.y - e.y, e.psi] for e, t in pairs]).T
     return uncert.position_covariance_exact(
-        target.x - ego.x,
-        target.y - ego.y,
-        math.sqrt(2.0) * nm.sigma_pos,
-        uncert.GaussianMoments(ego.psi, nm.sigma_psi),
+        dx, dy, 2.0 * nm.sigma_pos**2, psi, nm.sigma_psi
     )
 
 
@@ -112,43 +114,42 @@ def _check_covariances(
     Carlo run per configuration (position domination is closed-form)."""
     pos_b = uncert.position_bound(nm, env, convention)
     vel_b = uncert.velocity_bound(nm, env, convention)
-    yaw_var = uncert.yaw_variance(nm)
-    margins = []
-    for i in range(_DOMINATION_CONFIGS):
-        exact = _exact_position_covariance(
-            nm, *_random_state_pair(derived_rng(seed, 2000 + i), env)
-        )
-        margins += [pos_b.a - exact.a, pos_b.b - exact.b]
-    z_pos, z_yaw = [], []
-    for i in range(_MC_CONFIGS):
-        ego, target = _random_state_pair(derived_rng(seed, 500 + i), env)
-        mc = uncert.monte_carlo_covariance(ego, target, nm, samples, seed + 7000 + i)
-        exact = _exact_position_covariance(nm, ego, target)
-        z_pos.extend(_z(astuple(mc.position), astuple(exact), astuple(mc.position_se)))
-        z_yaw.append(_z(mc.yaw_var, yaw_var, mc.yaw_var_se))
-        margins += [vel_b.a - mc.velocity.a, vel_b.b - mc.velocity.b]
+    exact = _exact_position_covariance(nm, [
+        _random_state_pair(derived_rng(seed, 2000 + i), env)
+        for i in range(_DOMINATION_CONFIGS)
+    ])
+    pairs = [_random_state_pair(derived_rng(seed, 500 + i), env) for i in range(_MC_CONFIGS)]
+    # Per configuration: position a, b, c, yaw, velocity a, b, c.
+    mc, se = np.moveaxis(np.array([
+        uncert.monte_carlo_covariance(ego, target, nm, samples, seed + 7000 + i)
+        for i, (ego, target) in enumerate(pairs)
+    ]), 1, 0)
+    z_pos = _z(mc[:, :3], _exact_position_covariance(nm, pairs).T, se[:, :3])
+    z_yaw = _z(mc[:, 3], uncert.yaw_variance(nm), se[:, 3])
+    margins = [pos_b.a - exact[0], pos_b.b - exact[1], vel_b.a - mc[:, 4], vel_b.b - mc[:, 5]]
     counts = {"configs": _MC_CONFIGS, "samples_per_config": samples}
     return [
-        _z_check("exact_position_covariance", max(z_pos), **counts),
-        _z_check("yaw_variance", max(z_yaw), **counts),
-        _margin_check("bound_domination", margins, convention=convention,
+        _z_check("exact_position_covariance", z_pos.max(), **counts),
+        _z_check("yaw_variance", z_yaw.max(), **counts),
+        _margin_check("bound_domination", np.concatenate(margins), convention=convention,
                       configs=_DOMINATION_CONFIGS, velocity_mc_configs=_MC_CONFIGS),
     ]
 
 
 def _check_trig_mix(samples: int, seed: int) -> dict:
-    margins = []
-    for i in range(_TRIG_MIX_CONFIGS):
-        # m_x, m_y, s_x, s_y, then the mean and std of omega.
-        m_x, m_y, s_x, s_y, mean, std = derived_rng(seed, 4000 + i).uniform(
+    # Per configuration: m_x, m_y, s_x, s_y, then the mean and std of omega.
+    draws = np.array([
+        derived_rng(seed, 4000 + i).uniform(
             [-3.0, -3.0, 0.01, 0.01, -math.pi, 0.05], [3.0, 3.0, 0.5, 0.5, math.pi, 0.5]
-        ).tolist()
-        omega = uncert.GaussianMoments(mean, std)
-        bound = uncert.bounded_trig_mix_var(m_x, m_y, s_x, s_y, omega)
-        var, se = uncert.mixed_trig_variance_mc(
-            m_x, m_y, s_x, s_y, omega, samples, seed + 11000 + i
         )
-        margins.append(bound + 5.0 * se - var)
+        for i in range(_TRIG_MIX_CONFIGS)
+    ])
+    m_x, m_y, s_x, s_y, _, std = draws.T
+    var, se = np.array([
+        uncert.mixed_trig_variance_mc(*config, samples, seed + 11000 + i)
+        for i, config in enumerate(draws.tolist())
+    ]).T
+    margins = uncert.bounded_trig_mix_var(m_x, m_y, s_x, s_y, std) + 5.0 * se - var
     return _margin_check("trig_mix_bound", margins, configs=_TRIG_MIX_CONFIGS,
                          samples_per_config=samples)
 

@@ -196,6 +196,10 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     nm = load_config(uncert.NoiseModel, args.noise)
+    if nm.sigma_pos == nm.sigma_psi == 0.0:
+        # Every position draw would be the same value: nothing to certify.
+        raise ValueError(f"{args.noise}: sigma_pos and sigma_psi are both 0, "
+                         "so there is no position noise to certify")
     env = (load_config(uncert.ScenarioEnvelope, args.envelope) if args.envelope
            else uncert.ANALYSIS_ENVELOPE)
     _bound_reports(nm, env, args.convention, *filter(None, [args.noise, args.envelope]))

@@ -11,14 +11,23 @@ NoiseModel and ScenarioEnvelope are also the noise and envelope JSON
 configs: _util.load_config reads a flat object whose keys are their
 fields (SI units), and dataclasses.asdict writes one back.
 
+The closed forms are numpy kernels that broadcast over arrays:
+position_covariance_exact works in the ego frame, and trig_moments is the
+same kernel at the unit offset. Each is a sum of products, with
+1 - e^{-s^2} computed as -expm1(-s^2), as is every decay factor in the
+bounds; no step subtracts nearly equal numbers, so they hold to rounding
+at any yaw noise, zero included.
+
 Two exponent conventions exist for the e^{-sigma_psi^2} decay factors in
 the position and velocity bounds. "half_exponent" (the default) halves the
 exponent in the diagonal entries and reproduces the headline bound figures
 this bound family is known by; "printed" keeps the plain exponent and
-yields slightly looser diagonals. Both dominate the exact covariance for
-small heading noise; the half variant is a reporting convention, not a
-tighter theorem, so the trig-mix bound, which certification checks against
-random configurations, has only the printed form.
+yields looser diagonals. d_max is a radius: within it both position
+diagonals dominate the exact variances for any bearing, yaw and heading
+noise (position_bound gives the inequality), while at the per-axis corner
+(d_max, d_max) the exact variance reaches twice the half-exponent
+diagonal. The trig-mix bound, which certification checks against random
+configurations, has only the printed form.
 
 Every Monte Carlo routine is deterministic: work is split into batches of
 at most MC_BATCH_SIZE draws, each drawing from its own (seed, batch-index)
@@ -82,8 +91,9 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class ScenarioEnvelope:
-    """Worst-case magnitudes the bounds are taken over: relative distance
-    per axis, relative speed per axis, and ego yaw rate."""
+    """Worst-case magnitudes the bounds are taken over: the radial
+    distance between target and ego, relative speed per axis, and ego yaw
+    rate."""
 
     d_max: float
     v_max: float
@@ -95,22 +105,9 @@ class ScenarioEnvelope:
 
 
 @dataclass(frozen=True)
-class GaussianMoments:
-    """Mean and standard deviation of one scalar Gaussian."""
-
-    mean: float
-    std: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.mean):
-            raise ValueError("mean must be finite")
-        _nonnegative("std", self.std)
-
-
-@dataclass(frozen=True)
 class CovBound2:
-    """Symmetric 2x2 covariance (or bound) as entries a=Var(x), b=Var(y),
-    c=Cov(x, y). Bound variants need not be positive semidefinite."""
+    """Symmetric 2x2 covariance bound as entries a on Var(x), b on Var(y)
+    and c for Cov(x, y); it need not be positive semidefinite."""
 
     a: float
     b: float
@@ -123,65 +120,49 @@ class CovBound2:
             raise ValueError("c must be finite")
 
 
-@dataclass(frozen=True)
-class TrigMoments:
-    """First and second moments of (cos W, sin W) for Gaussian W."""
-
-    e_cos: float
-    e_sin: float
-    var_cos: float
-    var_sin: float
-    cov_cos_sin: float
+TRIG_FIELDS = ("e_cos", "e_sin", "var_cos", "var_sin", "cov_cos_sin")
 
 
-def trig_moments(omega: GaussianMoments) -> TrigMoments:
-    """Closed-form moments of cos/sin of a Gaussian angle.
+def position_covariance_exact(dx, dy, offset_var, mean, std) -> np.ndarray:
+    """Exact covariance of the ego-frame relative position, as rows (a, b, c).
 
-    E cos W = cos(m) e^{-s^2/2} and E sin W = sin(m) e^{-s^2/2}; the second
-    moments follow from E cos 2W = cos(2m) e^{-2 s^2} via the double-angle
-    identities.
+    Inputs broadcast as arrays: the mean world-frame offset (dx, dy)
+    between target and ego, the variance of each axis of that offset
+    (2 sigma_pos^2 when both vehicles contribute equally), and the mean
+    and standard deviation of the ego yaw. With (X, Y) the offset turned
+    into the ego frame at the mean yaw, r^2 = X^2 + Y^2 and d = e^{-s^2}:
+
+        a = v + (1/2)(1 - d)^2 r^2 + d (1 - d) Y^2
+        b = v + (1/2)(1 - d)^2 r^2 + d (1 - d) X^2
+        c = -d (1 - d) X Y
+
+    Exact for independent Gaussian channels. Every term is a product, and
+    1 - d is -expm1(-s^2), so no step cancels and a, b >= 0 at any yaw
+    noise; at s = 0 the variances are v itself.
     """
-    m, s2 = omega.mean, omega.std**2
-    damp = math.exp(-s2 / 2.0)
-    damp2 = math.exp(-2.0 * s2)
-    e_cos = math.cos(m) * damp
-    e_sin = math.sin(m) * damp
-    cos2 = math.cos(2.0 * m) * damp2
-    var_cos = 0.5 * (1.0 + cos2) - e_cos**2
-    var_sin = 0.5 * (1.0 - cos2) - e_sin**2
-    cov = 0.5 * math.sin(2.0 * m) * damp2 - e_cos * e_sin
-    return TrigMoments(e_cos, e_sin, var_cos, var_sin, cov)
+    cos_m, sin_m = np.cos(mean), np.sin(mean)
+    x = cos_m * dx + sin_m * dy
+    y = cos_m * dy - sin_m * dx
+    spread = -np.expm1(-np.square(std))
+    swing = np.exp(-np.square(std)) * spread
+    iso = offset_var + 0.5 * spread**2 * (x * x + y * y)
+    return np.stack(np.broadcast_arrays(iso + swing * y * y, iso + swing * x * x,
+                                        -swing * x * y))
 
 
-def position_covariance_exact(
-    dx_mean: float,
-    dy_mean: float,
-    sigma_dx: float,
-    psi: GaussianMoments,
-) -> CovBound2:
-    """Exact covariance of the ego-frame relative position.
+def trig_moments(mean, std) -> np.ndarray:
+    """Closed-form moments of (cos W, sin W) for W ~ N(mean, std^2), as
+    rows in TRIG_FIELDS order; inputs broadcast as arrays.
 
-    Inputs: mean world-frame offset (dx, dy) between target and ego, the
-    per-axis standard deviation of that offset (sqrt(2) * sigma_pos when
-    both vehicles contribute equally), and the ego yaw moments. Exact for
-    independent Gaussian channels; the rotation is the only nonlinearity
-    and its trig moments are closed-form.
+    E cos W = cos(m) e^{-s^2/2} and E sin W = sin(m) e^{-s^2/2}. The
+    second moments are position_covariance_exact at the unit offset (1, 0)
+    with no offset noise: that offset lands at (cos W, -sin W), so the
+    variances are its a and b and the covariance is its negated c.
     """
-    _nonnegative("sigma_dx", sigma_dx)
-    tm = trig_moments(psi)
-    s2 = psi.std**2
-    decay = math.exp(-s2)
-    k = decay * (1.0 - decay)
-    sin2m = math.sin(2.0 * psi.mean)
-    cos2m = math.cos(2.0 * psi.mean)
-    var = sigma_dx**2
-    a = var + dx_mean**2 * tm.var_cos + dy_mean**2 * tm.var_sin \
-        - dx_mean * dy_mean * sin2m * k
-    b = var + dx_mean**2 * tm.var_sin + dy_mean**2 * tm.var_cos \
-        + dx_mean * dy_mean * sin2m * k
-    c = 0.5 * sin2m * k * (dx_mean**2 - dy_mean**2) \
-        - dx_mean * dy_mean * cos2m * k
-    return CovBound2(a, b, c)
+    damp = np.exp(-0.5 * np.square(std))
+    var_cos, var_sin, minus_cov = position_covariance_exact(1.0, 0.0, 0.0, mean, std)
+    return np.stack(np.broadcast_arrays(np.cos(mean) * damp, np.sin(mean) * damp,
+                                        var_cos, var_sin, -minus_cov))
 
 
 def position_bound(
@@ -194,30 +175,29 @@ def position_bound(
     Diagonals: 2 sigma_pos^2 + 2 d_max^2 (1 - e^{-sigma_psi^2}), with the
     exponent halved under the half_exponent convention. Cross term:
     (3/2) d_max^2 (1 - e^{-sigma_psi^2 / 2}) under both conventions.
+
+    With x = sigma_psi^2, the exact diagonals (position_covariance_exact
+    with v = 2 sigma_pos^2) are at most v + (1/2)(1 - e^{-2x}) r^2, and
+    (1/2)(1 - e^{-2x}) <= 2 (1 - e^{-x/2}): so even the half-exponent
+    diagonal dominates them at every radius r <= d_max, for any bearing,
+    yaw and sigma_psi, and ties them at sigma_psi = 0.
     """
     scale = _exponent_scale(convention)
     s2 = nm.sigma_psi**2
-    diag = 2.0 * nm.sigma_pos**2 + 2.0 * env.d_max**2 * (1.0 - math.exp(-s2 * scale))
-    cross = 1.5 * env.d_max**2 * (1.0 - math.exp(-s2 / 2.0))
+    diag = 2.0 * nm.sigma_pos**2 + 2.0 * env.d_max**2 * -math.expm1(-s2 * scale)
+    cross = 1.5 * env.d_max**2 * -math.expm1(-s2 / 2.0)
     return CovBound2(diag, diag, cross)
 
 
-def bounded_trig_mix_var(
-    m_x: float,
-    m_y: float,
-    s_x: float,
-    s_y: float,
-    omega: GaussianMoments,
-) -> float:
-    """Upper bound on Var(cos(W) X + sin(W) Y) for independent X, Y, W.
+def bounded_trig_mix_var(m_x, m_y, s_x, s_y, std):
+    """Upper bound on Var(cos(W) X + sin(W) Y) for independent X, Y and
+    W ~ N(mean, std^2), X ~ N(m_x, s_x^2), Y ~ N(m_y, s_y^2); broadcasts.
 
-    s_x^2 + s_y^2 + (1 - e^{-sigma^2}) (|m_x| + |m_y|)^2, the printed form,
-    which is a theorem for Gaussian W and any independent X, Y.
+    s_x^2 + s_y^2 + (1 - e^{-std^2}) (|m_x| + |m_y|)^2, the printed form,
+    which is a theorem for Gaussian W of any mean and any independent X, Y.
     """
-    _nonnegative("s_x", s_x)
-    _nonnegative("s_y", s_y)
-    s2 = omega.std**2
-    return s_x**2 + s_y**2 + (1.0 - math.exp(-s2)) * (abs(m_x) + abs(m_y)) ** 2
+    return (np.square(s_x) + np.square(s_y)
+            - np.expm1(-np.square(std)) * np.square(np.abs(m_x) + np.abs(m_y)))
 
 
 def velocity_bound(
@@ -248,7 +228,7 @@ def velocity_bound(
         + env.psi_dot_max**2 * nm.sigma_pos**2
     )
     swing = 2.0 * env.d_max**2 * nm.sigma_psi_dot**2
-    mix = 4.0 * (1.0 - math.exp(-s2 * scale)) * (
+    mix = 4.0 * -math.expm1(-s2 * scale) * (
         env.v_max + env.d_max * env.psi_dot_max
     ) ** 2
     diag = core + swing + mix
@@ -344,24 +324,25 @@ def _pair_stats(u: np.ndarray, v: np.ndarray) -> tuple[float, float, float]:
 
 
 def trig_moments_mc(
-    omega: GaussianMoments,
+    mean: float,
+    std: float,
     n: int,
     seed: int,
-) -> tuple[TrigMoments, TrigMoments]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo counterpart of trig_moments, with standard errors.
 
-    Returns (estimate, se) as TrigMoments pairs. Deterministic per seed.
+    Returns (estimate, se), each with one entry per TRIG_FIELDS name, in
+    that order. Deterministic per seed.
     """
 
     def stat(rng: np.random.Generator, m: int) -> np.ndarray:
-        w = rng.normal(omega.mean, omega.std, m)
+        w = rng.normal(mean, std, m)
         c = np.cos(w)
         s = np.sin(w)
         var_c, var_s, cov = _pair_stats(c, s)
         return np.array([c.mean(), s.mean(), var_c, var_s, cov])
 
-    est, se = _batched_stats(n, seed, stat)
-    return TrigMoments(*est), TrigMoments(*se)
+    return _batched_stats(n, seed, stat)
 
 
 def mixed_trig_variance_mc(
@@ -369,13 +350,15 @@ def mixed_trig_variance_mc(
     m_y: float,
     s_x: float,
     s_y: float,
-    omega: GaussianMoments,
+    mean: float,
+    std: float,
     n: int,
     seed: int,
 ) -> tuple[float, float]:
-    """Monte Carlo Var(cos(W) X + sin(W) Y) with standard error."""
-    loc = np.array([[omega.mean], [m_x], [m_y]])
-    scale = np.array([[omega.std], [s_x], [s_y]])
+    """Monte Carlo Var(cos(W) X + sin(W) Y) with standard error, for
+    W ~ N(mean, std^2) and X, Y as bounded_trig_mix_var takes them."""
+    loc = np.array([[mean], [m_x], [m_y]])
+    scale = np.array([[std], [s_x], [s_y]])
 
     def stat(rng: np.random.Generator, m: int) -> np.ndarray:
         # Rows w, x, y: loc + scale * z is Generator.normal(loc, scale), bit for bit.
@@ -387,31 +370,20 @@ def mixed_trig_variance_mc(
     return float(est[0]), float(se[0])
 
 
-@dataclass(frozen=True)
-class MonteCarloCovariance:
-    """Empirical output covariances with entrywise standard errors."""
-
-    position: CovBound2
-    position_se: CovBound2
-    velocity: CovBound2
-    velocity_se: CovBound2
-    yaw_var: float
-    yaw_var_se: float
-
-
 def monte_carlo_covariance(
     ego: States,
     target: States,
     nm: NoiseModel,
     n: int,
     seed: int,
-) -> MonteCarloCovariance:
+) -> tuple[np.ndarray, np.ndarray]:
     """Empirical covariance of the ego-frame outputs at one true state pair.
 
     ego and target are single states (float channels). Draws independent
     Gaussian perturbations of both vehicles' channels, pushes every batch
     of draws through egokin.relative_state (the transform that writes the
-    records) and returns empirical covariances with standard errors. The
+    records) and returns (estimate, se): seven entries each, in the order
+    position a, b, c, then the yaw variance, then velocity a, b, c. The
     ego must carry a yaw rate (GtForgeError otherwise); the target's yaw
     rate never enters the outputs. Yaw dispersion is measured about the
     true relative yaw, so a mean near +-pi does not split the wrapped
@@ -438,12 +410,4 @@ def monte_carlo_covariance(
         va, vb, vc = _pair_stats(rel.vx, rel.vy)
         return np.array([pa, pb, pc, yv, va, vb, vc])
 
-    est, se = _batched_stats(n, seed, stat)
-    return MonteCarloCovariance(
-        position=CovBound2(*est[0:3]),
-        position_se=CovBound2(*se[0:3]),
-        velocity=CovBound2(*est[4:7]),
-        velocity_se=CovBound2(*se[4:7]),
-        yaw_var=float(est[3]),
-        yaw_var_se=float(se[3]),
-    )
+    return _batched_stats(n, seed, stat)

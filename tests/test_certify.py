@@ -43,16 +43,14 @@ def test_state_pair_is_the_scalar_draws(stream):
 def test_trig_mix_configs_are_the_scalar_draws(monkeypatch):
     drawn = []
     monkeypatch.setattr(uncert, "mixed_trig_variance_mc",
-                        lambda *args: drawn.append(args[:4] + args[4:5]) or (0.0, 0.0))
+                        lambda *args: drawn.append(args[:6]) or (0.0, 0.0))
     for seed in SEEDS:
         drawn.clear()
         certify._check_trig_mix(100, seed)
         want = []
         for i in range(certify._TRIG_MIX_CONFIGS):
             rng = derived_rng(seed, 4000 + i)
-            values = [float(rng.uniform(low, high)) for low, high in
-                      [(-3.0, 3.0), (-3.0, 3.0), (0.01, 0.5), (0.01, 0.5)]]
-            omega = uncert.GaussianMoments(float(rng.uniform(-math.pi, math.pi)),
-                                           float(rng.uniform(0.05, 0.5)))
-            want.append((*values, omega))
+            want.append(tuple(float(rng.uniform(low, high)) for low, high in
+                              [(-3.0, 3.0), (-3.0, 3.0), (0.01, 0.5), (0.01, 0.5),
+                               (-math.pi, math.pi), (0.05, 0.5)]))
         assert drawn == want

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import numpy as np
@@ -443,12 +442,10 @@ class TestValidate:
     def test_domination_reads_the_shared_runs(self, monkeypatch):
         nm, env = uncert.ANALYSIS_NOISE, uncert.ANALYSIS_ENVELOPE
         vel_b = uncert.velocity_bound(nm, env, uncert.DEFAULT_CONVENTION)
-        cov = uncert.CovBound2(1e-4, 1e-4, 0.0)
-        over = uncert.MonteCarloCovariance(
-            position=cov, position_se=cov,
-            velocity=uncert.CovBound2(vel_b.a + 1.0, vel_b.b + 1.0, 0.0), velocity_se=cov,
-            yaw_var=uncert.yaw_variance(nm), yaw_var_se=1e-6,
-        )
+        # Position a, b, c, yaw, velocity a, b, c: estimates, then standard errors.
+        over = (np.array([1e-4, 1e-4, 0.0, uncert.yaw_variance(nm),
+                          vel_b.a + 1.0, vel_b.b + 1.0, 0.0]),
+                np.array([1e-4, 1e-4, 0.0, 1e-6, 1e-4, 1e-4, 0.0]))
         kernel = uncert.monte_carlo_covariance
 
         def exact_check_runs_over(*args):
@@ -469,13 +466,12 @@ class TestValidate:
         """An estimate off the exact value with a standard error of exactly
         0 reads z = inf and fails, as on the trig grid."""
         kernel = uncert.monte_carlo_covariance
-        zero = uncert.CovBound2(0.0, 0.0, 0.0)
+        entries = [3] if check_name == "yaw_variance" else [0, 1, 2]
 
         def exact_se(*args):
-            mc = kernel(*args)
-            if check_name == "yaw_variance":
-                return dataclasses.replace(mc, yaw_var_se=0.0)
-            return dataclasses.replace(mc, position_se=zero)
+            mc, se = kernel(*args)
+            se[entries] = 0.0
+            return mc, se
 
         monkeypatch.setattr(uncert, "monte_carlo_covariance", exact_se)
         report = cli.run_validation(uncert.ANALYSIS_NOISE, uncert.ANALYSIS_ENVELOPE, 2000, 5)
@@ -489,18 +485,46 @@ class TestValidate:
         kernel = uncert.monte_carlo_covariance
 
         def exact_run(ego, target, *args):
-            mc = kernel(ego, target, *args)
-            return dataclasses.replace(
-                mc, position=certify._exact_position_covariance(nm, ego, target),
-                position_se=uncert.CovBound2(0.0, 0.0, 0.0),
-                yaw_var=uncert.yaw_variance(nm), yaw_var_se=0.0,
-            )
+            mc, se = kernel(ego, target, *args)
+            mc[:3] = certify._exact_position_covariance(nm, [(ego, target)])[:, 0]
+            mc[3] = uncert.yaw_variance(nm)
+            se[:4] = 0.0
+            return mc, se
 
         monkeypatch.setattr(uncert, "monte_carlo_covariance", exact_run)
         report = cli.run_validation(nm, env, 2000, 5)
         checks = {c["name"]: c for c in report["checks"]}
         for name in ("exact_position_covariance", "yaw_variance"):
             assert checks[name]["max_abs_z"] == 0.0 and checks[name]["passed"] is True
+
+
+    @pytest.mark.parametrize("noise", [
+        {"sigma_pos": 0.0, "sigma_vel": 0.0, "sigma_psi": 0.0, "sigma_psi_dot": 0.0},
+        {**NOISE, "sigma_pos": 0.0, "sigma_psi": 0.0},
+    ])
+    def test_no_position_noise_is_refused(self, tmp_path, capsys, monkeypatch, noise):
+        """Every position draw would be the same value, whose Monte Carlo
+        variance is round-off: refused before any draw, naming the file."""
+        path = tmp_path / "still.json"
+        path.write_text(json.dumps(noise))
+        monkeypatch.setattr(cli, "run_validation", lambda *args: pytest.fail("ran"))
+        rc = main(["validate", "--noise", str(path), "--samples", "2000", "--seed", "1"])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == (f"error: {path}: sigma_pos and sigma_psi are both 0, "
+                       "so there is no position noise to certify\n")
+
+    @pytest.mark.parametrize("sigma_psi, seed", [(0.0, 3), (1e-9, 1)])
+    def test_tiny_yaw_noise_passes(self, tmp_path, capsys, sigma_psi, seed):
+        """With no or almost no yaw noise the bound diagonal ties the exact
+        variance; the closed forms keep that tie on the right side."""
+        path = tmp_path / "noise.json"
+        path.write_text(json.dumps({**NOISE, "sigma_psi": sigma_psi}))
+        rc = main(["validate", "--noise", str(path), "--samples", "2000",
+                   "--seed", str(seed)])
+        report = json.loads(capsys.readouterr().out)
+        assert [c["name"] for c in report["checks"] if not c["passed"]] == []
+        assert rc == EXIT_OK
 
 
 class TestCalibrate:
