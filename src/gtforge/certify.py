@@ -55,8 +55,7 @@ def _z_check(name: str, worst: float, **counts) -> dict:
             "max_abs_z": _round9(worst)}
 
 
-def _margin_check(name: str, margins, **counts) -> dict:
-    margins = np.asarray(margins)
+def _margin_check(name: str, margins: np.ndarray, **counts) -> dict:
     violations = int(np.count_nonzero(margins < 0.0))
     return {"name": name, "passed": bool(violations == 0), **counts,
             "violations": violations, "min_margin": _round9(margins.min())}

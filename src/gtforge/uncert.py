@@ -106,8 +106,8 @@ class ScenarioEnvelope:
 
 @dataclass(frozen=True)
 class CovBound2:
-    """Symmetric 2x2 covariance bound as entries a on Var(x), b on Var(y)
-    and c for Cov(x, y); it need not be positive semidefinite."""
+    """Symmetric 2x2 covariance bound with entries a (for Var x), b (for
+    Var y) and c (for Cov(x, y)); it need not be positive semidefinite."""
 
     a: float
     b: float
@@ -127,7 +127,7 @@ def position_covariance_exact(dx, dy, offset_var, mean, std) -> np.ndarray:
     """Exact covariance of the ego-frame relative position, as rows (a, b, c).
 
     Inputs broadcast as arrays: the mean world-frame offset (dx, dy)
-    between target and ego, the variance of each axis of that offset
+    between target and ego, the variance v of each axis of that offset
     (2 sigma_pos^2 when both vehicles contribute equally), and the mean
     and standard deviation of the ego yaw. With (X, Y) the offset turned
     into the ego frame at the mean yaw, r^2 = X^2 + Y^2 and d = e^{-s^2}:
@@ -143,8 +143,9 @@ def position_covariance_exact(dx, dy, offset_var, mean, std) -> np.ndarray:
     cos_m, sin_m = np.cos(mean), np.sin(mean)
     x = cos_m * dx + sin_m * dy
     y = cos_m * dy - sin_m * dx
-    spread = -np.expm1(-np.square(std))
-    swing = np.exp(-np.square(std)) * spread
+    s2 = np.square(std)
+    spread = -np.expm1(-s2)
+    swing = np.exp(-s2) * spread
     iso = offset_var + 0.5 * spread**2 * (x * x + y * y)
     return np.stack(np.broadcast_arrays(iso + swing * y * y, iso + swing * x * x,
                                         -swing * x * y))
