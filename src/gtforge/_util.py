@@ -1,6 +1,7 @@
 """Small shared helpers: deterministic RNG streams, the positive-and-finite
 check, fixed-width float formatting for serialized output, the JSON config
-loader, the file opener, whose errors name the file, and the CSV table
+loader, the file opener, whose errors name the file, the ordered map over
+a pool of worker threads that runs Monte Carlo batches, and the CSV table
 reader shared by every log format, the rule that timestamps increase
 strictly, and the CSV writer of trajectory logs.
 
@@ -20,6 +21,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import threading
 from contextlib import contextmanager, suppress
 from dataclasses import MISSING, fields, is_dataclass
 from itertools import chain
@@ -48,12 +51,52 @@ def derived_rng(seed: int, stream: int) -> np.random.Generator:
 
 
 def ordered_map(fn: Callable[[T], object], items: Sequence[T]) -> list:
-    """[fn(item) for item in items].
+    """[fn(item) for item in items], computed by a pool of worker threads.
 
-    A named function so that perfbench/tracing.py can count the Monte Carlo
-    batches that uncert runs through it.
+    One worker per usable CPU (the process's affinity set, else
+    os.cpu_count()), at least one and at most one per item. Each worker
+    takes the next index from one shared iterator and stores fn's result
+    at that index, so results come back in item order whatever the worker
+    count. The first exception from fn stops every worker after its
+    current item and is raised here once all have ended. fn must be safe
+    to call from several threads at once; the work runs in parallel only
+    where it releases the interpreter lock, as numpy's draws and ufuncs do.
+
+    The calling thread only starts and joins the workers, so the Python
+    calls it makes do not depend on timing and a profile of it repeats
+    exactly. concurrent.futures' submit and result branch on timing, and
+    so does joining a non-daemon thread, which sweeps the shutdown locks
+    of the threads that have ended. Every worker is joined before this
+    returns or raises, so being daemons only matters when the interpreter
+    exits during the join.
     """
-    return [fn(item) for item in items]
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cpus = os.cpu_count() or 1
+    results: list = [None] * len(items)
+    errors: list[BaseException] = []
+    indices = iter(range(len(items)))  # its next() is atomic under the interpreter lock
+
+    def work() -> None:
+        for i in indices:
+            if errors:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as err:  # raised again in the calling thread
+                errors.append(err)
+                return
+
+    count = max(1, min(cpus, len(items)))
+    workers = [threading.Thread(target=work, daemon=True) for _ in range(count)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def positive(name: str, value: float) -> None:

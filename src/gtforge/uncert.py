@@ -34,6 +34,10 @@ at most MC_BATCH_SIZE draws, each drawing from its own (seed, batch-index)
 stream, and batch statistics are merged in index order, so results are
 reproducible bit for bit. A batch draws all its channels with one generator
 call, one row per channel; the row order is the kernel's stream layout.
+The batches run on _util.ordered_map's thread pool, one worker per usable
+CPU, and memory grows by one batch per worker. The results depend neither
+on the worker count nor on BLAS: every sum is numpy's pairwise reduction,
+never a BLAS dot product, whose last bit moves with its thread count.
 
 A bad parameter raises ValueError; the Monte Carlo covariance raises
 GtForgeError for an ego without a yaw rate.
@@ -298,8 +302,9 @@ def _batched_stats(
 
     stat_fn(rng, m) must return the statistic computed from m fresh draws.
     Returns (estimate, standard error) where the standard error is the
-    spread of the batch values over sqrt(batch count). The batches run
-    through _util.ordered_map, where perfbench counts them.
+    spread of the batch values over sqrt(batch count). The batches run on
+    _util.ordered_map's thread pool, so stat_fn must be thread-safe; perfbench
+    counts them there.
     """
     sizes = _batch_layout(n)
 
@@ -312,16 +317,29 @@ def _batched_stats(
     return estimate, se
 
 
-def _pair_stats(u: np.ndarray, v: np.ndarray) -> tuple[float, float, float]:
-    """Unbiased variances and covariance of one sample pair."""
-    m = u.size
+def _pair_stats(u: np.ndarray, v: np.ndarray) -> tuple[float, ...]:
+    """Means, unbiased variances and covariance of one sample pair:
+    (mean u, mean v, var u, var v, cov).
+
+    Every sum is numpy's pairwise np.add.reduce, never a BLAS dot product:
+    BLAS splits a long dot over threads of its own, which would compete
+    with ordered_map's workers and make the last bit depend on its thread
+    count.
+    """
+    mean_u, mean_v = u.mean(), v.mean()
+    du, dv = u - mean_u, v - mean_v
+    cov = np.add.reduce(du * dv)
+    du *= du
+    dv *= dv
+    m1 = u.size - 1
+    return mean_u, mean_v, np.add.reduce(du) / m1, np.add.reduce(dv) / m1, cov / m1
+
+
+def _variance(u: np.ndarray) -> float:
+    """Unbiased variance of one sample, by _pair_stats' arithmetic."""
     du = u - u.mean()
-    dv = v - v.mean()
-    return (
-        float(du @ du / (m - 1)),
-        float(dv @ dv / (m - 1)),
-        float(du @ dv / (m - 1)),
-    )
+    du *= du
+    return np.add.reduce(du) / (u.size - 1)
 
 
 def trig_moments_mc(
@@ -338,10 +356,7 @@ def trig_moments_mc(
 
     def stat(rng: np.random.Generator, m: int) -> np.ndarray:
         w = rng.normal(mean, std, m)
-        c = np.cos(w)
-        s = np.sin(w)
-        var_c, var_s, cov = _pair_stats(c, s)
-        return np.array([c.mean(), s.mean(), var_c, var_s, cov])
+        return np.array(_pair_stats(np.cos(w), np.sin(w, out=w)))
 
     return _batched_stats(n, seed, stat)
 
@@ -362,10 +377,15 @@ def mixed_trig_variance_mc(
     scale = np.array([[std], [s_x], [s_y]])
 
     def stat(rng: np.random.Generator, m: int) -> np.ndarray:
-        # Rows w, x, y: loc + scale * z is Generator.normal(loc, scale), bit for bit.
-        w, x, y = loc + scale * rng.standard_normal((3, m))
-        z = np.cos(w) * x + np.sin(w) * y
-        return np.array([_pair_stats(z, z)[0]])
+        # Rows w, x, y: z * scale + loc is Generator.normal(loc, scale), bit for bit.
+        z = rng.standard_normal((3, m))
+        z *= scale
+        z += loc
+        w, x, y = z
+        x *= np.cos(w)
+        y *= np.sin(w, out=w)
+        x += y
+        return np.array([_variance(x)])
 
     est, se = _batched_stats(n, seed, stat)
     return float(est[0]), float(se[0])
@@ -399,16 +419,16 @@ def monte_carlo_covariance(
     std = np.array([*sigmas, nm.sigma_psi_dot, *sigmas])[:, None]
 
     def stat(rng: np.random.Generator, m: int) -> np.ndarray:
-        # mean + (0.0 + std * z) is mean + Generator.normal(0.0, std), bit for bit.
-        draws = mean + (0.0 + std * rng.standard_normal((11, m)))
+        # (z * std + 0.0) + mean is mean + Generator.normal(0.0, std), bit for bit.
+        draws = rng.standard_normal((11, m))
+        draws *= std
+        draws += 0.0
+        draws += mean
         t = np.full(m, ego.t)
         e = States(t, *draws[:6])
         tg = States(t, *draws[6:], target.psi_dot)
         rel = relative_state(e, tg)
-        pa, pb, pc = _pair_stats(rel.x, rel.y)
-        dpsi = wrap_angle(tg.psi - e.psi - true_dpsi)
-        yv = _pair_stats(dpsi, dpsi)[0]
-        va, vb, vc = _pair_stats(rel.vx, rel.vy)
-        return np.array([pa, pb, pc, yv, va, vb, vc])
+        yv = _variance(wrap_angle(tg.psi - e.psi - true_dpsi))
+        return np.array([*_pair_stats(rel.x, rel.y)[2:], yv, *_pair_stats(rel.vx, rel.vy)[2:]])
 
     return _batched_stats(n, seed, stat)

@@ -9,7 +9,13 @@ evaluation of the textbook forms, and against seeded Monte Carlo at the
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -19,7 +25,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from gtforge import uncert
-from gtforge._util import derived_rng, from_mapping, load_config
+from gtforge._util import derived_rng, from_mapping, load_config, ordered_map
 from gtforge.errors import GtForgeError, ParseError
 from gtforge.trajlog import States
 from gtforge.uncert import (
@@ -340,7 +346,7 @@ class TestTrigMixBound:
             y = rng.normal(-2.0, 0.4, m)
             z = np.cos(w) * x + np.sin(w) * y
             dz = z - z.mean()
-            return np.array([dz @ dz / (m - 1)])
+            return np.array([np.add.reduce(dz * dz) / (m - 1)])
 
         est, se = uncert._batched_stats(30_000, 21, per_channel)
         got = uncert.mixed_trig_variance_mc(1.5, -2.0, 0.2, 0.4, 0.7, 0.3, 30_000, seed=21)
@@ -389,7 +395,9 @@ class TestMonteCarloCovariance:
     def test_stream_layout_is_the_per_channel_draws(self, monkeypatch):
         """A batch's eleven channels are mean + rng.normal(0.0, std, m), in
         the order ego x, y, vx, vy, psi, psi_dot, then target x, y, vx, vy,
-        psi. A -0.0 mean with a zero std pins the sign of zero."""
+        psi. A -0.0 mean with a zero std pins the sign of zero. Batches
+        reach the transform from worker threads in any order, so batch 0
+        is found among the captured ones."""
         captured = []
         transform = uncert.relative_state
 
@@ -410,9 +418,11 @@ class TestMonteCarloCovariance:
                  target.x, target.y, target.vx, target.vy, target.psi]
         expected = [mean + rng.normal(0.0, std, m)
                     for mean, std in zip(means, (*sigmas, nm.sigma_psi_dot, *sigmas))]
-        e, tg = captured[0]
-        got = [e.x, e.y, e.vx, e.vy, e.psi, e.psi_dot, tg.x, tg.y, tg.vx, tg.vy, tg.psi]
-        assert [g.tobytes() for g in got] == [x.tobytes() for x in expected]
+        got = [[g.tobytes() for g in (e.x, e.y, e.vx, e.vy, e.psi, e.psi_dot,
+                                      tg.x, tg.y, tg.vx, tg.vy, tg.psi)]
+               for e, tg in captured]
+        assert len(got) == len(uncert._batch_layout(2000))
+        assert [x.tobytes() for x in expected] in got
 
     def test_velocity_requires_ego_yaw_rate(self):
         with pytest.raises(GtForgeError, match="ego state has no yaw rate"):
@@ -453,6 +463,85 @@ class TestBatching:
         a = np.array(trig_moments_mc(0.3, 0.2, 30_000, seed=1))
         b = np.array(trig_moments_mc(0.3, 0.2, 30_000, seed=1))
         assert a.shape == (2, len(TRIG_FIELDS)) and a.tobytes() == b.tobytes()
+
+
+class TestWorkerPool:
+    """Batches run on ordered_map's thread pool; the bytes are those of a
+    plain loop at any worker count and any BLAS thread count."""
+
+    @staticmethod
+    def stat(rng, m):
+        w = rng.normal(0.4, 0.3, m)
+        return np.array([w.mean(), np.cos(w).sum(), float(m)])
+
+    def plain_loop(self, n, seed):
+        stack = np.vstack([self.stat(derived_rng(seed, b), m)
+                           for b, m in enumerate(uncert._batch_layout(n))])
+        return stack.mean(axis=0), stack.std(axis=0, ddof=1) / math.sqrt(len(stack))
+
+    @pytest.mark.parametrize("one_cpu", [False, True], ids=["all_cpus", "one_cpu"])
+    def test_pool_matches_plain_loop(self, monkeypatch, one_cpu):
+        if one_cpu:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        got = uncert._batched_stats(300_000, 17, self.stat)
+        want = self.plain_loop(300_000, 17)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_workers_are_capped_by_cpus_and_items(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        barrier = threading.Barrier(3, timeout=10)
+
+        def meet(item):
+            barrier.wait()  # breaks unless three threads run at once
+            return threading.get_ident()
+
+        idents = ordered_map(meet, range(6))
+        assert len(set(idents)) == 3 and threading.get_ident() not in idents
+        assert ordered_map(lambda item: threading.get_ident(), [0]) != [threading.get_ident()]
+        assert ordered_map(meet, []) == []
+
+    def test_exception_propagates_and_no_worker_survives(self):
+        before = set(threading.enumerate())
+        started = []
+
+        def fail_at_three(item):
+            started.append(item)
+            if item == 3:
+                raise ValueError("batch 3 failed")
+            time.sleep(0.005)
+            return item
+
+        with pytest.raises(ValueError, match="batch 3 failed"):
+            ordered_map(fail_at_three, range(1000))
+        assert set(threading.enumerate()) <= before
+        assert len(started) < 1000
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from gtforge.trajlog import States\n"
+            "from gtforge.uncert import NoiseModel, monte_carlo_covariance, trig_moments_mc\n"
+            "ego = States(t=0.0, x=10.0, y=-5.0, vx=15.0, vy=1.0, psi=0.6, psi_dot=0.2)\n"
+            "tgt = States(t=0.0, x=40.0, y=5.0, vx=12.0, vy=-1.0, psi=-0.2, psi_dot=float('nan'))\n"
+            "nm = NoiseModel(sigma_pos=0.05, sigma_vel=0.04, sigma_psi=0.01, sigma_psi_dot=0.01)\n"
+            "runs = (trig_moments_mc(0.5, 0.1, 1_000_000, seed=3),\n"
+            "        monte_carlo_covariance(ego, tgt, nm, 1_000_000, seed=4))\n"
+            "sys.stdout.write(b''.join(a.tobytes() for run in runs for a in run).hex())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+                timeout=120,
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert outputs[0] and outputs[0] == outputs[1]
 
 
 class TestConfigIO:
