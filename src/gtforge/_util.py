@@ -63,12 +63,11 @@ def ordered_map(fn: Callable[[T], object], items: Sequence[T]) -> list:
     where it releases the interpreter lock, as numpy's draws and ufuncs do.
 
     The calling thread only starts and joins the workers, so the Python
-    calls it makes do not depend on timing and a profile of it repeats
-    exactly. concurrent.futures' submit and result branch on timing, and
-    so does joining a non-daemon thread, which sweeps the shutdown locks
-    of the threads that have ended. Every worker is joined before this
-    returns or raises, so being daemons only matters when the interpreter
-    exits during the join.
+    calls it makes, and a profile of it, do not depend on timing. Those of
+    concurrent.futures' submit and result do, and so do those of joining a
+    non-daemon thread, which sweeps the locks of whichever threads have
+    ended. The workers are daemons for that reason alone: each is joined
+    before this returns or raises.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -80,12 +79,11 @@ def ordered_map(fn: Callable[[T], object], items: Sequence[T]) -> list:
 
     def work() -> None:
         for i in indices:
-            if errors:
-                return
             try:
                 results[i] = fn(items[i])
             except BaseException as err:  # raised again in the calling thread
                 errors.append(err)
+            if errors:
                 return
 
     count = max(1, min(cpus, len(items)))

@@ -502,6 +502,26 @@ class TestWorkerPool:
         assert ordered_map(lambda item: threading.get_ident(), [0]) != [threading.get_ident()]
         assert ordered_map(meet, []) == []
 
+    def test_many_workers_lose_no_item(self, monkeypatch):
+        """More workers than cores, switching threads every microsecond:
+        every item runs exactly once and lands at its own index."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        calls = []
+
+        def square(item):
+            calls.append(item)
+            return item * item
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = ordered_map(square, range(5000))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [i * i for i in range(5000)]
+        assert sorted(calls) == list(range(5000))
+
     def test_exception_propagates_and_no_worker_survives(self):
         before = set(threading.enumerate())
         started = []
