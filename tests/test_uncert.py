@@ -541,7 +541,6 @@ class TestWorkerPool:
     def test_bytes_do_not_depend_on_blas_threads(self):
         code = (
             "import sys\n"
-            "import numpy as np\n"
             "from gtforge.trajlog import States\n"
             "from gtforge.uncert import NoiseModel, monte_carlo_covariance, trig_moments_mc\n"
             "ego = States(t=0.0, x=10.0, y=-5.0, vx=15.0, vy=1.0, psi=0.6, psi_dot=0.2)\n"
