@@ -1,9 +1,17 @@
 """Small shared helpers: deterministic RNG streams, the positive-and-finite
 check, fixed-width float formatting for serialized output, the JSON config
-loader, the file opener, whose errors name the file, the ordered map over
-a pool of worker threads that runs Monte Carlo batches, and the CSV table
-reader shared by every log format, the rule that timestamps increase
-strictly, and the CSV writer of trajectory logs.
+loader, the file opener, whose errors name the file, two ordered maps, and
+the CSV table reader shared by every log format, the rule that timestamps
+increase strictly, and the CSV writer of trajectory logs.
+
+The two maps spread independent items over the usable CPUs and return
+results in item order. ordered_map runs them on threads and serves the
+Monte Carlo batches, whose numpy draws and ufuncs release the interpreter
+lock; a thread costs microseconds, and validate maps 44 times.
+process_map runs them in forked worker processes and serves the per-log
+stages of generate: np.loadtxt and the spline's tridiagonal solve hold the
+lock, so threads would take turns, while a fork costs milliseconds once
+per stage.
 
 The table reader hands the data lines to numpy's C reader; a file it could
 misread, or with a bad cell, goes through csv and a cell-by-cell check
@@ -22,6 +30,7 @@ import csv
 import json
 import math
 import os
+import pickle
 import threading
 from contextlib import contextmanager, suppress
 from dataclasses import MISSING, fields, is_dataclass
@@ -50,11 +59,18 @@ def derived_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(stream))))
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, else os.cpu_count()."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
 def ordered_map(fn: Callable[[T], object], items: Sequence[T]) -> list:
     """[fn(item) for item in items], computed by a pool of worker threads.
 
-    One worker per usable CPU (the process's affinity set, else
-    os.cpu_count()), at least one and at most one per item. Each worker
+    One worker per usable CPU, at least one and at most one per item. Each worker
     takes the next index from one shared iterator and stores fn's result
     at that index, so results come back in item order whatever the worker
     count. The first exception from fn stops every worker after its
@@ -69,10 +85,6 @@ def ordered_map(fn: Callable[[T], object], items: Sequence[T]) -> list:
     ended. The workers are daemons for that reason alone: each is joined
     before this returns or raises.
     """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        cpus = os.cpu_count() or 1
     results: list = [None] * len(items)
     errors: list[BaseException] = []
     indices = iter(range(len(items)))  # its next() is atomic under the interpreter lock
@@ -86,7 +98,7 @@ def ordered_map(fn: Callable[[T], object], items: Sequence[T]) -> list:
             if errors:
                 return
 
-    count = max(1, min(cpus, len(items)))
+    count = max(1, min(usable_cpus(), len(items)))
     workers = [threading.Thread(target=work, daemon=True) for _ in range(count)]
     for worker in workers:
         worker.start()
@@ -96,6 +108,92 @@ def ordered_map(fn: Callable[[T], object], items: Sequence[T]) -> list:
         raise errors[0]
     return results
 
+
+
+def process_map(fn: Callable[[T], object], items: Sequence[T]) -> list:
+    """[fn(item) for item in items], computed by forked worker processes.
+
+    For work that holds the interpreter lock, which threads would only take
+    turns at; numpy work that releases it belongs on ordered_map's cheaper
+    threads. With k = min(usable CPUs, item count) shares, this process
+    forks k - 1 workers and computes share 0 itself; share j is the stripe
+    items[j::k]. fn and the items reach a worker through the fork and are
+    never pickled; each worker pickles its results, or its first exception
+    with the results before it, through its own pipe. Results come back in
+    item order. Once every worker has been reaped, the first exception in
+    item order is raised, as the plain loop would raise it; a worker that
+    ends without sending its results raises GtForgeError in place of its
+    first item. A worker always leaves through os._exit, so it runs no
+    atexit hook, finally block or buffer flush of this process.
+
+    With one share, or no os.fork, the plain loop runs here. The Python
+    calls made in this process do not depend on the workers' timing.
+    """
+    count = min(usable_cpus(), len(items))
+    if count < 2 or not hasattr(os, "fork"):
+        return [fn(item) for item in items]
+    pids: list[int] = []
+    pipes: list[IO[bytes]] = []
+    try:
+        for share in range(1, count):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _process_worker(fn, items[share::count], write_fd)
+            os.close(write_fd)
+            pids.append(pid)
+            pipes.append(os.fdopen(read_fd, "rb"))
+        shares = [_stripe(fn, items[0::count])]
+        payloads = [pipe.read() for pipe in pipes]
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for pid, status, payload in zip(pids, statuses, payloads):
+        code = os.waitstatus_to_exitcode(status)
+        if code == 0:
+            shares.append(pickle.loads(payload))
+        else:
+            ended = f"exited with status {code}" if code > 0 else f"was killed by signal {-code}"
+            error = GtForgeError(f"worker process {pid} {ended} before sending its results")
+            shares.append(([], error))
+    results: list = [None] * len(items)
+    first: tuple[int, BaseException] | None = None
+    for share, (values, error) in enumerate(shares):
+        results[share:share + count * len(values):count] = values
+        index = share + count * len(values)
+        if error is not None and (first is None or index < first[0]):
+            first = (index, error)
+    if first is not None:
+        raise first[1]
+    return results
+
+
+def _stripe(fn: Callable[[T], object], items: Sequence[T]) -> tuple[list, Exception | None]:
+    """fn over items up to the first exception: (results before it, it or None)."""
+    values = []
+    try:
+        for item in items:
+            values.append(fn(item))
+    except Exception as err:
+        return values, err
+    return values, None
+
+
+def _process_worker(fn: Callable[[T], object], items: Sequence[T], write_fd: int) -> None:
+    """A forked worker's whole life: its stripe, pickled into write_fd, then
+    os._exit, 0 only once every byte is written."""
+    status = 1
+    try:
+        try:
+            payload = pickle.dumps(_stripe(fn, items), pickle.HIGHEST_PROTOCOL)
+        except BaseException as err:  # an unpicklable value, or an interrupt
+            payload = pickle.dumps(([], GtForgeError(f"worker process failed: {err!r}")))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
 
 def positive(name: str, value: float) -> None:
     """ValueError unless value is positive and finite."""

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__, gtgen, synth, uncert
-from ._util import fmt_float, from_mapping, load_config, load_json_object
+from ._util import fmt_float, from_mapping, load_config, load_json_object, process_map
 from .calib import parse_pose_stream, relative_motions, solve_hand_eye
 from .certify import run_validation
 from .errors import CoordinateError, GtForgeError, ParseError
@@ -133,11 +133,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     envelope = load_config(uncert.ScenarioEnvelope, args.envelope) if args.envelope else None
     if noise and envelope:
         _bound_reports(noise, envelope, args.convention, args.noise, args.envelope)
-    ego = parse_trajectory_log(args.ego, frame=args.frame, forced_zone=args.zone)
-    targets = [
-        parse_trajectory_log(path, frame=args.frame, forced_zone=args.zone)
-        for path in args.target
-    ]
+    # One log per worker process; an error names the first bad log in
+    # argument order, as a plain loop would.
+    ego, *targets = process_map(
+        lambda path: parse_trajectory_log(path, frame=args.frame, forced_zone=args.zone),
+        [args.ego, *args.target],
+    )
     geometry = _load_geometry(args.geometry, [traj.vehicle_id for traj in targets])
     clocks = _load_clocks(args.clock) if args.clock else {}
 

@@ -28,7 +28,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ._util import fmt_float, opened, positive
+from ._util import fmt_float, opened, positive, process_map
 from .egokin import RelativeState, relative_state
 from .errors import GtForgeError, ParseError
 from .resample import build_interpolant
@@ -191,7 +191,9 @@ def generate_records(
     trajectory's support (a GtForgeError names the offenders otherwise).
     Bounds are dataset-level constants computed once from noise + envelope;
     passing only one of the two is a ValueError. They need a logged ego yaw
-    rate; a GtForgeError names an ego without one.
+    rate; a GtForgeError names an ego without one. The logs are
+    interpolated on _util.process_map's workers, one per usable CPU; the
+    first log in (ego, *targets) order that fails is the one reported.
     Records come back sorted by (t, target_id).
     """
     if not targets:
@@ -213,7 +215,9 @@ def generate_records(
     if stamp_arr.size == 0:
         raise ValueError("no stamps given")
 
-    ego_states = build_interpolant(ego).states_at(stamp_arr)
+    ego_states, *target_states = process_map(
+        lambda traj: build_interpolant(traj).states_at(stamp_arr), [ego, *targets]
+    )
     bounds = {}
     if noise is not None:
         assert envelope is not None
@@ -225,8 +229,8 @@ def generate_records(
 
     rels = []
     boxes = []
-    for target in targets:
-        rel = relative_state(ego_states, build_interpolant(target).states_at(stamp_arr))
+    for target, states in zip(targets, target_states):
+        rel = relative_state(ego_states, states)
         rels.append(rel)
         boxes.append(bbox_footprint(rel, _geometry_for(geometry, target.vehicle_id)))
     t = np.tile(stamp_arr, len(targets))

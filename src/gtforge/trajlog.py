@@ -26,7 +26,7 @@ trajectory bit-exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -129,6 +129,11 @@ class Trajectory:
                 f"vehicle {self.vehicle_id!r}: t[{i}]={self.t[i]} does not "
                 f"increase past t[{i - 1}]={self.t[i - 1]}"
             )
+
+    def __reduce__(self):
+        # Rebuilt through the constructor, which checks the channels again
+        # and makes them read-only; the default would restore writeable ones.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     def __len__(self) -> int:
         return len(self.t)

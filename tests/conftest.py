@@ -2,9 +2,25 @@
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
+
+
+@pytest.fixture(autouse=True)
+def no_unreaped_child():
+    """Fails a test that leaves a child process running or unreaped, such
+    as a worker of _util.process_map."""
+    yield
+    if not hasattr(os, "WNOHANG"):  # no waitpid(-1) on this platform
+        return
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    state = "still running" if pid == 0 else f"pid {pid} exited but was never reaped"
+    pytest.fail(f"the test left a child process behind: {state}")
 
 
 @pytest.fixture

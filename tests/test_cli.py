@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
 
-from gtforge import certify, cli, errors, uncert
+from gtforge import _util, certify, cli, errors, uncert
 from gtforge.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from helpers import Transform, compose, write_pose_stream
 
@@ -247,6 +248,63 @@ class TestGenerate:
             f"error: {workspace / 'dup_log.csv'}: line 4: t=1.0 does not increase past t=1.0 "
             "on line 3\n"
         )
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_first_malformed_log_is_named(self, workspace, capsys, monkeypatch, cpus):
+        """With the 2nd and 3rd of three logs malformed, the 2nd is named, as
+        a plain loop over the logs names it, whichever process parsed them."""
+        monkeypatch.setattr(_util, "usable_cpus", lambda: cpus)
+        sim = simulate(workspace)
+        second, third = workspace / "second.csv", workspace / "third.csv"
+        rows = "".join(f"{t},{t},0,,1,0,0,0\n" for t in range(4))
+        second.write_text(UTM_HEADER + rows + "4,x,0,,1,0,0,0\n")
+        third.write_text(UTM_HEADER + "0,y,0,,1,0,0,0\n")
+        rc = main([
+            "generate", "--ego", str(sim / "ego_clean.csv"), "--target", str(second),
+            "--target", str(third), "--rate", "10",
+            "--geometry", str(workspace / "geometry.json"), "--out", str(workspace / "gt.jsonl"),
+        ])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {second}: line 6: column 'x' is not a number: 'x'\n"
+        )
+
+    def test_bad_geodetic_target_names_its_line(self, workspace, capsys, monkeypatch):
+        monkeypatch.setattr(_util, "usable_cpus", lambda: 2)  # the target parses in a worker
+        ego, bad = workspace / "ego_geo.csv", workspace / "bad_geo.csv"
+        header = "t,lat,lon,alt,ve,vn,heading_deg,yaw_rate\n"
+        ego.write_text(header + "0,48.8,2.13,,0,1,0,0\n0.1,48.8,2.13,,0,1,0,0\n")
+        bad.write_text(header + "0,48.8,2.13,,0,1,0,0\n0.1,95.0,2.13,,0,1,0,0\n")
+        rc = main([
+            "generate", "--frame", "geodetic", "--ego", str(ego), "--target", str(bad),
+            "--rate", "10", "--geometry", str(workspace / "geometry.json"),
+            "--out", str(workspace / "gt.jsonl"),
+        ])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line 3: lat must be in [-90, 90], got 95.0\n"
+        )
+
+    def test_dead_worker_exits_1(self, workspace, capsys, monkeypatch):
+        monkeypatch.setattr(_util, "usable_cpus", lambda: 2)
+        parse = cli.parse_trajectory_log
+        sim = simulate(workspace)
+        lead = str(sim / "lead_clean.csv")
+
+        def die_on_lead(path, **kwargs):
+            if path == lead:
+                os._exit(3)
+            return parse(path, **kwargs)
+
+        monkeypatch.setattr(cli, "parse_trajectory_log", die_on_lead)
+        rc = main([
+            "generate", "--ego", str(sim / "ego_clean.csv"), "--target", lead,
+            "--rate", "10", "--geometry", str(workspace / "geometry.json"),
+            "--out", str(workspace / "gt.jsonl"),
+        ])
+        assert rc == EXIT_FAILURE
+        assert "exited with status 3 before sending its results" in capsys.readouterr().err
+        assert not (workspace / "gt.jsonl").exists()
 
     def test_overlong_cell_is_usage_error(self, workspace, capsys):
         sim = simulate(workspace)

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gtforge import uncert
+from gtforge import _util, uncert
 from gtforge.cli import main
 from gtforge.trajlog import trajectory_from_arrays, write_trajectory_log
 
@@ -179,6 +179,15 @@ def test_outputs_match_golden_files(tmp_path):
     assert sorted(got) == expected
     differ = [name for name in expected if (GOLDEN / name).read_bytes() != got[name]]
     assert differ == []
+
+
+def test_records_do_not_depend_on_the_process_pool(tmp_path, monkeypatch):
+    """generate parses and interpolates each log on _util.process_map's
+    workers; forced onto one process it writes the same bytes."""
+    monkeypatch.setattr(_util, "usable_cpus", lambda: 1)
+    produce(tmp_path)
+    for name in ("gt_bounds.jsonl", "gt_stamps.jsonl", "gt_geodetic.jsonl"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("name", ["gt_bounds.jsonl", "gt_stamps.jsonl", "gt_geodetic.jsonl"])

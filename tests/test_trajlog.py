@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import warnings
 from dataclasses import replace
 
@@ -336,6 +338,19 @@ class TestModelValidation:
     def test_channel_nan_for_missing(self):
         traj = make_traj(n=5, with_rate=False)
         assert np.all(np.isnan(traj.psi_dot))
+
+    def test_pickle_keeps_channels_read_only(self):
+        traj = replace(make_traj(n=5, with_rate=False), zone=31, hemisphere="north")
+        for back in (pickle.loads(pickle.dumps(traj)), copy.deepcopy(traj)):
+            assert same_trajectory(back, traj)
+            for name in ("t", "x", "y", "vx", "vy", "psi", "psi_dot", "alt"):
+                assert not getattr(back, name).flags.writeable, name
+
+    def test_unpickling_runs_the_checks(self):
+        traj = make_traj(n=5)
+        object.__setattr__(traj, "t", traj.t[::-1])  # a log no constructor would take
+        with pytest.raises(ValueError, match="does not increase"):
+            pickle.loads(pickle.dumps(traj))
 
     def test_trajectory_rejects_out_of_range_psi(self):
         with pytest.raises(ValueError):

@@ -25,8 +25,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from gtforge import uncert
-from gtforge._util import derived_rng, from_mapping, load_config, ordered_map
-from gtforge.errors import GtForgeError, ParseError
+from gtforge._util import (
+    derived_rng, from_mapping, load_config, ordered_map, process_map, usable_cpus,
+)
+from gtforge.errors import CoordinateError, GtForgeError, ParseError
 from gtforge.trajlog import States
 from gtforge.uncert import (
     ANALYSIS_ENVELOPE,
@@ -561,6 +563,123 @@ class TestWorkerPool:
             for threads in ("1", "2")
         ]
         assert outputs[0] and outputs[0] == outputs[1]
+
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(n): make the pools see n usable CPUs."""
+    def set_count(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: n)
+    return set_count
+
+
+class TestProcessPool:
+    """process_map: a plain loop's results and first error, computed by
+    forked workers that share out the items in fixed stripes."""
+
+    @pytest.mark.parametrize("one_cpu", [False, True], ids=["all_cpus", "one_cpu"])
+    def test_matches_plain_loop(self, cpus, one_cpu):
+        if one_cpu:
+            cpus(1)
+        lock = threading.Lock()  # fn and items are unpicklable: they pass by fork
+        items = [lambda i=i: i for i in range(9)]
+
+        def fn(item):
+            with lock:
+                return item(), np.arange(item()) * 0.5, os.getpid()
+
+        got = process_map(fn, items)
+        want = [fn(item) for item in items]
+        assert [(i, a.tobytes()) for i, a, _ in got] == [(i, a.tobytes()) for i, a, _ in want]
+        pids = {pid for _, _, pid in got}
+        assert len(pids) == min(usable_cpus(), 9) and os.getpid() in pids
+
+    def test_shares_are_fixed_stripes(self, cpus):
+        cpus(3)
+        pids = process_map(lambda item: os.getpid(), range(8))
+        assert pids[0::3] == [os.getpid()] * 3
+        assert len(set(pids[1::3])) == len(set(pids[2::3])) == 1
+        assert len(set(pids)) == 3
+        assert process_map(lambda item: os.getpid(), [0]) == [os.getpid()]
+        assert process_map(lambda item: item, []) == []
+
+    def test_first_failure_in_item_order_is_raised(self, cpus):
+        cpus(3)
+
+        def fail(item):
+            if item in (4, 6, 7, 8):  # shares 1, 0, 1 and 2
+                raise ValueError(f"item {item}")
+            return item
+
+        with pytest.raises(ValueError, match="^item 4$"):
+            process_map(fail, range(12))
+
+    @pytest.mark.parametrize("error, attribute, value", [
+        (ParseError("bad cell", line=7), "line", 7),
+        (CoordinateError("lat must be in [-90, 90], got 95.0", index=3), "index", 3),
+    ], ids=["ParseError", "CoordinateError"])
+    def test_error_location_survives_the_pipe(self, cpus, error, attribute, value):
+        cpus(2)
+
+        def fail(item):
+            if item == 1:  # the worker's first item
+                raise error
+            return item
+
+        with pytest.raises(type(error)) as raised:
+            process_map(fail, range(4))
+        assert raised.value is not error
+        assert str(raised.value) == str(error)
+        assert getattr(raised.value, attribute) == value
+
+    def test_dead_worker_raises(self, cpus):
+        cpus(2)
+
+        def die(item):
+            if item == 1:
+                os._exit(3)
+            return item
+
+        with pytest.raises(GtForgeError, match="exited with status 3 before sending"):
+            process_map(die, range(4))
+
+    def test_unpicklable_result_raises(self, cpus):
+        cpus(2)
+        with pytest.raises(GtForgeError, match="worker process failed"):
+            process_map(lambda item: lambda: item, range(2))
+
+    def test_no_worker_outlives_an_error_in_the_callers_share(self, cpus):
+        cpus(2)
+        parent = os.getpid()
+
+        def interrupt(item):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(0.05)
+            return item
+
+        with pytest.raises(KeyboardInterrupt):
+            process_map(interrupt, range(4))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_unflushed_stdout_is_written_once(self):
+        code = (
+            "import sys\n"
+            "from gtforge import _util\n"
+            "_util.usable_cpus = lambda: 3\n"
+            "sys.stdout.write('pending\\n')\n"
+            "print(_util.process_map(lambda item: item * 2, range(5)))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": path}, timeout=60,
+        ).stdout
+        assert out == "pending\n[0, 2, 4, 6, 8]\n"
 
 
 class TestConfigIO:
