@@ -70,7 +70,8 @@ def usable_cpus() -> int:
 def ordered_map(fn: Callable[[T], object], items: Sequence[T]) -> list:
     """[fn(item) for item in items], computed by a pool of worker threads.
 
-    One worker per usable CPU, at least one and at most one per item. Each worker
+    One worker per usable CPU (the process's affinity set, else
+    os.cpu_count()), at least one and at most one per item. Each worker
     takes the next index from one shared iterator and stores fn's result
     at that index, so results come back in item order whatever the worker
     count. The first exception from fn stops every worker after its
@@ -109,7 +110,6 @@ def ordered_map(fn: Callable[[T], object], items: Sequence[T]) -> list:
     return results
 
 
-
 def process_map(fn: Callable[[T], object], items: Sequence[T]) -> list:
     """[fn(item) for item in items], computed by forked worker processes.
 
@@ -128,6 +128,10 @@ def process_map(fn: Callable[[T], object], items: Sequence[T]) -> list:
 
     With one share, or no os.fork, the plain loop runs here. The Python
     calls made in this process do not depend on the workers' timing.
+    Workers are forked, not spawned: a spawned one would import numpy
+    afresh, about 0.2 s, more than a log's work. Call it where no other
+    thread of this process holds a lock the workers need; ordered_map's
+    threads have all ended by the time it returns.
     """
     count = min(usable_cpus(), len(items))
     if count < 2 or not hasattr(os, "fork"):
@@ -137,12 +141,14 @@ def process_map(fn: Callable[[T], object], items: Sequence[T]) -> list:
     try:
         for share in range(1, count):
             read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _process_worker(fn, items[share::count], write_fd)
-            os.close(write_fd)
-            pids.append(pid)
             pipes.append(os.fdopen(read_fd, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _process_worker(fn, items[share::count], write_fd, pipes)
+            finally:
+                os.close(write_fd)
+            pids.append(pid)
         shares = [_stripe(fn, items[0::count])]
         payloads = [pipe.read() for pipe in pipes]
     finally:
@@ -180,20 +186,29 @@ def _stripe(fn: Callable[[T], object], items: Sequence[T]) -> tuple[list, Except
     return values, None
 
 
-def _process_worker(fn: Callable[[T], object], items: Sequence[T], write_fd: int) -> None:
+def _process_worker(
+    fn: Callable[[T], object], items: Sequence[T], write_fd: int, read_ends: Sequence[IO[bytes]]
+) -> None:
     """A forked worker's whole life: its stripe, pickled into write_fd, then
-    os._exit, 0 only once every byte is written."""
+    os._exit, 0 only once every byte is written. It first closes the read
+    ends it inherited, its own included, so that a caller that stops
+    reading makes its write fail rather than wait forever."""
     status = 1
     try:
+        for pipe in read_ends:
+            pipe.close()
         try:
             payload = pickle.dumps(_stripe(fn, items), pickle.HIGHEST_PROTOCOL)
-        except BaseException as err:  # an unpicklable value, or an interrupt
+        except BaseException as err:
+            # An unpicklable result or an interrupt. Not re-raised: unwinding
+            # would run the caller's frames in this process.
             payload = pickle.dumps(([], GtForgeError(f"worker process failed: {err!r}")))
         with os.fdopen(write_fd, "wb") as pipe:
             pipe.write(payload)
         status = 0
     finally:
         os._exit(status)
+
 
 def positive(name: str, value: float) -> None:
     """ValueError unless value is positive and finite."""

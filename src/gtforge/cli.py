@@ -133,8 +133,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     envelope = load_config(uncert.ScenarioEnvelope, args.envelope) if args.envelope else None
     if noise and envelope:
         _bound_reports(noise, envelope, args.convention, args.noise, args.envelope)
-    # One log per worker process; an error names the first bad log in
-    # argument order, as a plain loop would.
+    # The logs parse on a worker process per CPU; an error names the first
+    # bad log in argument order, as a plain loop would.
     ego, *targets = process_map(
         lambda path: parse_trajectory_log(path, frame=args.frame, forced_zone=args.zone),
         [args.ego, *args.target],

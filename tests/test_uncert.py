@@ -650,36 +650,48 @@ class TestProcessPool:
         with pytest.raises(GtForgeError, match="worker process failed"):
             process_map(lambda item: lambda: item, range(2))
 
-    def test_no_worker_outlives_an_error_in_the_callers_share(self, cpus):
-        cpus(2)
-        parent = os.getpid()
-
-        def interrupt(item):
-            if os.getpid() == parent:
-                raise KeyboardInterrupt
-            time.sleep(0.05)
-            return item
-
-        with pytest.raises(KeyboardInterrupt):
-            process_map(interrupt, range(4))
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+    def test_no_worker_outlives_an_error_in_the_callers_share(self):
+        """The caller's share raises before any result is read; the worker's
+        result, larger than a pipe holds, must not keep it waiting. Run in a
+        child so that a hang fails by the timeout."""
+        out = self.run_child(
+            "import os\n"
+            "from gtforge import _util\n"
+            "_util.usable_cpus = lambda: 2\n"
+            "parent = os.getpid()\n"
+            "def interrupt(item):\n"
+            "    if os.getpid() == parent:\n"
+            "        raise KeyboardInterrupt\n"
+            "    return bytes(1 << 20)\n"
+            "try:\n"
+            "    _util.process_map(interrupt, range(4))\n"
+            "except KeyboardInterrupt:\n"
+            "    try:\n"
+            "        os.waitpid(-1, os.WNOHANG)\n"
+            "    except ChildProcessError:\n"
+            "        print('reaped')\n"
+        )
+        assert out == "reaped\n"
 
     def test_unflushed_stdout_is_written_once(self):
-        code = (
+        out = self.run_child(
             "import sys\n"
             "from gtforge import _util\n"
             "_util.usable_cpus = lambda: 3\n"
             "sys.stdout.write('pending\\n')\n"
             "print(_util.process_map(lambda item: item * 2, range(5)))\n"
         )
+        assert out == "pending\n[0, 2, 4, 6, 8]\n"
+
+    @staticmethod
+    def run_child(code):
+        """The stdout of python -c code, whose stdout is a pipe, as a file's is."""
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        out = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": path}, timeout=60,
         ).stdout
-        assert out == "pending\n[0, 2, 4, 6, 8]\n"
 
 
 class TestConfigIO:
