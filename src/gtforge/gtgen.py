@@ -28,7 +28,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ._util import fmt_float, opened, positive, process_map
+from ._util import fmt_float, opened, positive
 from .egokin import RelativeState, relative_state
 from .errors import GtForgeError, ParseError
 from .resample import build_interpolant
@@ -192,9 +192,8 @@ def generate_records(
     Bounds are dataset-level constants computed once from noise + envelope;
     passing only one of the two is a ValueError. They need a logged ego yaw
     rate; a GtForgeError names an ego without one. The logs are
-    interpolated on _util.process_map's workers, one per usable CPU; the
-    first log in (ego, *targets) order that fails is the one reported.
-    Records come back sorted by (t, target_id).
+    interpolated in (ego, *targets) order, so the first that fails is the
+    one reported. Records come back sorted by (t, target_id).
     """
     if not targets:
         raise ValueError("need at least one target trajectory")
@@ -215,9 +214,9 @@ def generate_records(
     if stamp_arr.size == 0:
         raise ValueError("no stamps given")
 
-    ego_states, *target_states = process_map(
-        lambda traj: build_interpolant(traj).states_at(stamp_arr), [ego, *targets]
-    )
+    ego_states, *target_states = [
+        build_interpolant(traj).states_at(stamp_arr) for traj in [ego, *targets]
+    ]
     bounds = {}
     if noise is not None:
         assert envelope is not None

@@ -180,8 +180,10 @@ def test_06_noiseless_end_to_end():
     """Noise-free lead/follow pipeline reproduces closed-form truth."""
     t0 = time.monotonic()
     duration, rate, gap, speed = 60.0, 100.0, 30.0, 25.0
-    # Wide curve keeps the spline error at the straight-to-curve yaw-rate
-    # step (which scales with gap * v/R * h) inside the 1e-3 m budget.
+    # Wide curve keeps the interpolation error at the straight-to-curve
+    # yaw-rate step inside the 1e-3 m budget: across the step the yaw
+    # Hermite is off by up to (v/R) * h / 8, which the gap turns into
+    # gap * (v/R) * h / 8 = 9.4e-4 m here.
     scenario = make_lead_follow(
         gap=gap, speed=speed, duration=duration, rate=rate,
         track=StadiumTrack(straight_len=500.0, curve_radius=1000.0),

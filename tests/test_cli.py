@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,8 @@ import pytest
 from gtforge import _util, certify, cli, errors, uncert
 from gtforge.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from helpers import Transform, compose, write_pose_stream
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 NOISE = {"sigma_pos": 0.02, "sigma_vel": 0.02, "sigma_psi": 0.00175,
          "sigma_psi_dot": 0.00175}
@@ -946,3 +951,18 @@ def test_every_error_class_has_its_exit_code(monkeypatch, capsys, error, code):
     monkeypatch.setattr(cli, "_cmd_bounds", fail)
     assert main(["bounds", "--noise", "n.json", "--envelope", "e.json"]) == code
     assert "error: boom" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is a test-only reference; the runtime needs only numpy."""
+    code = (
+        "import sys, gtforge.cli\n"
+        "assert gtforge.cli.main(['--version']) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    ).stdout
+    assert out.splitlines()[-1] == "[]"

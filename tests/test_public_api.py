@@ -23,14 +23,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gtforge"
 PERFBENCH = ROOT / "perfbench"
 
-EXEMPT = {
-    # Spline diagnostics with no caller yet: the planned run report
-    # (ROADMAP.md item 4) prints both per vehicle.
-    "resample.TrajectoryInterpolant.velocity_consistency_rms",
-    "resample.TrajectoryInterpolant.yaw_rate_consistency_rms",
-}
-
-
 def _probe_targets(tree: ast.Module) -> list[str]:
     """The attribute paths of the PROBES table's entries."""
     for node in tree.body:
@@ -83,7 +75,7 @@ def test_every_public_name_has_a_non_test_caller():
             used = any(
                 other != path or not first <= line <= last for other, line in uses[name]
             )
-            if not used and qualname not in EXEMPT:
+            if not used:
                 unreferenced.append(qualname)
     assert unreferenced == [], (
         "public names no subcommand or benchmark probe reaches; move them to "

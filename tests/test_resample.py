@@ -1,4 +1,4 @@
-"""Spline interpolation of trajectory channels."""
+"""Cubic-Hermite interpolation of trajectory channels."""
 
 from __future__ import annotations
 
@@ -6,8 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gtforge import spline
 from gtforge.egokin import wrap_angle
 from gtforge.errors import GtForgeError
 from gtforge.resample import MIN_SAMPLES, build_interpolant
@@ -28,7 +29,46 @@ def sinusoid_traj(rate: float = 20.0, duration: float = 10.0, with_rate: bool = 
     )
 
 
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+CHANNELS = ("x", "y", "vx", "vy", "psi", "psi_dot")
+
+
+@st.composite
+def irregular_knots(draw, min_size: int = MIN_SAMPLES):
+    """Strictly increasing knots: steps spread over three decades, then an
+    offset as large as a UTC day's seconds."""
+    steps = draw(st.lists(st.floats(1e-3, 1.0), min_size=min_size - 1, max_size=40))
+    offset = draw(st.sampled_from([0.0, 0.5, 86_400.0]))
+    return offset + np.concatenate(([0.0], np.cumsum(steps)))
+
+
+def random_log(t: np.ndarray, seed: int, with_rate: bool, yaw_step: float = 1.0):
+    """A log whose channels are unrelated noise at a random scale, yaw as a
+    random walk that crosses the seam."""
+    rng = np.random.default_rng(seed)
+    x, y, vx, vy = rng.normal(size=(4, len(t))) * 10.0 ** rng.uniform(-2, 4, (4, 1))
+    psi = wrap_angle(rng.uniform(-math.pi, math.pi) + np.cumsum(rng.uniform(-yaw_step, yaw_step, len(t))))
+    psi_dot = rng.normal(size=len(t)) if with_rate else None
+    return trajectory_from_arrays("veh", t, x, y, vx, vy, psi, psi_dot)
+
+
+def inside(t: np.ndarray, seed: int, count: int = 50) -> np.ndarray:
+    return np.random.default_rng(seed).uniform(t[0], t[-1], count)
+
+
 class TestKnots:
+    @PROPERTY
+    @given(irregular_knots(), st.integers(0, 2**32 - 1), st.booleans())
+    def test_values_at_knots_are_the_samples_bit_for_bit(self, t, seed, with_rate):
+        traj = random_log(t, seed, with_rate)
+        states = build_interpolant(traj).states_at(t)
+        exact = ("x", "y", "vx", "vy", "psi_dot") if with_rate else ("x", "y", "vx", "vy")
+        for name in exact:
+            np.testing.assert_array_equal(getattr(states, name), getattr(traj, name), name)
+        # The yaw is unwrapped, interpolated and wrapped back: exact until
+        # the first seam crossing, to rounding after it.
+        assert np.abs(wrap_angle(states.psi - traj.psi)).max() <= 1e-13
+
     def test_exact_at_knots(self):
         traj = sinusoid_traj()
         interp = build_interpolant(traj)
@@ -57,13 +97,73 @@ class TestAccuracy:
         edge_y = np.max(np.abs(s.y - 5.0 * np.sin(s.t)))
         assert edge_y < 1e-3
 
-    def test_smoothness_of_position(self):
-        """Second derivative must be continuous at interior knots."""
-        interp = build_interpolant(sinusoid_traj())
-        acc = spline.derivative(spline.derivative(interp._c[:, 1:2]))
-        for tk in (1.0, 3.5, 7.0):
-            [[left, right]] = spline.evaluate(interp._t, acc, np.array([tk - 1e-12, tk + 1e-12]))
-            assert right == pytest.approx(left, abs=1e-6)
+    @PROPERTY
+    @given(irregular_knots(), st.integers(0, 2**32 - 1))
+    def test_cubic_position_is_reproduced(self, t, seed):
+        """x is a cubic logged with its exact derivative as vx, and vx is
+        then a quadratic, which the fourth-order slopes reproduce too."""
+        rng = np.random.default_rng(seed)
+        cubic = np.polynomial.Polynomial(rng.normal(size=4) * 10.0 ** rng.uniform(-2, 3, 4))
+        speed = cubic.deriv()
+        s = t - t[0]
+        traj = trajectory_from_arrays(
+            "veh", t, cubic(s), 0 * t, speed(s), 0 * t, 0 * t, 0 * t
+        )
+        stamps = np.concatenate((t, inside(t, seed, 200)))
+        states = build_interpolant(traj).states_at(stamps)
+        s = stamps - t[0]
+        scale = sum(abs(c) * np.abs(s).max() ** k for k, c in enumerate(cubic.coef))
+        assert np.abs(states.x - cubic(s)).max() <= 1e-12 * scale
+        scale = sum(abs(c) * np.abs(s).max() ** k for k, c in enumerate(speed.coef))
+        assert np.abs(states.vx - speed(s)).max() <= 1e-12 * scale
+
+    @PROPERTY
+    @given(irregular_knots(min_size=5), st.integers(0, 2**32 - 1))
+    def test_smoothness_of_position(self, t, seed):
+        """Position is C1: on both intervals at an interior knot, the slope
+        of the cubic states_at traces is the logged velocity there."""
+        traj = random_log(t, seed, with_rate=True)
+        interp = build_interpolant(traj)
+
+        def end_slopes(a, b):
+            """Slopes at a and b of the x cubic on [a, b], from 4 values."""
+            s = np.array([a, a + (b - a) / 3.0, b - (b - a) / 3.0, b])
+            cubic = np.polynomial.Polynomial.fit((s - a) / (b - a), interp.states_at(s).x, 3,
+                                                 domain=[0.0, 1.0], window=[0.0, 1.0])
+            return cubic.deriv()(np.array([0.0, 1.0])) / (b - a)
+
+        for k in range(1, len(t) - 1):
+            (_, left), (right, _) = end_slopes(t[k - 1], t[k]), end_slopes(t[k], t[k + 1])
+            h = min(t[k] - t[k - 1], t[k + 1] - t[k])
+            tol = 1e-10 * (np.abs(traj.x).max() / h + np.abs(traj.vx).max())
+            assert abs(left - traj.vx[k]) <= tol
+            assert abs(right - traj.vx[k]) <= tol
+
+
+class TestLocality:
+    @PROPERTY
+    @given(irregular_knots(), st.integers(0, 2**32 - 1), st.booleans(), st.data())
+    def test_a_sample_moves_no_value_beyond_three_intervals(self, t, seed, with_rate, data):
+        """Every channel of sample j changes: no value outside
+        [t[j-3], t[j+3]] moves by a bit. Yaw steps stay within 0.5 rad and
+        the yaw moves 0.5 rad toward 0, so the change adds no seam crossing."""
+        n = len(t)
+        j = data.draw(st.integers(0, n - 1))
+        traj = random_log(t, seed, with_rate, yaw_step=0.5)
+        channels = {name: np.array(getattr(traj, name)) for name in CHANNELS}
+        for values in channels.values():
+            values[j] += 0.5
+        channels["psi"][j] = traj.psi[j] - math.copysign(0.5, traj.psi[j])
+        changed = trajectory_from_arrays(
+            "veh", t, *(channels[name] for name in CHANNELS[:5]),
+            channels["psi_dot"] if with_rate else None,
+        )
+        stamps = np.concatenate((t, inside(t, seed, 400)))
+        stamps = stamps[(stamps < t[max(j - 3, 0)]) | (stamps > t[min(j + 3, n - 1)])]
+        before = build_interpolant(traj).states_at(stamps)
+        after = build_interpolant(changed).states_at(stamps)
+        for name in CHANNELS:
+            np.testing.assert_array_equal(getattr(after, name), getattr(before, name), name)
 
 
 class TestYaw:
@@ -130,31 +230,6 @@ class TestSupportEnforcement:
     def test_endpoints_are_inside(self):
         interp = build_interpolant(sinusoid_traj())
         interp.states_at([0.0, 10.0])
-
-
-class TestDiagnostics:
-    def test_consistent_log_has_tiny_residuals(self):
-        interp = build_interpolant(sinusoid_traj())
-        rms_x, rms_y = interp.velocity_consistency_rms()
-        assert rms_x < 1e-6
-        # y residuals are dominated by the natural-end knots.
-        assert rms_y < 1e-2
-        assert interp.yaw_rate_consistency_rms() < 1e-3
-
-    def test_inconsistent_velocity_flagged(self):
-        """Velocities that contradict the positions show up in the RMS."""
-        t = np.arange(50) * 0.1
-        traj = trajectory_from_arrays(
-            "veh", t, 10.0 * t, 0 * t,
-            np.full_like(t, 3.0),  # logged 3 m/s against a 10 m/s slope
-            0 * t, np.zeros_like(t), np.zeros_like(t),
-        )
-        rms_x, _ = build_interpolant(traj).velocity_consistency_rms()
-        assert rms_x > 5.0
-
-    def test_yaw_rate_rms_none_without_channel(self):
-        interp = build_interpolant(sinusoid_traj(with_rate=False))
-        assert interp.yaw_rate_consistency_rms() is None
 
 
 class TestTooFew:
