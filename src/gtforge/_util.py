@@ -8,10 +8,9 @@ The two maps spread independent items over the usable CPUs and return
 results in item order. ordered_map runs them on threads and serves the
 Monte Carlo batches, whose numpy draws and ufuncs release the interpreter
 lock; a thread costs microseconds, and validate maps 44 times.
-process_map runs them in forked worker processes and serves the per-log
-stages of generate: np.loadtxt and the spline's tridiagonal solve hold the
-lock, so threads would take turns, while a fork costs milliseconds once
-per stage.
+process_map runs them in forked worker processes and serves generate's
+per-log parse: np.loadtxt holds the lock, so threads would take turns,
+while a fork costs milliseconds once.
 
 The table reader hands the data lines to numpy's C reader; a file it could
 misread, or with a bad cell, goes through csv and a cell-by-cell check
@@ -114,8 +113,9 @@ def process_map(fn: Callable[[T], object], items: Sequence[T]) -> list:
     """[fn(item) for item in items], computed by forked worker processes.
 
     For work that holds the interpreter lock, which threads would only take
-    turns at; numpy work that releases it belongs on ordered_map's cheaper
-    threads. With k = min(usable CPUs, item count) shares, this process
+    turns at: generate's per-log parse, whose np.loadtxt holds it. numpy
+    work that releases it belongs on ordered_map's cheaper threads, and
+    work shorter than a fork round (a few milliseconds) in a plain loop. With k = min(usable CPUs, item count) shares, this process
     forks k - 1 workers and computes share 0 itself; share j is the stripe
     items[j::k]. fn and the items reach a worker through the fork and are
     never pickled; each worker pickles its results, or its first exception
