@@ -125,13 +125,13 @@ class TrajectoryInterpolant:
         uv = u * v
         values = (1.0 + 2.0 * u) * v * v * y0 + (1.0 + 2.0 * v) * u * u * y1
         values += (h * v * uv) * m0 - (h * u * uv) * m1
-        x, y, vx, vy, psi, *psi_dot = values
-        if not psi_dot:
-            psi_dot = [
-                6.0 * uv / h * (y1[4] - y0[4]) + v * (1.0 - 3.0 * u) * m0[4]
-                + u * (3.0 * u - 2.0) * m1[4]
-            ]
-        return States(arr, x, y, vx, vy, wrap_angle(psi), psi_dot[0])
+        x, y, vx, vy, psi, *logged_rate = values
+        if logged_rate:
+            psi_dot = logged_rate[0]
+        else:  # the derivative of the yaw Hermite
+            psi_dot = (6.0 * uv / h * (y1[4] - y0[4]) + v * (1.0 - 3.0 * u) * m0[4]
+                       + u * (3.0 * u - 2.0) * m1[4])
+        return States(arr, x, y, vx, vy, wrap_angle(psi), psi_dot)
 
 
 def build_interpolant(traj: Trajectory) -> TrajectoryInterpolant:
