@@ -115,8 +115,10 @@ def process_map(fn: Callable[[T], object], items: Sequence[T]) -> list:
     For work that holds the interpreter lock, which threads would only take
     turns at: generate's per-log parse, whose np.loadtxt holds it. numpy
     work that releases it belongs on ordered_map's cheaper threads, and
-    work shorter than a fork round (a few milliseconds) in a plain loop. With k = min(usable CPUs, item count) shares, this process
-    forks k - 1 workers and computes share 0 itself; share j is the stripe
+    work shorter than a fork round (a few milliseconds) in a plain loop.
+
+    With k = min(usable CPUs, item count) shares, this process forks k - 1
+    workers and computes share 0 itself; share j is the stripe
     items[j::k]. fn and the items reach a worker through the fork and are
     never pickled; each worker pickles its results, or its first exception
     with the results before it, through its own pipe. Results come back in

@@ -107,12 +107,11 @@ def _check_covariances(
     env: uncert.ScenarioEnvelope,
     samples: int,
     seed: int,
-    convention: str,
 ) -> list[dict]:
     """The exact-covariance, yaw and domination checks, fed by one Monte
     Carlo run per configuration (position domination is closed-form)."""
-    pos_b = uncert.position_bound(nm, env, convention)
-    vel_b = uncert.velocity_bound(nm, env, convention)
+    pos_b = uncert.position_bound(nm, env)
+    vel_b = uncert.velocity_bound(nm, env)
     exact = _exact_position_covariance(nm, [
         _random_state_pair(derived_rng(seed, 2000 + i), env)
         for i in range(_DOMINATION_CONFIGS)
@@ -130,7 +129,8 @@ def _check_covariances(
     return [
         _z_check("exact_position_covariance", z_pos.max(), **counts),
         _z_check("yaw_variance", z_yaw.max(), **counts),
-        _margin_check("bound_domination", np.concatenate(margins), convention=convention,
+        _margin_check("bound_domination", np.concatenate(margins),
+                      convention=uncert.DEFAULT_CONVENTION,
                       configs=_DOMINATION_CONFIGS, velocity_mc_configs=_MC_CONFIGS),
     ]
 
@@ -158,7 +158,6 @@ def run_validation(
     env: uncert.ScenarioEnvelope,
     samples: int,
     seed: int,
-    convention: str = uncert.DEFAULT_CONVENTION,
 ) -> dict:
     """The Monte Carlo certification suite behind `gtforge validate`.
 
@@ -166,13 +165,13 @@ def run_validation(
     """
     checks = [
         _check_trig_grid(samples, seed),
-        *_check_covariances(nm, env, samples, seed, convention),
+        *_check_covariances(nm, env, samples, seed),
         _check_trig_mix(samples, seed),
     ]
     return {
         "samples": samples,
         "seed": seed,
-        "convention": convention,
+        "convention": uncert.DEFAULT_CONVENTION,
         "noise": {k: _round9(v) for k, v in asdict(nm).items()},
         "envelope": {k: _round9(v) for k, v in asdict(env).items()},
         "checks": checks,

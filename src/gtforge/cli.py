@@ -56,13 +56,11 @@ def _cov_report(cov: uncert.CovBound2) -> dict:
     }
 
 
-def _bound_reports(
-    nm: uncert.NoiseModel, env: uncert.ScenarioEnvelope, convention: str, *paths: str
-) -> list[dict]:
+def _bound_reports(nm: uncert.NoiseModel, env: uncert.ScenarioEnvelope, *paths: str) -> list[dict]:
     """The position and velocity bounds as `bounds` prints them; configs that
     give no finite bound or rms are an input error that names their files."""
     try:
-        return [_cov_report(bound(nm, env, convention))
+        return [_cov_report(bound(nm, env))
                 for bound in (uncert.position_bound, uncert.velocity_bound)]
     except (ValueError, OverflowError) as err:
         raise ValueError(f"{' and '.join(paths)}: values too large for finite bounds: {err}")
@@ -132,7 +130,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     noise = load_config(uncert.NoiseModel, args.noise) if args.noise else None
     envelope = load_config(uncert.ScenarioEnvelope, args.envelope) if args.envelope else None
     if noise and envelope:
-        _bound_reports(noise, envelope, args.convention, args.noise, args.envelope)
+        _bound_reports(noise, envelope, args.noise, args.envelope)
     # The logs parse on a worker process per CPU; an error names the first
     # bad log in argument order, as a plain loop would.
     ego, *targets = process_map(
@@ -158,15 +156,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     else:
         stamps = gtgen.make_stamps(args.rate, *_overlap_window([ego, *targets]))
 
-    records = gtgen.generate_records(
-        ego,
-        targets,
-        stamps,
-        geometry,
-        noise=noise,
-        envelope=envelope,
-        convention=args.convention,
-    )
+    records = gtgen.generate_records(ego, targets, stamps, geometry, noise=noise, envelope=envelope)
     gtgen.write_records_jsonl(records, args.out)
     sys.stdout.write(f"{args.out}: {len(records)} records\n")
     return EXIT_OK
@@ -178,9 +168,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     nm = load_config(uncert.NoiseModel, args.noise)
     env = load_config(uncert.ScenarioEnvelope, args.envelope)
-    position, velocity = _bound_reports(nm, env, args.convention, args.noise, args.envelope)
+    position, velocity = _bound_reports(nm, env, args.noise, args.envelope)
     report = {
-        "convention": args.convention,
+        "convention": uncert.DEFAULT_CONVENTION,
         "position": position,
         "velocity": velocity,
         "yaw": {
@@ -203,8 +193,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                          "so there is no position noise to certify")
     env = (load_config(uncert.ScenarioEnvelope, args.envelope) if args.envelope
            else uncert.ANALYSIS_ENVELOPE)
-    _bound_reports(nm, env, args.convention, *filter(None, [args.noise, args.envelope]))
-    report = run_validation(nm, env, args.samples, args.seed, args.convention)
+    _bound_reports(nm, env, *filter(None, [args.noise, args.envelope]))
+    report = run_validation(nm, env, args.samples, args.seed)
     _print_json(report)
     return EXIT_OK if report["passed"] else EXIT_FAILURE
 
@@ -278,20 +268,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clock", help="per-vehicle clock model JSON")
     p.add_argument("--frame", choices=("utm", "geodetic"), default="utm")
     p.add_argument("--zone", type=int, help="force this UTM zone (geodetic input)")
-    p.add_argument(
-        "--convention", choices=uncert.CONVENTIONS,
-        default=uncert.DEFAULT_CONVENTION,
-    )
     p.add_argument("--out", required=True, help="output JSONL path")
     p.set_defaults(fn=_cmd_generate)
 
     p = sub.add_parser("bounds", help="print covariance bounds for a config")
     p.add_argument("--noise", required=True, help="noise model JSON")
     p.add_argument("--envelope", required=True, help="scenario envelope JSON")
-    p.add_argument(
-        "--convention", choices=uncert.CONVENTIONS,
-        default=uncert.DEFAULT_CONVENTION,
-    )
     p.set_defaults(fn=_cmd_bounds)
 
     p = sub.add_parser("validate", help="run the Monte Carlo certification suite")
@@ -299,10 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--envelope", help="scenario envelope JSON (default: reference)")
     p.add_argument("--samples", type=int, required=True, help="MC samples per check")
     p.add_argument("--seed", type=int, required=True, help="master seed")
-    p.add_argument(
-        "--convention", choices=uncert.CONVENTIONS,
-        default=uncert.DEFAULT_CONVENTION,
-    )
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("calibrate", help="planar hand-eye between pose streams")

@@ -35,7 +35,6 @@ from .resample import build_interpolant
 from .trajlog import Trajectory
 from .trajlog import apply_clock_model  # noqa: F401 unused; perfbench probes this binding
 from .uncert import (
-    DEFAULT_CONVENTION,
     CovBound2,
     NoiseModel,
     ScenarioEnvelope,
@@ -183,7 +182,6 @@ def generate_records(
     geometry: VehicleGeometry | Mapping[str, VehicleGeometry],
     noise: NoiseModel | None = None,
     envelope: ScenarioEnvelope | None = None,
-    convention: str = DEFAULT_CONVENTION,
 ) -> RecordSet:
     """Produce ground-truth records for every (stamp, target) pair.
 
@@ -221,8 +219,8 @@ def generate_records(
     if noise is not None:
         assert envelope is not None
         bounds = {
-            "pos_bound": position_bound(noise, envelope, convention),
-            "vel_bound": velocity_bound(noise, envelope, convention),
+            "pos_bound": position_bound(noise, envelope),
+            "vel_bound": velocity_bound(noise, envelope),
             "yaw_var": yaw_variance(noise),
         }
 

@@ -19,15 +19,20 @@ bounds; no step subtracts nearly equal numbers, so they hold to rounding
 at any yaw noise, zero included.
 
 Two exponent conventions exist for the e^{-sigma_psi^2} decay factors in
-the position and velocity bounds. "half_exponent" (the default) halves the
-exponent in the diagonal entries and reproduces the headline bound figures
-this bound family is known by; "printed" keeps the plain exponent and
-yields looser diagonals. d_max is a radius: within it both position
-diagonals dominate the exact variances for any bearing, yaw and heading
-noise (position_bound gives the inequality), while at the per-axis corner
-(d_max, d_max) the exact variance reaches twice the half-exponent
-diagonal. The trig-mix bound, which certification checks against random
-configurations, has only the printed form.
+the position and velocity bounds, and this module alone knows them.
+"half_exponent" (DEFAULT_CONVENTION) halves the exponent in the diagonal
+entries and reproduces the headline bound figures this bound family is
+known by. It is the one form that generate, bounds and validate use, and
+the "convention" key of their reports names it. "printed" keeps the plain
+exponent and yields looser diagonals of the same quantity; it is reachable
+only through the convention argument of position_bound and
+velocity_bound, which acceptance criterion 01 uses to pin its 0.1555 m
+figure. d_max is a radius: within it both position diagonals dominate the
+exact variances for any bearing, yaw and heading noise (position_bound
+gives the inequality), while at the per-axis corner (d_max, d_max) the
+exact variance reaches twice the half-exponent diagonal. The trig-mix
+bound, which certification checks against random configurations, has only
+the printed form.
 
 Every Monte Carlo routine is deterministic: work is split into batches of
 at most MC_BATCH_SIZE draws, each drawing from its own (seed, batch-index)

@@ -448,14 +448,6 @@ class TestBounds:
         )
         assert report["yaw"]["var"] == pytest.approx(6.125e-6)
 
-    def test_printed_convention(self, workspace, capsys):
-        rc = main(["bounds", "--noise", str(workspace / "noise.json"),
-                   "--envelope", str(workspace / "envelope.json"),
-                   "--convention", "printed"])
-        assert rc == EXIT_OK
-        report = json.loads(capsys.readouterr().out)
-        assert report["position"]["rms"] == pytest.approx(0.155532213)
-
     def test_bad_noise_file(self, workspace):
         bad = workspace / "n.json"
         bad.write_text(json.dumps({"sigma_pos": 0.02}))

@@ -153,10 +153,10 @@ def produce(work: Path) -> dict[str, bytes]:
          "--samples", "2000", "--seed", "3"],
         work,
     )
-    # The printed convention's domination path on a large-sigma_pos model.
-    stdout["validate_printed"] = _run(
+    # The domination path on a large-sigma_pos model.
+    stdout["validate_outage"] = _run(
         ["validate", "--noise", str(work / "noise_outage.json"),
-         "--envelope", str(work / "envelope.json"), "--convention", "printed",
+         "--envelope", str(work / "envelope.json"),
          "--samples", "2000", "--seed", "4"],
         work,
     )
@@ -182,8 +182,8 @@ def test_outputs_match_golden_files(tmp_path):
 
 
 def test_records_do_not_depend_on_the_process_pool(tmp_path, monkeypatch):
-    """generate parses and interpolates each log on _util.process_map's
-    workers; forced onto one process it writes the same bytes."""
+    """generate parses each log on _util.process_map's workers; forced onto
+    one process it writes the same bytes."""
     monkeypatch.setattr(_util, "usable_cpus", lambda: 1)
     produce(tmp_path)
     for name in ("gt_bounds.jsonl", "gt_stamps.jsonl", "gt_geodetic.jsonl"):

