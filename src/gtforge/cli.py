@@ -27,6 +27,7 @@ from .calib import parse_pose_stream, relative_motions, solve_hand_eye
 from .certify import run_validation
 from .errors import CoordinateError, GtForgeError, ParseError
 from .trajlog import (
+    FRAMES,
     ClockModel,
     Trajectory,
     apply_clock_model,
@@ -56,14 +57,22 @@ def _cov_report(cov: uncert.CovBound2) -> dict:
     }
 
 
-def _bound_reports(nm: uncert.NoiseModel, env: uncert.ScenarioEnvelope, *paths: str) -> list[dict]:
-    """The position and velocity bounds as `bounds` prints them; configs that
+def _bounds(
+    nm: uncert.NoiseModel, env: uncert.ScenarioEnvelope, *paths: str
+) -> tuple[uncert.CovBound2, uncert.CovBound2, float]:
+    """The dataset-level (position, velocity, yaw_var) bounds; configs that
     give no finite bound or rms are an input error that names their files."""
+    covs = []
     try:
-        return [_cov_report(bound(nm, env))
-                for bound in (uncert.position_bound, uncert.velocity_bound)]
+        for bound in (uncert.position_bound, uncert.velocity_bound):
+            covs.append(bound(nm, env))
+            uncert.rms_from_cov(covs[-1])  # OverflowError past the float range
+        yaw_var = uncert.yaw_variance(nm)
+        if yaw_var == math.inf:
+            raise OverflowError(f"yaw_var 2 sigma_psi^2 overflows at sigma_psi {nm.sigma_psi:g}")
     except (ValueError, OverflowError) as err:
         raise ValueError(f"{' and '.join(paths)}: values too large for finite bounds: {err}")
+    return covs[0], covs[1], yaw_var
 
 
 # ---------------------------------------------------------------------------
@@ -127,10 +136,15 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         raise ValueError("--zone applies to geodetic input only (--frame geodetic)")
     if args.zone is not None and not 1 <= args.zone <= 60:
         raise ValueError(f"--zone must be in 1..60, got {args.zone}")
-    noise = load_config(uncert.NoiseModel, args.noise) if args.noise else None
-    envelope = load_config(uncert.ScenarioEnvelope, args.envelope) if args.envelope else None
-    if noise and envelope:
-        _bound_reports(noise, envelope, args.noise, args.envelope)
+    if args.noise and not args.envelope:
+        raise ValueError("a noise model needs a scenario envelope to form bounds")
+    if args.envelope and not args.noise:
+        raise ValueError("a scenario envelope needs a noise model to form bounds")
+    bounds = None
+    if args.noise:
+        bounds = _bounds(load_config(uncert.NoiseModel, args.noise),
+                         load_config(uncert.ScenarioEnvelope, args.envelope),
+                         args.noise, args.envelope)
     # The logs parse on a worker process per CPU; an error names the first
     # bad log in argument order, as a plain loop would.
     ego, *targets = process_map(
@@ -156,7 +170,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     else:
         stamps = gtgen.make_stamps(args.rate, *_overlap_window([ego, *targets]))
 
-    records = gtgen.generate_records(ego, targets, stamps, geometry, noise=noise, envelope=envelope)
+    records = gtgen.generate_records(ego, targets, stamps, geometry, bounds)
     gtgen.write_records_jsonl(records, args.out)
     sys.stdout.write(f"{args.out}: {len(records)} records\n")
     return EXIT_OK
@@ -168,15 +182,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     nm = load_config(uncert.NoiseModel, args.noise)
     env = load_config(uncert.ScenarioEnvelope, args.envelope)
-    position, velocity = _bound_reports(nm, env, args.noise, args.envelope)
+    position, velocity, yaw_var = _bounds(nm, env, args.noise, args.envelope)
     report = {
         "convention": uncert.DEFAULT_CONVENTION,
-        "position": position,
-        "velocity": velocity,
-        "yaw": {
-            "var": _round9(uncert.yaw_variance(nm)),
-            "rms": _round9(math.sqrt(uncert.yaw_variance(nm))),
-        },
+        "position": _cov_report(position),
+        "velocity": _cov_report(velocity),
+        "yaw": {"var": _round9(yaw_var), "rms": _round9(math.sqrt(yaw_var))},
     }
     _print_json(report)
     return EXIT_OK
@@ -193,7 +204,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                          "so there is no position noise to certify")
     env = (load_config(uncert.ScenarioEnvelope, args.envelope) if args.envelope
            else uncert.ANALYSIS_ENVELOPE)
-    _bound_reports(nm, env, *filter(None, [args.noise, args.envelope]))
+    _bounds(nm, env, *filter(None, [args.noise, args.envelope]))
     report = run_validation(nm, env, args.samples, args.seed)
     _print_json(report)
     return EXIT_OK if report["passed"] else EXIT_FAILURE
@@ -266,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", help="noise model JSON (enables bounds with --envelope)")
     p.add_argument("--envelope", help="scenario envelope JSON (goes with --noise)")
     p.add_argument("--clock", help="per-vehicle clock model JSON")
-    p.add_argument("--frame", choices=("utm", "geodetic"), default="utm")
+    p.add_argument("--frame", choices=FRAMES, default="utm")
     p.add_argument("--zone", type=int, help="force this UTM zone (geodetic input)")
     p.add_argument("--out", required=True, help="output JSONL path")
     p.set_defaults(fn=_cmd_generate)

@@ -3,8 +3,9 @@
 Takes one ego log and any number of target logs (same projected plane,
 already retimed) and a stamp list; interpolates all logs, forms each
 target's relative state in the ego frame, attaches the vehicle-footprint
-corners and, when a noise model plus scenario envelope are supplied, the
-dataset-level covariance bounds.
+corners and, when given, the dataset-level bounds: None or the tuple
+(position, velocity, yaw_var), which the caller forms from a noise model
+and a scenario envelope.
 
 Records are held as a RecordSet: one array per column, one row per
 (stamp, target), with the bounds stored once. They serialize to JSON Lines,
@@ -34,14 +35,7 @@ from .errors import GtForgeError, ParseError
 from .resample import build_interpolant
 from .trajlog import Trajectory
 from .trajlog import apply_clock_model  # noqa: F401 unused; perfbench probes this binding
-from .uncert import (
-    CovBound2,
-    NoiseModel,
-    ScenarioEnvelope,
-    position_bound,
-    velocity_bound,
-    yaw_variance,
-)
+from .uncert import CovBound2
 
 
 @dataclass(frozen=True)
@@ -70,8 +64,8 @@ class RecordSet:
     Row i is one target observed in the ego frame at stamp t[i]: x, y, vx,
     vy, psi as in RelativeState, and bbox[i] its four footprint corners in
     canonical order front-left, front-right, rear-right, rear-left, so bbox
-    has shape (n, 4, 2). The three bounds are dataset-level constants,
-    either all present (noise model supplied) or all None.
+    has shape (n, 4, 2). bounds is None or the dataset-level constants
+    (position, velocity, yaw_var) that every record carries.
     """
 
     t: np.ndarray
@@ -82,16 +76,11 @@ class RecordSet:
     vy: np.ndarray
     psi: np.ndarray
     bbox: np.ndarray
-    pos_bound: CovBound2 | None = None
-    vel_bound: CovBound2 | None = None
-    yaw_var: float | None = None
+    bounds: tuple[CovBound2, CovBound2, float] | None = None
 
     def __post_init__(self) -> None:
         if self.bbox.shape != (len(self), 4, 2):
             raise ValueError(f"bbox must have shape (n, 4, 2), got {self.bbox.shape}")
-        bounds = (self.pos_bound, self.vel_bound, self.yaw_var)
-        if any(b is None for b in bounds) != all(b is None for b in bounds):
-            raise ValueError("bounds must be attached together or not at all")
 
     def __len__(self) -> int:
         return len(self.t)
@@ -180,18 +169,17 @@ def generate_records(
     targets: Sequence[Trajectory],
     stamps,
     geometry: VehicleGeometry | Mapping[str, VehicleGeometry],
-    noise: NoiseModel | None = None,
-    envelope: ScenarioEnvelope | None = None,
+    bounds: tuple[CovBound2, CovBound2, float] | None = None,
 ) -> RecordSet:
     """Produce ground-truth records for every (stamp, target) pair.
 
     The logs come already retimed. Every stamp must lie in every
     trajectory's support (a GtForgeError names the offenders otherwise).
-    Bounds are dataset-level constants computed once from noise + envelope;
-    passing only one of the two is a ValueError. They need a logged ego yaw
-    rate; a GtForgeError names an ego without one. The logs are
-    interpolated in (ego, *targets) order, so the first that fails is the
-    one reported. Records come back sorted by (t, target_id).
+    bounds, None or (position, velocity, yaw_var), is attached to every
+    record as given; it needs a logged ego yaw rate, and a GtForgeError
+    names an ego without one. The logs are interpolated in (ego, *targets)
+    order, so the first that fails is the one reported. Records come back
+    sorted by (t, target_id).
     """
     if not targets:
         raise ValueError("need at least one target trajectory")
@@ -200,11 +188,7 @@ def generate_records(
         raise ValueError(f"duplicate target ids: {ids}")
     if ego.vehicle_id in ids:
         raise ValueError(f"ego id {ego.vehicle_id!r} also appears as a target")
-    if noise is not None and envelope is None:
-        raise ValueError("a noise model needs a scenario envelope to form bounds")
-    if envelope is not None and noise is None:
-        raise ValueError("a scenario envelope needs a noise model to form bounds")
-    if noise is not None and not ego.has_yaw_rate:
+    if bounds is not None and not ego.has_yaw_rate:
         raise GtForgeError(f"ego {ego.vehicle_id!r} has no yaw rate; bounds need a logged one")
     _check_zones([ego, *targets])
 
@@ -215,14 +199,6 @@ def generate_records(
     ego_states, *target_states = [
         build_interpolant(traj).states_at(stamp_arr) for traj in [ego, *targets]
     ]
-    bounds = {}
-    if noise is not None:
-        assert envelope is not None
-        bounds = {
-            "pos_bound": position_bound(noise, envelope),
-            "vel_bound": velocity_bound(noise, envelope),
-            "yaw_var": yaw_variance(noise),
-        }
 
     rels = []
     boxes = []
@@ -238,7 +214,7 @@ def generate_records(
         target_id[order],
         *(np.concatenate(column)[order] for column in zip(*rels)),
         bbox=np.concatenate(boxes)[order],
-        **bounds,
+        bounds=bounds,
     )
 
 
@@ -267,11 +243,11 @@ def record_to_json(records: RecordSet) -> Iterator[str]:
         if not np.isfinite(column).all():
             raise ValueError(f"cannot serialize non-finite {name} values")
     tail = "}\n"
-    if records.pos_bound is not None:
+    if records.bounds is not None:
+        position, velocity, yaw_var = records.bounds
         tail = (
-            f', "pos_bound": {_cov_json(records.pos_bound)}, '
-            f'"vel_bound": {_cov_json(records.vel_bound)}, '
-            f'"yaw_var": {fmt_float(records.yaw_var)}}}\n'
+            f', "pos_bound": {_cov_json(position)}, "vel_bound": {_cov_json(velocity)}, '
+            f'"yaw_var": {fmt_float(yaw_var)}}}\n'
         )
     row_format = _ROW_FORMAT + tail
     ids = records.target_id.tolist()
@@ -349,5 +325,5 @@ def read_records_jsonl(source: str | Path) -> RecordSet:
     t, x, y, vx, vy, psi = table[:, :6].T
     return RecordSet(
         t, np.array(ids, dtype=str), x, y, vx, vy, psi,
-        table[:, 6:].reshape(-1, 4, 2), *(bounds or (None, None, None)),
+        table[:, 6:].reshape(-1, 4, 2), bounds,
     )

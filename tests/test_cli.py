@@ -182,6 +182,20 @@ class TestGenerate:
         assert rc == EXIT_USAGE
         assert not out.exists()
 
+    def test_pairing_is_checked_before_any_file_is_read(self, workspace, capsys):
+        """No log, geometry or noise file exists: the flags alone decide."""
+        missing = workspace / "none"
+        rc = main([
+            "generate", "--ego", str(missing / "ego.csv"), "--target", str(missing / "lead.csv"),
+            "--rate", "10", "--geometry", str(missing / "g.json"),
+            "--noise", str(missing / "noise.json"), "--out", str(workspace / "gt.jsonl"),
+        ])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: a noise model needs a scenario envelope to form bounds\n"
+        )
+        assert not (workspace / "gt.jsonl").exists()
+
     def test_stamps_file(self, workspace):
         sim = simulate(workspace)
         stamps = workspace / "stamps.txt"
@@ -776,8 +790,9 @@ class TestInputErrorsNameTheirFile:
 class TestHugeConfigValue:
     """A finite config value that gives no finite bound exits 2 with one error
     line naming the configs, before any other work: 1e200 overflows as it is
-    squared, 1e154 squares to a finite value but gives an infinite bound, and
-    1e60 gives finite bounds whose rms overflows."""
+    squared, 1e154 squares to a finite value but gives an infinite bound,
+    1e60 gives finite bounds whose rms overflows, and a sigma_psi of 1.3e154
+    gives finite covariance bounds but an infinite yaw variance."""
 
     @pytest.mark.parametrize("config, value, argv", [
         ("envelope", {"d_max": 1e200}, ["bounds", "--noise", "{ws}/noise.json"]),
@@ -789,8 +804,12 @@ class TestHugeConfigValue:
          ["validate", "--samples", "100", "--seed", "1", "--noise", "{ws}/noise.json"]),
         ("envelope", {"d_max": 1e154}, [*GENERATE, "--rate", "10", "--noise", "{ws}/noise.json"]),
         ("envelope", {"d_max": 1e60}, ["bounds", "--noise", "{ws}/noise.json"]),
+        ("noise", {"sigma_psi": 1.3e154}, ["bounds", "--envelope", "{ws}/envelope.json"]),
+        ("noise", {"sigma_psi": 1.3e154},
+         [*GENERATE, "--rate", "10", "--envelope", "{ws}/envelope.json"]),
     ], ids=["bounds-d_max", "bounds-sigma_pos", "validate-sigma_pos", "generate-d_max",
-            "bounds-d_max-inf", "validate-d_max-inf", "generate-d_max-inf", "bounds-rms"])
+            "bounds-d_max-inf", "validate-d_max-inf", "generate-d_max-inf", "bounds-rms",
+            "bounds-yaw_var-inf", "generate-yaw_var-inf"])
     def test_exits_2(self, workspace, capsys, config, value, argv):
         sim = simulate(workspace)
         capsys.readouterr()

@@ -11,6 +11,9 @@ target in perfbench/tracing.py's PROBES table.
 A second check keeps errors.py to the exception classes code tells apart:
 each class it defines must be named by some except clause in src/gtforge,
 directly or through a module-level tuple that the clause unpacks.
+
+A third check finds unused imports: every name an import in src/gtforge
+binds must be referenced in its own module, annotations included.
 """
 
 from __future__ import annotations
@@ -125,3 +128,31 @@ def test_every_error_class_is_caught_somewhere():
         "error classes no except clause in src/gtforge names; raise the nearest "
         f"class that one does instead: {uncaught}"
     )
+
+
+# gtgen imports trajlog.apply_clock_model only so that perfbench/tracing.py
+# can time calls made through that binding; it goes when that probe does.
+UNUSED_IMPORTS_ALLOWED = {"gtgen.apply_clock_model"}
+
+
+def _unused_imports(module: str, tree: ast.Module) -> list[str]:
+    """module.name for each name an import in tree binds (a plain
+    `import a.b` binds a) that no name in tree references."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{module}.{name}" for name in bound if name not in used]
+
+
+def test_every_import_is_used():
+    unused = [
+        name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _unused_imports(path.stem, ast.parse(path.read_text(), str(path)))
+        if name not in UNUSED_IMPORTS_ALLOWED
+    ]
+    assert unused == [], f"imports nothing in their module uses; delete them: {unused}"
